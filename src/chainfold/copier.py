@@ -16,6 +16,8 @@ too and is glued, which is the mutation pathway.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -28,6 +30,7 @@ from .encoding import (
     Tape,
     TapeEntry,
     TypeRegistry,
+    UnknownTapeKindError,
     default_registry,
     fit,
 )
@@ -82,17 +85,18 @@ class CycleLimitExceededError(Exception):
         self.head = head
 
 
-def stickout(
+def _classify(
     candidate_kind: str,
     case: PresentationCase,
     slot: TapeEntry,
     profile: SubunitProfile,
-    registry: TypeRegistry | None = None,
-) -> int:
+    registry: TypeRegistry | None,
+) -> tuple[int, bool]:
+    """The stick-out rule: (stick-out, whether gluing is a mutation)."""
     if case == PresentationCase.ON_SIDE:
-        return 1
+        return 1, False
     if case == PresentationCase.OPPOSITE:
-        return 2
+        return 2, False
     r = fit(
         candidate_kind,
         case == PresentationCase.FLIPPED,
@@ -101,10 +105,22 @@ def stickout(
         registry,
     )
     if r is FitResult.EXACT:
-        return 0
+        return 0, False
     if r is FitResult.REVERSED:
-        return 0 if profile.sparing is Sparing.BOTH_SIDES else 1
-    return 2
+        if profile.sparing is Sparing.BOTH_SIDES:
+            return 0, True
+        return 1, False
+    return 2, False
+
+
+def stickout(
+    candidate_kind: str,
+    case: PresentationCase,
+    slot: TapeEntry,
+    profile: SubunitProfile,
+    registry: TypeRegistry | None = None,
+) -> int:
+    return _classify(candidate_kind, case, slot, profile, registry)[0]
 
 
 @dataclass(frozen=True)
@@ -141,22 +157,12 @@ def step(state: CopierState, candidate_kind: str, case: PresentationCase) -> Cyc
     if state.done:
         raise TapeExhaustedError("tape already fully copied")
     slot = state.tape[state.head]
-    s = stickout(candidate_kind, case, slot, state.profile, state.registry)
+    s, mutation = _classify(candidate_kind, case, slot, state.profile, state.registry)
     accepted = s == 0
-    mutation = False
     if accepted:
-        r = fit(
-            candidate_kind,
-            case == PresentationCase.FLIPPED,
-            slot.kind,
-            slot.flipped,
-            state.registry,
-        )
-        mutation = r is FitResult.REVERSED
         # an exact fit is recorded in the slot's own flip frame; a reversed
         # fit physically sits the other way up
-        flip = (not slot.flipped) if mutation else slot.flipped
-        state.output.append(TapeEntry(candidate_kind, flip))
+        state.output.append(TapeEntry(candidate_kind, slot.flipped != mutation))
         state.head += 1
     outcome = CycleOutcome(candidate_kind, case, s, accepted, mutation)
     state.cycle_log.append(outcome)
@@ -178,33 +184,57 @@ def _slot_code(entry: TapeEntry, registry: TypeRegistry) -> int:
     return _ROLES.index(registry.role(entry.kind)) * 2 + int(entry.flipped)
 
 
-def _build_tables(profile: SubunitProfile, registry: TypeRegistry):
-    kinds = registry.kinds
-    stick = np.full((12, 6, 4), 2, dtype=np.uint8)
-    glue_kind = np.full((12, 6, 4), -1, dtype=np.int8)
-    glue_flip = np.zeros((12, 6, 4), dtype=np.uint8)
-    mut = np.zeros((12, 6, 4), dtype=np.uint8)
+@functools.cache
+def _tables(sparing: Sparing, registry: TypeRegistry) -> tuple[np.ndarray, np.ndarray]:
+    """Stick-out and mutation flag per (slot code, kind index, case).
+
+    Only the sparing enters the rule, so one read-only pair serves every
+    profile that shares it. A glue always takes the drawn kind.
+    """
+    profile = SubunitProfile(sparing=sparing)
+    stick = np.empty((12, 6, 4), dtype=np.uint8)
+    mut = np.empty((12, 6, 4), dtype=np.uint8)
     for sc in range(12):
         slot = TapeEntry(registry.kind_for_role(_ROLES[sc // 2]), bool(sc % 2))
-        for ki, kind in enumerate(kinds):
+        for ki, kind in enumerate(registry.kinds):
             for case in PresentationCase:
-                s = stickout(kind, case, slot, profile, registry)
-                stick[sc, ki, case] = s
-                if s == 0:
-                    r = fit(
-                        kind,
-                        case == PresentationCase.FLIPPED,
-                        slot.kind,
-                        slot.flipped,
-                        registry,
-                    )
-                    is_mut = r is FitResult.REVERSED
-                    glue_kind[sc, ki, case] = ki
-                    glue_flip[sc, ki, case] = int(
-                        (not slot.flipped) if is_mut else slot.flipped
-                    )
-                    mut[sc, ki, case] = int(is_mut)
-    return stick, glue_kind, glue_flip, mut
+                stick[sc, ki, case], mut[sc, ki, case] = _classify(
+                    kind, case, slot, profile, registry
+                )
+    stick.flags.writeable = False
+    mut.flags.writeable = False
+    return stick, mut
+
+
+def _seeded_draws(seed: int | np.random.SeedSequence):
+    rng = np.random.default_rng(seed)
+
+    def draw(open_slots: int, budget: int):
+        # Draw a full chunk regardless of budget so the stream is a pure
+        # function of the seed, then cap what the kernel may consume.
+        kinds = rng.integers(0, 6, size=FEED_CHUNK, dtype=np.uint8)
+        cases = rng.integers(0, 4, size=FEED_CHUNK, dtype=np.uint8)
+        return kinds[:budget], cases[:budget]
+
+    return draw
+
+
+def _forced_draws(feed, registry: TypeRegistry):
+    items = iter(feed)
+    kind_index = {kind: i for i, kind in enumerate(registry.kinds)}
+
+    def draw(open_slots: int, budget: int):
+        # Every open slot needs at least one more draw, so a batch this
+        # size never reads past the draw that finishes the tape.
+        batch = list(itertools.islice(items, min(open_slots, budget)))
+        try:
+            kinds = [kind_index[kind] for kind, _ in batch]
+        except KeyError as exc:
+            raise UnknownTapeKindError(exc.args[0]) from None
+        cases = [PresentationCase(case) for _, case in batch]
+        return np.array(kinds, dtype=np.uint8), np.array(cases, dtype=np.uint8)
+
+    return draw
 
 
 def run_copy(
@@ -220,42 +250,17 @@ def run_copy(
     The default feed draws a kind uniformly from the registry and a
     presentation case uniformly from the four cases, all from one seeded
     generator. Passing `feed` (iterable of (kind, case)) replaces the
-    random stream entirely, for forced experiments.
+    random stream entirely, for forced experiments. Either way the copy
+    stops with CycleLimitExceededError after `max_cycles` draws, or when
+    a forced feed runs out first.
     """
     profile = profile or SubunitProfile()
     reg = registry or default_registry()
     n = len(tape)
     if max_cycles is None:
         max_cycles = max(10_000, 2_000 * n)
-
-    if feed is not None:
-        state = CopierState(tape=tape, profile=profile, registry=reg)
-        sticks = []
-        cycles = 0
-        for kind, case in feed:
-            if state.done:
-                break
-            out = step(state, kind, case)
-            sticks.append(out.stickout)
-            cycles += 1
-            if cycles > max_cycles:
-                raise CycleLimitExceededError(cycles, state.head, n)
-        if not state.done:
-            raise CycleLimitExceededError(cycles, state.head, n)
-        accepted = [o for o in state.cycle_log if o.accepted]
-        mutations = tuple(i for i, o in enumerate(accepted) if o.mutation)
-        return CopyRun(
-            output=tuple(state.output),
-            cycles=cycles,
-            mutations=mutations,
-            stickout_log=np.array(sticks, dtype=np.uint8),
-            seed=None,
-            sparing=profile.sparing,
-            backend="python",
-        )
-
-    rng = np.random.default_rng(seed)
-    stick_tab, gk_tab, gf_tab, mut_tab = _build_tables(profile, reg)
+    draw = _seeded_draws(seed) if feed is None else _forced_draws(feed, reg)
+    stick_tab, mut_tab = _tables(profile.sparing, reg)
     slot_codes = np.array([_slot_code(e, reg) for e in tape], dtype=np.int64)
     out_kinds = np.full(n, -1, dtype=np.int8)
     out_flips = np.zeros(n, dtype=np.uint8)
@@ -266,16 +271,12 @@ def run_copy(
     while head < n:
         if cycles >= max_cycles:
             raise CycleLimitExceededError(cycles, head, n)
-        # Draw a full chunk regardless of budget so the stream is a pure
-        # function of the seed, then cap what the kernel may consume.
-        budget = min(FEED_CHUNK, max_cycles - cycles)
-        kinds = rng.integers(0, 6, size=FEED_CHUNK, dtype=np.uint8)[:budget]
-        cases = rng.integers(0, 4, size=FEED_CHUNK, dtype=np.uint8)[:budget]
-        stick_log = np.zeros(budget, dtype=np.uint8)
+        kinds, cases = draw(n - head, max_cycles - cycles)
+        if not len(kinds):  # a forced feed ran dry
+            raise CycleLimitExceededError(cycles, head, n)
+        stick_log = np.zeros(len(kinds), dtype=np.uint8)
         head, used = kernels.copier_chunk(
             stick_tab,
-            gk_tab,
-            gf_tab,
             mut_tab,
             slot_codes,
             head,
@@ -297,7 +298,7 @@ def run_copy(
         cycles=cycles,
         mutations=tuple(int(i) for i in np.flatnonzero(out_mut)),
         stickout_log=np.concatenate(logs) if logs else np.zeros(0, dtype=np.uint8),
-        seed=seed,
+        seed=seed if feed is None else None,
         sparing=profile.sparing,
         backend=kernels.active_backend(),
     )
@@ -328,15 +329,11 @@ def analytic_cycle_stats(
     """
     profile = profile or SubunitProfile()
     reg = registry or default_registry()
-    per_slot: list[Fraction] = []
-    for entry in tape:
-        hits = sum(
-            1
-            for kind in reg.kinds
-            for case in PresentationCase
-            if stickout(kind, case, entry, profile, reg) == 0
-        )
-        per_slot.append(Fraction(hits, 24))
+    stick, _ = _tables(profile.sparing, reg)
+    per_slot = [
+        Fraction(int(np.count_nonzero(stick[_slot_code(entry, reg)] == 0)), 24)
+        for entry in tape
+    ]
     expected = sum((1 / p for p in per_slot), Fraction(0))
     variance = sum(((1 - p) / p**2 for p in per_slot), Fraction(0))
     return {"per_slot": per_slot, "expected_cycles": expected, "variance": variance}

@@ -197,7 +197,8 @@ Tape = tuple[TapeEntry, ...]
 
 
 def tape_from_kinds(kinds, flips=None) -> Tape:
-    flips = flips or [False] * len(list(kinds))
+    kinds = list(kinds)
+    flips = flips or [False] * len(kinds)
     return tuple(TapeEntry(k, bool(f)) for k, f in zip(kinds, flips))
 
 

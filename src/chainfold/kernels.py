@@ -1,106 +1,26 @@
-"""Array kernels with optional jit compilation.
-
-The two hot paths live here: stream-trial counting and the copier cycle
-walk. Each has a jit variant and a numpy variant consuming identical
-pre-drawn arrays, so results are bit-equal across backends. Set
-CHAINFOLD_NO_NUMBA=1 to force the numpy path; if numba is not installed
-the fallback is automatic.
+"""Array kernels for the two hot loops: stream-trial counting and the
+copier cycle walk. Both consume pre-drawn numpy arrays, so a run is a
+pure function of its inputs; `tests/test_kernels.py` holds plain-Python
+loop versions of each as the reference they must match.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    numba = None
-    _HAVE_NUMBA = False
-
-ENV_FLAG = "CHAINFOLD_NO_NUMBA"
-
-
-def numba_available() -> bool:
-    return _HAVE_NUMBA
 
 
 def active_backend() -> str:
-    """Which implementation a kernel call will use right now."""
-    if _HAVE_NUMBA and not os.environ.get(ENV_FLAG):
-        return "numba"
+    """The kernel implementation, as reported in run records."""
     return "numpy"
-
-
-def _count_matches_py(draws, target):
-    hits = 0
-    m, k = draws.shape
-    for i in range(m):
-        ok = True
-        for j in range(k):
-            if draws[i, j] != target[j]:
-                ok = False
-                break
-        if ok:
-            hits += 1
-    return hits
-
-
-def _copy_chunk_py(
-    stick_tab,
-    glue_kind_tab,
-    glue_flip_tab,
-    mut_tab,
-    slot_codes,
-    head,
-    kinds,
-    cases,
-    out_kinds,
-    out_flips,
-    out_mut,
-    stick_log,
-):
-    n = slot_codes.shape[0]
-    m = kinds.shape[0]
-    pos = 0
-    while pos < m and head < n:
-        s = slot_codes[head]
-        k = kinds[pos]
-        c = cases[pos]
-        st = stick_tab[s, k, c]
-        stick_log[pos] = st
-        if st == 0:
-            out_kinds[head] = glue_kind_tab[s, k, c]
-            out_flips[head] = glue_flip_tab[s, k, c]
-            out_mut[head] = mut_tab[s, k, c]
-            head += 1
-        pos += 1
-    return head, pos
-
-
-_jit_cache: dict = {}
-
-
-def _jitted(fn):
-    if fn not in _jit_cache:
-        _jit_cache[fn] = numba.njit(cache=True)(fn)
-    return _jit_cache[fn]
 
 
 def count_matches(draws: np.ndarray, target: np.ndarray) -> int:
     """Rows of `draws` equal to `target`, counted."""
-    if active_backend() == "numba":
-        return int(_jitted(_count_matches_py)(draws, target))
     return int(np.sum(np.all(draws == target[np.newaxis, :], axis=1)))
 
 
 def copier_chunk(
     stick_tab,
-    glue_kind_tab,
-    glue_flip_tab,
     mut_tab,
     slot_codes,
     head,
@@ -113,25 +33,12 @@ def copier_chunk(
 ) -> tuple[int, int]:
     """Walk one chunk of candidate draws; returns (new_head, draws_used).
 
-    Every draw costs a cycle; a zero stick-out glues and advances the
-    head. Output arrays are written in place.
+    Every draw costs a cycle; a zero stick-out glues the drawn kind and
+    advances the head. The glued block lies in the slot's flip frame
+    (bit 0 of the slot code) unless the glue is a mutation, which sits
+    the other way up. Output arrays are written in place.
     """
-    if active_backend() == "numba":
-        return _jitted(_copy_chunk_py)(
-            stick_tab,
-            glue_kind_tab,
-            glue_flip_tab,
-            mut_tab,
-            slot_codes,
-            head,
-            kinds,
-            cases,
-            out_kinds,
-            out_flips,
-            out_mut,
-            stick_log,
-        )
-    # numpy path: per slot, jump to the first accepting draw in the chunk
+    # per slot, jump to the first accepting draw in the chunk
     n = slot_codes.shape[0]
     m = kinds.shape[0]
     pos = 0
@@ -146,9 +53,10 @@ def copier_chunk(
             break
         stick_log[pos : pos + idx + 1] = sticks[: idx + 1]
         p = pos + idx
-        out_kinds[head] = glue_kind_tab[s, kinds[p], cases[p]]
-        out_flips[head] = glue_flip_tab[s, kinds[p], cases[p]]
-        out_mut[head] = mut_tab[s, kinds[p], cases[p]]
+        mut = mut_tab[s, kinds[p], cases[p]]
+        out_kinds[head] = kinds[p]
+        out_flips[head] = (s & 1) ^ mut
+        out_mut[head] = mut
         head += 1
         pos = p + 1
     return head, pos

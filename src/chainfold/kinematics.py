@@ -531,6 +531,8 @@ def run_scenario(
     The trace records mobile-block cells per tick. Periodicity is detected
     on the full world state (cells plus tick phase), never assumed.
     """
+    if ticks is not None and ticks < 0:
+        raise ValueError(f"ticks must not be negative, got {ticks}")
     world, meta = build_scenario(name, length=length, seed=seed)
     total = ticks if ticks is not None else meta["default_ticks"]
     mobile = [i for i, b in world.blocks.items() if not b.anchored]

@@ -43,6 +43,13 @@ def build_alphabet(size: int = 6, include_separator: bool = False) -> tuple[str,
         base.append(SEPARATOR_KIND + "0_")
     if size < len(base):
         raise ValueError(f"alphabet needs at least {len(base)} entries, got {size}")
+    # a filler is its kind letter, one index digit and "_"
+    most = len(base) + 10 * len(_FILLER_KINDS)
+    if size > most:
+        raise ValueError(
+            f"alphabet of {size} entries needs fillers longer than 3 characters; "
+            f"at most {most} fit"
+        )
     i = 0
     while len(base) < size:
         base.append(_FILLER_KINDS[i % len(_FILLER_KINDS)] + str(i // len(_FILLER_KINDS)) + "_")
@@ -143,7 +150,7 @@ def mhbbg_probability(exp: StreamExperiment) -> ProbabilityReport:
     """Monte Carlo self-copy frequency next to the closed form.
 
     Draws come in fixed-size chunks from one seeded generator, so the
-    count is identical whichever kernel backend does the matching.
+    count is a pure function of the seed.
     """
     k = exp.target_length
     target = exp.target_indices()

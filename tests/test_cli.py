@@ -141,7 +141,10 @@ def test_copy_accepts_mdl_tapes(capsys, tmp_path):
     p.write_text("G0_H__L__b__")
     code, out, _ = run_cli(capsys, "copy", "--tape", str(p))
     assert code == 0
-    assert json.loads(out)["faithful"] is True
+    data = json.loads(out)
+    assert len(data["output"]["entries"]) == 4
+    assert data["cycles"] >= 4
+    assert data["faithful"] is True
 
 
 def test_copy_cycle_budget_maps_to_exit_two(capsys):
@@ -170,6 +173,15 @@ def test_evolve_rejects_tiny_alphabet(capsys):
     assert err
 
 
+def test_evolve_rejects_alphabet_beyond_three_character_fillers(capsys):
+    code, out, err = run_cli(capsys, "evolve", "--alphabet-size", "300")
+    assert code == 1 and out == ""
+    assert err == (
+        "chainfold: alphabet of 300 entries needs fillers longer than 3 characters; "
+        "at most 46 fit\n"
+    )
+
+
 def test_scenario_summary_and_trace_file(capsys, tmp_path):
     trace_path = tmp_path / "trace.json"
     code, out, _ = run_cli(
@@ -190,6 +202,12 @@ def test_scenario_unknown_name_exits_two(capsys):
     code, _, err = run_cli(capsys, "scenario", "--name", "conveyor")
     assert code == 2
     assert "conveyor" in err
+
+
+def test_scenario_negative_ticks_exits_one(capsys):
+    code, out, err = run_cli(capsys, "scenario", "--name", "walker", "--ticks", "-3")
+    assert code == 1 and out == ""
+    assert err == "chainfold: ticks must not be negative, got -3\n"
 
 
 @pytest.mark.parametrize(

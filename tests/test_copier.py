@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainfold.copier import (
     FEED_CHUNK,
@@ -20,6 +22,7 @@ from chainfold.copier import (
 )
 from chainfold.encoding import (
     TapeEntry,
+    UnknownTapeKindError,
     default_registry,
     flip_end_over_end,
     negative_copy,
@@ -118,6 +121,38 @@ def test_forced_feed_produces_negative_copy():
     assert run.output == negative_copy(tape)
     assert run.cycles == 3
     assert run.mutations == ()
+    assert run.backend == "numpy"
+
+
+def test_forced_feed_stops_at_cycle_budget():
+    tape = tape_from_kinds(["G0_"])
+    feed = [("H__", U)] * 3 + [("b__", U)]
+    with pytest.raises(CycleLimitExceededError) as err:
+        run_copy(tape, ONE, feed=feed, max_cycles=3)
+    assert (err.value.cycles, err.value.head) == (3, 0)
+    run = run_copy(tape, ONE, feed=feed, max_cycles=4)
+    assert run.output == negative_copy(tape) and run.cycles == 4
+
+
+def test_forced_feed_rejects_unknown_kinds():
+    tape = tape_from_kinds(["G0_"])
+    with pytest.raises(UnknownTapeKindError):
+        run_copy(tape, ONE, feed=[("Q__", U)])
+    with pytest.raises(UnknownTapeKindError):
+        run_copy(tape_from_kinds(["Q__"]), ONE, feed=[("b__", U)])
+
+
+def test_forced_feed_reads_no_further_than_the_copy():
+    read = []
+
+    def endless():
+        while True:
+            for draw in (("b__", U), ("M1x", U)):
+                read.append(draw)
+                yield draw
+
+    run = run_copy(tape_from_kinds(["G0_", "H__"]), ONE, feed=endless())
+    assert run.cycles == len(read) == 2
 
 
 def test_seeded_one_side_copy_is_faithful():
@@ -199,6 +234,28 @@ def test_cycle_counts_within_three_sigma():
     assert abs(total - mean) <= 3 * sigma
 
 
+def _step_copy(tape, profile, feed, max_cycles):
+    """The copy as an explicit CopierState/step() loop over `feed`."""
+    state = CopierState(tape=tape, profile=profile, registry=REG)
+    for kind, case in feed:
+        if state.done or len(state.cycle_log) == max_cycles:
+            break
+        step(state, kind, case)
+    accepted = [o for o in state.cycle_log if o.accepted]
+    return (
+        state,
+        tuple(i for i, o in enumerate(accepted) if o.mutation),
+        [o.stickout for o in state.cycle_log],
+    )
+
+
+def _assert_matches_step_loop(run, state, mutations, sticks):
+    assert run.output == tuple(state.output)
+    assert run.cycles == len(state.cycle_log)
+    assert run.mutations == mutations
+    assert run.stickout_log.tolist() == sticks
+
+
 def test_kernel_path_matches_step_semantics():
     tape = tape_from_kinds(["G0_", "L__", "H__", "b__"], [False, True, False, True])
     seed = 77
@@ -208,23 +265,32 @@ def test_kernel_path_matches_step_semantics():
     kinds = rng.integers(0, 6, size=FEED_CHUNK, dtype=np.uint8)
     cases = rng.integers(0, 4, size=FEED_CHUNK, dtype=np.uint8)
     feed = [(KINDS[k], PresentationCase(int(c))) for k, c in zip(kinds, cases)]
-    step_run = run_copy(tape, BOTH, feed=feed)
-    assert step_run.output == kernel_run.output
-    assert step_run.cycles == kernel_run.cycles
-    assert step_run.mutations == kernel_run.mutations
-    assert np.array_equal(step_run.stickout_log, kernel_run.stickout_log)
+    state, mutations, sticks = _step_copy(tape, BOTH, feed, FEED_CHUNK)
+    assert state.done
+    _assert_matches_step_loop(kernel_run, state, mutations, sticks)
 
 
-def test_backends_agree(monkeypatch):
-    tape = tape_from_kinds(["G0_", "H__", "L__", "R__", "M1x", "b__"] * 3)
-    a = run_copy(tape, BOTH, seed=9)
-    monkeypatch.setenv("CHAINFOLD_NO_NUMBA", "1")
-    b = run_copy(tape, BOTH, seed=9)
-    assert b.backend == "numpy"
-    assert a.output == b.output
-    assert a.cycles == b.cycles
-    assert a.mutations == b.mutations
-    assert np.array_equal(a.stickout_log, b.stickout_log)
+_entries = st.builds(TapeEntry, st.sampled_from(KINDS), st.booleans())
+# flush-able presentations weighted up so that most tapes finish
+_draws = st.tuples(st.sampled_from(KINDS), st.sampled_from([U, U, F, F, S, O]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tape=st.lists(_entries, max_size=4).map(tuple),
+    profile=st.sampled_from([ONE, BOTH]),
+    feed=st.lists(_draws, min_size=20, max_size=200),
+    max_cycles=st.none() | st.integers(0, 200),
+)
+def test_forced_feed_matches_step_loop(tape, profile, feed, max_cycles):
+    state, mutations, sticks = _step_copy(tape, profile, feed, max_cycles)
+    if state.done:
+        run = run_copy(tape, profile, feed=feed, max_cycles=max_cycles)
+        _assert_matches_step_loop(run, state, mutations, sticks)
+    else:
+        with pytest.raises(CycleLimitExceededError) as err:
+            run_copy(tape, profile, feed=feed, max_cycles=max_cycles)
+        assert (err.value.cycles, err.value.head) == (len(sticks), state.head)
 
 
 def test_cycle_limit():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainfold import kernels
 from chainfold.mdl import SIX_TYPE_PROFILE, AlphabetProfile, parse_mdl
 from chainfold.protoevolution import (
     JACOBSON_LIMIT_BITS,
@@ -67,6 +66,15 @@ def test_build_alphabet_fillers_never_shadow_targets():
         build_alphabet(5)
 
 
+def test_build_alphabet_stops_before_four_character_fillers():
+    # fillers S0_ .. 29_ take one index digit; the 41st would be S10_
+    assert build_alphabet(46)[-1] == "29_"
+    assert build_alphabet(47, include_separator=True)[-1] == "29_"
+    for size, separator in ((47, False), (48, True)):
+        with pytest.raises(ValueError, match="3 characters"):
+            build_alphabet(size, include_separator=separator)
+
+
 def test_analytic_values():
     assert analytic_self_copy_probability(6) == Fraction(1, 7776)
     assert analytic_self_copy_probability(1) == Fraction(1)
@@ -109,16 +117,7 @@ def test_same_seed_reproduces_hits():
     b = mhbbg_probability(StreamExperiment(trials=300_000, seed=11))
     assert a.hits == b.hits
     assert a.monte_carlo == b.monte_carlo
-
-
-def test_backends_count_identically(monkeypatch):
-    exp = StreamExperiment(trials=400_000, seed=5)
-    monkeypatch.setenv(kernels.ENV_FLAG, "1")
-    plain = mhbbg_probability(exp)
-    assert plain.backend == "numpy"
-    monkeypatch.delenv(kernels.ENV_FLAG)
-    fast = mhbbg_probability(exp)
-    assert plain.hits == fast.hits
+    assert a.backend == "numpy"
 
 
 def test_seed_spread_is_binomial_sized():
