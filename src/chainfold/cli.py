@@ -28,7 +28,7 @@ from .mdl import MdlError, parse_mdl
 
 DEFAULT_SEED = 7
 
-_INPUT_ERRORS = (MdlError, FileNotFoundError, IsADirectoryError, json.JSONDecodeError, ValueError)
+_INPUT_ERRORS = (MdlError, OSError, json.JSONDecodeError, ValueError)
 _DOMAIN_ERRORS = (
     FoldError,
     CycleLimitExceededError,
@@ -222,7 +222,12 @@ def build_parser() -> _Parser:
     p_scn.add_argument("--name", required=True, help="walker, retainer, or shuttle")
     p_scn.add_argument("--length", type=int, default=8)
     p_scn.add_argument("--ticks", type=int, default=None)
-    p_scn.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_scn.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help="echoed in the output only; the templates draw nothing from it",
+    )
     p_scn.add_argument("--trace-out", default=None, help="write the full trace JSON here")
     p_scn.set_defaults(func=_cmd_scenario)
 

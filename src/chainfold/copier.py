@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
@@ -180,8 +182,28 @@ class CopyRun:
     backend: str
 
 
-def _slot_code(entry: TapeEntry, registry: TypeRegistry) -> int:
-    return _ROLES.index(registry.role(entry.kind)) * 2 + int(entry.flipped)
+@functools.cache
+def _upright_codes(registry: TypeRegistry) -> Mapping[str, int]:
+    """Slot code of each kind lying upright; a flipped slot adds 1."""
+    return MappingProxyType(
+        {kind: _ROLES.index(registry.role(kind)) * 2 for kind in registry.kinds}
+    )
+
+
+def _slot_codes(tape: Tape, registry: TypeRegistry) -> list[int]:
+    upright = _upright_codes(registry)
+    try:
+        return [upright[e.kind] + int(e.flipped) for e in tape]
+    except KeyError as exc:
+        raise UnknownTapeKindError(exc.args[0]) from None
+
+
+@functools.cache
+def _glued_entries(registry: TypeRegistry) -> tuple[TapeEntry, ...]:
+    """The tape entry of every glue, at kind index * 2 + flip."""
+    return tuple(
+        TapeEntry(kind, flipped) for kind in registry.kinds for flipped in (False, True)
+    )
 
 
 @functools.cache
@@ -261,7 +283,7 @@ def run_copy(
         max_cycles = max(10_000, 2_000 * n)
     draw = _seeded_draws(seed) if feed is None else _forced_draws(feed, reg)
     stick_tab, mut_tab = _tables(profile.sparing, reg)
-    slot_codes = np.array([_slot_code(e, reg) for e in tape], dtype=np.int64)
+    slot_codes = np.array(_slot_codes(tape, reg), dtype=np.int64)
     out_kinds = np.full(n, -1, dtype=np.int8)
     out_flips = np.zeros(n, dtype=np.uint8)
     out_mut = np.zeros(n, dtype=np.uint8)
@@ -289,10 +311,8 @@ def run_copy(
         )
         logs.append(stick_log[:used])
         cycles += used
-    kinds_list = reg.kinds
-    output = tuple(
-        TapeEntry(kinds_list[out_kinds[i]], bool(out_flips[i])) for i in range(n)
-    )
+    entries = _glued_entries(reg)
+    output = tuple(map(entries.__getitem__, (out_kinds * 2 + out_flips).tolist()))
     return CopyRun(
         output=output,
         cycles=cycles,
@@ -331,8 +351,8 @@ def analytic_cycle_stats(
     reg = registry or default_registry()
     stick, _ = _tables(profile.sparing, reg)
     per_slot = [
-        Fraction(int(np.count_nonzero(stick[_slot_code(entry, reg)] == 0)), 24)
-        for entry in tape
+        Fraction(int(np.count_nonzero(stick[code] == 0)), 24)
+        for code in _slot_codes(tape, reg)
     ]
     expected = sum((1 / p for p in per_slot), Fraction(0))
     variance = sum(((1 - p) / p**2 for p in per_slot), Fraction(0))

@@ -155,6 +155,10 @@ class UnknownTapeKindError(KeyError):
         super().__init__(f"kind {kind!r} is not in the type registry")
         self.kind = kind
 
+    def __str__(self) -> str:
+        # KeyError would repr the message, quotes and all
+        return self.args[0]
+
 
 class FitResult(Enum):
     EXACT = "exact"
@@ -218,10 +222,17 @@ def tape_to_json_dict(tape: Tape) -> dict:
 
 
 def tape_from_json_dict(raw: dict) -> Tape:
-    return tuple(
-        TapeEntry(e["kind"], bool(e.get("flipped", False)))
-        for e in raw["entries"]
-    )
+    """A tape from `{"entries": [{"kind": str, "flipped": bool}, ...]}`.
+
+    Raises ValueError when the document has another shape.
+    """
+    entries = raw.get("entries") if isinstance(raw, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError('a tape must be a JSON object with an "entries" list')
+    for i, e in enumerate(entries):
+        if not (isinstance(e, dict) and isinstance(e.get("kind"), str)):
+            raise ValueError(f'tape entry {i} must be an object with a string "kind"')
+    return tuple(TapeEntry(e["kind"], bool(e.get("flipped", False))) for e in entries)
 
 
 def load_tape(path: str | Path) -> Tape:

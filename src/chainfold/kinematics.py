@@ -114,12 +114,6 @@ class World:
             if sorted(map(abs, d)) != [0, 0, 1]:
                 raise KinematicsError(f"bond {a}-{b} joins non-adjacent cells")
 
-    def bond_cells(self) -> set[frozenset[Cell]]:
-        return {
-            frozenset((self.blocks[a].cell, self.blocks[b].cell))
-            for a, b in (tuple(p) for p in self.bonds)
-        }
-
     def group_of(self, block_id: int) -> frozenset[int]:
         """Connected glue component; singleton when unbonded."""
         seen = {block_id}
@@ -361,7 +355,12 @@ def _anchored_row(start_id, cells, kind="b"):
 
 
 def build_scenario(name: str, length: int = 8, seed: int = 0) -> tuple[World, dict]:
-    """Hand-placed idealized templates; meta names the cells tests care about."""
+    """Hand-placed idealized templates; meta names the cells tests care about.
+
+    The templates are fully determined by `name` and `length`: `seed` is
+    inert. It is accepted and echoed in the trace so a scenario run reads
+    like every other seeded command, but it draws nothing.
+    """
     if name not in SCENARIO_NAMES:
         raise UnknownScenarioError(name)
     if name == "walker":

@@ -155,6 +155,42 @@ def test_copy_cycle_budget_maps_to_exit_two(capsys):
     assert "cycle" in err.lower()
 
 
+def test_copy_rejects_a_json_file_that_is_not_a_tape(capsys):
+    manifest = str(fixtures_dir() / "manifest.json")
+    code, out, err = run_cli(capsys, "copy", "--tape", manifest)
+    assert code == 1 and out == ""
+    assert err == 'chainfold: a tape must be a JSON object with an "entries" list\n'
+
+
+def test_copy_rejects_tape_entries_that_are_not_objects(capsys, tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"entries": [["zz", True]]}))
+    code, out, err = run_cli(capsys, "copy", "--tape", str(p))
+    assert code == 1 and out == ""
+    assert err == 'chainfold: tape entry 0 must be an object with a string "kind"\n'
+
+
+def test_copy_unknown_kind_message_has_no_key_error_quotes(capsys, tmp_path):
+    p = tmp_path / "unknown.json"
+    p.write_text(json.dumps({"entries": [{"kind": "a"}]}))
+    code, out, err = run_cli(capsys, "copy", "--tape", str(p))
+    assert code == 2 and out == ""
+    assert err == "chainfold: kind 'a' is not in the type registry\n"
+
+
+def test_corpus_fixtures_that_are_a_file_exit_one(capsys):
+    code, out, err = run_cli(capsys, "corpus", "stats", "--fixtures", FIG4A)
+    assert code == 1 and out == ""
+    assert err.startswith("chainfold: ") and err.count("\n") == 1
+
+
+def test_scenario_help_calls_the_seed_inert(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["scenario", "--help"])
+    assert e.value.code == 0
+    assert "draw nothing" in " ".join(capsys.readouterr().out.split())
+
+
 def test_evolve_reports_analytic_and_hits(capsys):
     code, out, _ = run_cli(
         capsys, "evolve", "--trials", "200000", "--seed", "5"

@@ -146,8 +146,9 @@ def test_negative_copy_involution():
 
 
 def test_negative_copy_unknown_kind():
-    with pytest.raises(UnknownTapeKindError):
+    with pytest.raises(UnknownTapeKindError) as e:
         negative_copy((TapeEntry("Z__"),))
+    assert str(e.value) == "kind 'Z__' is not in the type registry"
 
 
 def test_flip_end_over_end():
@@ -160,3 +161,21 @@ def test_flip_end_over_end():
 def test_tape_json_roundtrip():
     tape = tape_from_kinds(["G0_", "b__"], [True, False])
     assert tape_from_json_dict(tape_to_json_dict(tape)) == tape
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [],
+        "entries",
+        {},
+        {"fixtures": []},
+        {"entries": {"kind": "G0_"}},
+        {"entries": [["zz", True]]},
+        {"entries": [{"flipped": True}]},
+        {"entries": [{"kind": 3}]},
+    ],
+)
+def test_tape_json_of_another_shape_is_a_value_error(raw):
+    with pytest.raises(ValueError):
+        tape_from_json_dict(raw)
