@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from types import MappingProxyType
@@ -38,7 +38,6 @@ from .encoding import (
 )
 
 FEED_CHUNK = 4096
-_ROLES = "abcdef"
 
 
 class Sparing(Enum):
@@ -140,14 +139,8 @@ class CopierState:
     profile: SubunitProfile
     registry: TypeRegistry
     head: int = 0
-    output: list = None  # type: ignore[assignment]
-    cycle_log: list = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.output is None:
-            self.output = []
-        if self.cycle_log is None:
-            self.cycle_log = []
+    output: list = field(default_factory=list)
+    cycle_log: list = field(default_factory=list)
 
     @property
     def done(self) -> bool:
@@ -183,11 +176,17 @@ class CopyRun:
 
 
 @functools.cache
+def _entries(registry: TypeRegistry) -> tuple[TapeEntry, ...]:
+    """Every tape entry at its code (kind index * 2 + flip): slots, rows, glues."""
+    return tuple(
+        TapeEntry(kind, flipped) for kind in registry.kinds for flipped in (False, True)
+    )
+
+
+@functools.cache
 def _upright_codes(registry: TypeRegistry) -> Mapping[str, int]:
     """Slot code of each kind lying upright; a flipped slot adds 1."""
-    return MappingProxyType(
-        {kind: _ROLES.index(registry.role(kind)) * 2 for kind in registry.kinds}
-    )
+    return MappingProxyType({kind: 2 * i for i, kind in enumerate(registry.kinds)})
 
 
 def _slot_codes(tape: Tape, registry: TypeRegistry) -> list[int]:
@@ -196,14 +195,6 @@ def _slot_codes(tape: Tape, registry: TypeRegistry) -> list[int]:
         return [upright[e.kind] + int(e.flipped) for e in tape]
     except KeyError as exc:
         raise UnknownTapeKindError(exc.args[0]) from None
-
-
-@functools.cache
-def _glued_entries(registry: TypeRegistry) -> tuple[TapeEntry, ...]:
-    """The tape entry of every glue, at kind index * 2 + flip."""
-    return tuple(
-        TapeEntry(kind, flipped) for kind in registry.kinds for flipped in (False, True)
-    )
 
 
 @functools.cache
@@ -216,8 +207,7 @@ def _tables(sparing: Sparing, registry: TypeRegistry) -> tuple[np.ndarray, np.nd
     profile = SubunitProfile(sparing=sparing)
     stick = np.empty((12, 6, 4), dtype=np.uint8)
     mut = np.empty((12, 6, 4), dtype=np.uint8)
-    for sc in range(12):
-        slot = TapeEntry(registry.kind_for_role(_ROLES[sc // 2]), bool(sc % 2))
+    for sc, slot in enumerate(_entries(registry)):
         for ki, kind in enumerate(registry.kinds):
             for case in PresentationCase:
                 stick[sc, ki, case], mut[sc, ki, case] = _classify(
@@ -244,6 +234,7 @@ def _seeded_draws(seed: int | np.random.SeedSequence):
 def _forced_draws(feed, registry: TypeRegistry):
     items = iter(feed)
     kind_index = {kind: i for i, kind in enumerate(registry.kinds)}
+    case_values = frozenset(map(int, PresentationCase))
 
     def draw(open_slots: int, budget: int):
         # Every open slot needs at least one more draw, so a batch this
@@ -253,7 +244,13 @@ def _forced_draws(feed, registry: TypeRegistry):
             kinds = [kind_index[kind] for kind, _ in batch]
         except KeyError as exc:
             raise UnknownTapeKindError(exc.args[0]) from None
-        cases = [PresentationCase(case) for _, case in batch]
+        cases = [case for _, case in batch]
+        try:
+            valid = set(cases) <= case_values
+        except TypeError:  # unhashable, so no case either
+            valid = False
+        if not valid:
+            raise ValueError("forced feed cases must be PresentationCase values 0-3")
         return np.array(kinds, dtype=np.uint8), np.array(cases, dtype=np.uint8)
 
     return draw
@@ -311,7 +308,7 @@ def run_copy(
         )
         logs.append(stick_log[:used])
         cycles += used
-    entries = _glued_entries(reg)
+    entries = _entries(reg)
     output = tuple(map(entries.__getitem__, (out_kinds * 2 + out_flips).tolist()))
     return CopyRun(
         output=output,

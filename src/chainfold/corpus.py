@@ -51,10 +51,21 @@ class Fixture:
 
 
 def load_manifest(directory: str | Path | None = None) -> dict[str, Fixture]:
+    """The fixtures of `directory/manifest.json`; ValueError on another shape."""
     d = Path(directory) if directory is not None else fixtures_dir()
     raw = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
+    items = raw.get("fixtures") if isinstance(raw, dict) else None
+    if not isinstance(items, list):
+        raise ValueError('a fixture manifest must be a JSON object with a "fixtures" list')
     out: dict[str, Fixture] = {}
-    for item in raw["fixtures"]:
+    for i, item in enumerate(items):
+        fields = item if isinstance(item, dict) else {}
+        if not all(isinstance(fields.get(k), str) for k in ("id", "file")):
+            raise ValueError(
+                f'manifest entry {i} must be an object with a string "id" and "file"'
+            )
+        if not isinstance(item.get("expected", {}), dict):
+            raise ValueError(f'manifest entry {i} has an "expected" that is not an object')
         path = d / item["file"]
         fx = Fixture(
             id=item["id"],

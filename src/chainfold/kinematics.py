@@ -10,11 +10,16 @@ Movers fire every ten ticks on their phase digit. A mover facing another
 group shoves that group one cell; a mover facing empty space carries its
 own bonded group instead, which is what lets a walker carry its engine.
 Anchored blocks pin their whole group.
+
+A tick keeps one cell -> block map, built after the dissolves and updated
+by every fold and push, so each action and the glue phase see the cells
+as the actions before them left them. Folds and pushes share one rule,
+`_move`; the only `World` built (and validated) per tick is the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,15 +102,13 @@ class World:
     bonds: frozenset[frozenset[int]]
     time: int = 0
     pending_folds: tuple[FoldEvent, ...] = ()
-    occupancy: dict[Cell, int] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        occ: dict[Cell, int] = {}
+        cells: set[Cell] = set()
         for b in self.blocks.values():
-            if b.cell in occ:
+            if b.cell in cells:
                 raise KinematicsError(f"two blocks share cell {b.cell}")
-            occ[b.cell] = b.id
-        object.__setattr__(self, "occupancy", occ)
+            cells.add(b.cell)
         for pair in self.bonds:
             a, b = sorted(pair)
             if a not in self.blocks or b not in self.blocks:
@@ -113,26 +116,6 @@ class World:
             d = _vsub(self.blocks[a].cell, self.blocks[b].cell)
             if sorted(map(abs, d)) != [0, 0, 1]:
                 raise KinematicsError(f"bond {a}-{b} joins non-adjacent cells")
-
-    def group_of(self, block_id: int) -> frozenset[int]:
-        """Connected glue component; singleton when unbonded."""
-        seen = {block_id}
-        frontier = [block_id]
-        adj: dict[int, list[int]] = {}
-        for pair in self.bonds:
-            a, b = tuple(pair)
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return frozenset(seen)
-
-    def anchored_group(self, group: frozenset[int]) -> bool:
-        return any(self.blocks[i].anchored for i in group)
 
 
 def _draw_phase(rng: np.random.Generator) -> int:
@@ -215,39 +198,45 @@ def _apply_dissolves(
         bonds.difference_update({p for p in bonds if p & dead})
 
 
+def _move(
+    blocks: dict[int, BlockInstance],
+    occupancy: dict[Cell, int],
+    moved: list[BlockInstance],
+) -> bool:
+    """Place the moved blocks; False, changing nothing, when a block that
+    stays put holds one of their cells."""
+    ids = {b.id for b in moved}
+    if any(occupancy.get(b.cell, b.id) not in ids for b in moved):
+        return False
+    for b in moved:
+        del occupancy[blocks[b.id].cell]
+    for b in moved:
+        blocks[b.id] = b
+        occupancy[b.cell] = b.id
+    return True
+
+
 def _try_fold(
     blocks: dict[int, BlockInstance],
-    event: FoldEvent,
-    hinge_rotation: Rot,
+    occupancy: dict[Cell, int],
+    hinge: BlockInstance,
 ) -> bool:
     """Rotate chain ids below the hinge about its cell; False when blocked."""
-    q = event.chain_index
-    pivotblk = None
-    movers = []
-    others = set()
-    for b in blocks.values():
-        if b.chain_index == q:
-            pivotblk = b
-        if b.chain_index is not None and b.chain_index < q:
-            movers.append(b)
-        else:
-            others.add(b.cell)
-    if pivotblk is None:
-        return True
     w = compose(
-        compose(pivotblk.orientation, hinge_rotation), inverse(pivotblk.orientation)
+        compose(hinge.orientation, TOKEN_ROTATIONS[hinge.kind]),
+        inverse(hinge.orientation),
     )
-    pivot = pivotblk.cell
-    dests = {
-        b.id: _vadd(pivot, apply(w, _vsub(b.cell, pivot))) for b in movers
-    }
-    if any(c in others for c in dests.values()):
-        return False
-    for b in movers:
-        blocks[b.id] = replace(
-            b, cell=dests[b.id], orientation=compose(w, b.orientation)
+    pivot = hinge.cell
+    turned = [
+        replace(
+            b,
+            cell=_vadd(pivot, apply(w, _vsub(b.cell, pivot))),
+            orientation=compose(w, b.orientation),
         )
-    return True
+        for b in blocks.values()
+        if b.chain_index is not None and b.chain_index < hinge.chain_index
+    ]
+    return _move(blocks, occupancy, turned)
 
 
 def _due_movers(blocks: dict[int, BlockInstance], now: int) -> list[BlockInstance]:
@@ -260,19 +249,16 @@ def _due_movers(blocks: dict[int, BlockInstance], now: int) -> list[BlockInstanc
     return sorted(due, key=lambda b: (face_of[b.id], b.id))
 
 
-def _shift_group(
-    blocks: dict[int, BlockInstance],
-    group: frozenset[int],
-    delta: Cell,
-) -> bool:
-    cells = {blocks[i].cell for i in group}
-    occupied = {b.cell for b in blocks.values()}
-    dests = {_vadd(blocks[i].cell, delta) for i in group}
-    if (dests - cells) & occupied:
-        return False
-    for i in group:
-        blocks[i] = replace(blocks[i], cell=_vadd(blocks[i].cell, delta))
-    return True
+def _group(bonded: dict[int, list[int]], block_id: int) -> set[int]:
+    """Connected glue component; singleton when unbonded."""
+    seen = {block_id}
+    frontier = [block_id]
+    while frontier:
+        for nxt in bonded.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
 
 
 def step_world(world: World) -> World:
@@ -282,45 +268,41 @@ def step_world(world: World) -> World:
     bonds = set(world.bonds)
 
     _apply_dissolves(blocks, bonds, now)
+    occupancy = {b.cell: i for i, b in blocks.items()}
 
-    by_chain_index = {
-        b.chain_index: b for b in blocks.values() if b.chain_index is not None
-    }
+    hinge_id = {b.chain_index: i for i, b in blocks.items() if b.chain_index is not None}
     still_pending: list[FoldEvent] = []
     for ev in sorted(world.pending_folds, key=lambda e: (e.due_tick, e.chain_index)):
-        hinge = by_chain_index.get(ev.chain_index)
-        if hinge is None:
+        if ev.chain_index not in hinge_id:
             continue  # hinge dissolved before it could fire
         if ev.due_tick > now:
             still_pending.append(ev)
-        elif not _try_fold(blocks, ev, TOKEN_ROTATIONS[hinge.kind]):
+        elif not _try_fold(blocks, occupancy, blocks[hinge_id[ev.chain_index]]):
             still_pending.append(FoldEvent(ev.chain_index, now + 1))
 
-    for mover in _due_movers(blocks, now):
-        if mover.id not in blocks:
-            continue
-        live = World(blocks=blocks, bonds=frozenset(bonds), time=now)
+    due = _due_movers(blocks, now)
+    bonded: dict[int, list[int]] = {}
+    if due:
+        for a, b in bonds:
+            bonded.setdefault(a, []).append(b)
+            bonded.setdefault(b, []).append(a)
+    for mover in due:
         cur = blocks[mover.id]
         delta = cur.absolute_face()
-        target = _vadd(cur.cell, delta)
-        own = live.group_of(cur.id)
-        tid = live.occupancy.get(target)
-        if tid is not None:
-            tgroup = live.group_of(tid)
-            if tgroup == own or live.anchored_group(tgroup):
-                continue
-            _shift_group(blocks, tgroup, delta)
-        elif not live.anchored_group(own):
-            _shift_group(blocks, own, delta)
+        tid = occupancy.get(_vadd(cur.cell, delta))
+        own = _group(bonded, cur.id)
+        if tid in own:
+            continue  # a mover cannot shove its own group
+        group = own if tid is None else _group(bonded, tid)
+        if not any(blocks[i].anchored for i in group):
+            shifted = [replace(blocks[i], cell=_vadd(blocks[i].cell, delta)) for i in group]
+            _move(blocks, occupancy, shifted)
 
-    live = World(blocks=blocks, bonds=frozenset(bonds), time=now)
     for b in blocks.values():
-        if b.kind != "G":
-            continue
-        near = _vadd(b.cell, b.absolute_face())
-        nid = live.occupancy.get(near)
-        if nid is not None and nid != b.id:
-            bonds.add(frozenset((b.id, nid)))
+        if b.kind == "G":
+            nid = occupancy.get(_vadd(b.cell, b.absolute_face()))
+            if nid is not None:
+                bonds.add(frozenset((b.id, nid)))
 
     return World(
         blocks=blocks,

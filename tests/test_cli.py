@@ -184,6 +184,29 @@ def test_corpus_fixtures_that_are_a_file_exit_one(capsys):
     assert err.startswith("chainfold: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "stats"])
+@pytest.mark.parametrize(
+    "manifest,message",
+    [
+        ({}, 'a fixture manifest must be a JSON object with a "fixtures" list'),
+        ([1], 'a fixture manifest must be a JSON object with a "fixtures" list'),
+        (
+            {"fixtures": [{"id": "x"}]},
+            'manifest entry 0 must be an object with a string "id" and "file"',
+        ),
+        (
+            {"fixtures": [{"id": "x", "file": "x.mdl", "expected": 5}]},
+            'manifest entry 0 has an "expected" that is not an object',
+        ),
+    ],
+)
+def test_corpus_malformed_manifest_exits_one(capsys, tmp_path, command, manifest, message):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    code, out, err = run_cli(capsys, "corpus", command, "--fixtures", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"chainfold: {message}\n"
+
+
 def test_scenario_help_calls_the_seed_inert(capsys):
     with pytest.raises(SystemExit) as e:
         main(["scenario", "--help"])

@@ -25,6 +25,8 @@ def files(tmp_path_factory):
     """Paths an argument may name: good inputs, bad ones and non-files."""
     d = tmp_path_factory.mktemp("fuzz")
     (d / "empty").mkdir()
+    (d / "bad_manifest").mkdir()
+    (d / "bad_manifest" / "manifest.json").write_text(json.dumps({"fixtures": [{"id": "x"}]}))
     written = {
         "bad_entries.json": json.dumps({"entries": [["zz", True]]}),
         "unknown_kind.json": json.dumps({"entries": [{"kind": "a"}]}),
@@ -48,6 +50,7 @@ def files(tmp_path_factory):
             *(d / name for name in written),
             d / "binary.mdl",
             d / "empty",
+            d / "bad_manifest",
             d / "missing.json",
             d / "missing.mdl",
         )

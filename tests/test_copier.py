@@ -22,6 +22,7 @@ from chainfold.copier import (
 )
 from chainfold.encoding import (
     TapeEntry,
+    TypeRegistry,
     UnknownTapeKindError,
     default_registry,
     flip_end_over_end,
@@ -142,6 +143,19 @@ def test_forced_feed_rejects_unknown_kinds():
         run_copy(tape_from_kinds(["Q__"]), ONE, feed=[("b__", U)])
 
 
+@pytest.mark.parametrize("case", [4, -1, "1"])
+def test_forced_feed_rejects_values_that_are_not_cases(case):
+    with pytest.raises(ValueError):
+        run_copy(tape_from_kinds(["G0_"]), ONE, feed=[("b__", case)])
+
+
+def test_forced_feed_takes_cases_as_members_or_ints():
+    tape = tape_from_kinds(["G0_", "H__"])
+    run = run_copy(tape, ONE, feed=[("b__", U), ("H__", 3), ("M1x", 0)])
+    assert run.output == negative_copy(tape)
+    assert run.stickout_log.tolist() == [0, 2, 0]
+
+
 def test_forced_feed_reads_no_further_than_the_copy():
     read = []
 
@@ -220,6 +234,21 @@ def test_analytic_cycle_stats_frozen_values():
     # flipped slots accept at the same rates
     flipped = tuple(TapeEntry(e.kind, True) for e in tape)
     assert analytic_cycle_stats(flipped, ONE)["per_slot"] == one
+
+
+def test_registry_in_another_kind_order_copies_alike():
+    again = TypeRegistry.from_json(REG.to_json())
+    assert again.kinds != KINDS  # sorted by kind, so M1x comes before R__
+    tape = tape_from_kinds(
+        ["G0_", "H__", "L__", "R__", "M1x", "b__"], [False, True] * 3
+    )
+    run = run_copy(tape, ONE, seed=9, registry=again)
+    assert run.output == negative_copy(tape)
+    assert run.mutations == ()
+    for profile in (ONE, BOTH):
+        assert analytic_cycle_stats(tape, profile, again) == analytic_cycle_stats(
+            tape, profile
+        )
 
 
 def test_cycle_counts_within_three_sigma():

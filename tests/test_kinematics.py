@@ -1,10 +1,12 @@
+import hashlib
+import json
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainfold.corpus import load_manifest
+from chainfold.corpus import load_fixture, load_manifest
 from chainfold.folding import CollisionError, fold
 from chainfold.kinematics import (
     FACE_VECTORS,
@@ -129,6 +131,44 @@ def test_gluer_bonds_across_active_face():
     )
     w = step_world(w)
     assert frozenset((0, 1)) in w.bonds
+
+
+def test_block_pushed_into_gluer_face_bonds_same_tick():
+    # the glue phase reads the cells as the move phase left them
+    w = _world(
+        [
+            BlockInstance(id=0, kind="G", cell=(0, 0, 0)),
+            BlockInstance(id=1, kind="b", cell=(1, 0, 1)),
+            _mover(2, (1, 0, 2), face=5, phase=0),
+        ]
+    )
+    w = step_world(w)
+    assert w.blocks[1].cell == (1, 0, 0)
+    assert frozenset((0, 1)) in w.bonds
+
+
+def test_later_mover_sees_cells_an_earlier_mover_changed():
+    # the +x mover acts first; the +y mover then meets the filled cell
+    w = _world(
+        [
+            _mover(0, (0, 0, 0), face=0, phase=0),
+            BlockInstance(id=1, kind="b", cell=(1, 0, 0)),
+            _mover(2, (2, -1, 0), face=2, phase=0, anchored=True),
+        ]
+    )
+    w = step_world(w)
+    assert w.blocks[1].cell == (2, 1, 0)
+    # ... or the emptied one, and carries itself into it
+    w = _world(
+        [
+            _mover(0, (0, 0, 0), face=0, phase=0),
+            BlockInstance(id=1, kind="b", cell=(1, 0, 0)),
+            _mover(2, (1, -1, 0), face=2, phase=0),
+        ]
+    )
+    w = step_world(w)
+    assert w.blocks[1].cell == (2, 0, 0)
+    assert w.blocks[2].cell == (1, 0, 0)
 
 
 def test_conservation_of_non_dissolvables():
@@ -378,3 +418,61 @@ def test_trace_json_round_shape():
     assert len(d["frames"]) == 31
     assert all(len(c) == 3 for f in d["frames"] for c in f["cells"].values())
     assert "spans" not in d["result"]
+
+
+# --- pinned outputs -----------------------------------------------------------
+
+# SHA-256 of `scenario --trace-out` files: each template at its minimum
+# length and at 8, 13 and 32, run for its default number of ticks.
+TRACE_DIGESTS = {
+    ("walker", 5): "5820058a031dbd165ad7ae28294ef2d18861e60a3e48c05aa7543d25eecd0288",
+    ("walker", 8): "1da139dc32d651f8710d96af23c5d3ef056138214eb646a464b3ab02dbea1a15",
+    ("walker", 13): "2cea9e31e29ee673941bf215f13814be2b7cb1307e7b83f61bf4db334919968f",
+    ("walker", 32): "d6f21e9cbc16ea08a8ef83b0e9f9442db4f2b4524c568c935659ddeb0f27ad44",
+    ("shuttle", 3): "e2c9f1744dc80b7618aa8ba524ee103f0771082ff7086ff79b58a102bd8384fb",
+    ("shuttle", 8): "6c70ac3a1916eb8aacbbde094b71389427475e1f0fd775b96c6a8d4e5f5ff9fa",
+    ("shuttle", 13): "fe67a588617e80a7631ac7882226dd28c87854fcdb8d4a5fcab0eb3489f91563",
+    ("shuttle", 32): "072577ca5143948f540ae82c51b2b9582490090abcdc0ac4d8accb4ce9fde0ca",
+    ("retainer", 4): "f88735239f361e7b52f754c6a64fc230aaea491708161c8f5e313d7bb08c41af",
+    ("retainer", 8): "b95800937025e723192aba360b6d393d86eb8d656b5bb9f15f44d7efee989735",
+    ("retainer", 13): "16175fe188c00c2c0656d38c2e7b9e629d4c9e8e000fae5067a191aabb48b8bd",
+    ("retainer", 32): "8d6e0fb676d5ccba87f881aafda171a555e50eb9da07aa2490ffe2ca4ebd4163",
+}
+
+# SHA-256 over every tick of a 150-tick in-world run (cells, orientations,
+# bonds, pending folds). Between them these fold, retry blocked folds
+# (fig15d, fig16a), fire movers, dissolve and run gluers.
+INWORLD_DIGESTS = {
+    "fig19": "57cb8e764f98982987d09d390f7049a1fbc7d983fa94ebbadb2bb3678cfd1f7a",
+    "fig20": "5234a2b2f717ea1d9dc02d23be76e86292cd298b3a9cb415a17f298dc081e556",
+    "fig21": "0fe6818039fb507a5f9980ebd0a06db254695c86c99e60a0ebf359822055af5d",
+    "fig22a": "c2db2be3524a30b7edecf066631b61b6751adf745029bd88719d7117a1ca01a4",
+    "fig22c": "37e4a943198df8b46accb757fa706dad77ef1f4edee09141f08421ea57d65edd",
+    "fig32": "46f098a6006d1bc6505fc253891f6de0b9143a834d28265113a9d4f6724b3d7e",
+    "fig15d": "bff98948fb324cca1b6fc8f2d7139d0425904bfb7b66da8261d3ad9214acf057",
+    "fig16a": "2c7cf8b46c1f6e1582941e66375246f5e6fa6ed6db7985f639ce0994094ecf25",
+}
+
+
+@pytest.mark.parametrize("name,length", sorted(TRACE_DIGESTS))
+def test_scenario_trace_matches_pinned_digest(name, length):
+    text = json.dumps(
+        trace_to_json_dict(run_scenario(name, length=length)), indent=2, sort_keys=True
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_DIGESTS[name, length]
+
+
+@pytest.mark.parametrize("fixture_id", sorted(INWORLD_DIGESTS))
+def test_inworld_run_matches_pinned_digest(fixture_id):
+    w = world_from_chain(load_fixture(fixture_id).mdl)
+    h = hashlib.sha256()
+    for _ in range(150):
+        w = step_world(w)
+        state = [
+            w.time,
+            sorted((i, b.cell, b.orientation) for i, b in w.blocks.items()),
+            sorted(sorted(p) for p in w.bonds),
+            [(e.chain_index, e.due_tick) for e in w.pending_folds],
+        ]
+        h.update(json.dumps(state).encode())
+    assert h.hexdigest() == INWORLD_DIGESTS[fixture_id]
