@@ -52,25 +52,16 @@ class PresentationCase(IntEnum):
     OPPOSITE = 3
 
 
+# the kernel's flat draw index, kind * cases + case, is one byte
+_MAX_KINDS = 256 // len(PresentationCase)
+
+
 @dataclass(frozen=True)
 class SubunitProfile:
-    """Block body in subunits plus the marking row on top."""
+    """The block geometry the stick-out rule reads: which sides of the
+    marking row are spared."""
 
-    body: tuple[int, int, int] = (4, 4, 4)
-    marking_rows: int = 1
-    clearance: int = 3
     sparing: Sparing = Sparing.ONE_SIDE
-
-    def __post_init__(self) -> None:
-        if min(self.body) <= 0 or self.marking_rows <= 0:
-            raise ValueError("subunit dimensions must be positive")
-        if self.clearance >= self.body[2]:
-            raise ValueError("clearance must sit below the body height")
-
-    @property
-    def volume(self) -> int:
-        bx, by, bz = self.body
-        return bx * by * (bz + self.marking_rows)
 
 
 class TapeExhaustedError(Exception):
@@ -205,8 +196,9 @@ def _tables(sparing: Sparing, registry: TypeRegistry) -> tuple[np.ndarray, np.nd
     profile that shares it. A glue always takes the drawn kind.
     """
     profile = SubunitProfile(sparing=sparing)
-    stick = np.empty((12, 6, 4), dtype=np.uint8)
-    mut = np.empty((12, 6, 4), dtype=np.uint8)
+    k = len(registry.kinds)
+    stick = np.empty((2 * k, k, len(PresentationCase)), dtype=np.uint8)
+    mut = np.empty_like(stick)
     for sc, slot in enumerate(_entries(registry)):
         for ki, kind in enumerate(registry.kinds):
             for case in PresentationCase:
@@ -218,13 +210,13 @@ def _tables(sparing: Sparing, registry: TypeRegistry) -> tuple[np.ndarray, np.nd
     return stick, mut
 
 
-def _seeded_draws(seed: int | np.random.SeedSequence):
+def _seeded_draws(seed: int | np.random.SeedSequence, n_kinds: int):
     rng = np.random.default_rng(seed)
 
     def draw(open_slots: int, budget: int):
         # Draw a full chunk regardless of budget so the stream is a pure
         # function of the seed, then cap what the kernel may consume.
-        kinds = rng.integers(0, 6, size=FEED_CHUNK, dtype=np.uint8)
+        kinds = rng.integers(0, n_kinds, size=FEED_CHUNK, dtype=np.uint8)
         cases = rng.integers(0, 4, size=FEED_CHUNK, dtype=np.uint8)
         return kinds[:budget], cases[:budget]
 
@@ -271,14 +263,18 @@ def run_copy(
     generator. Passing `feed` (iterable of (kind, case)) replaces the
     random stream entirely, for forced experiments. Either way the copy
     stops with CycleLimitExceededError after `max_cycles` draws, or when
-    a forced feed runs out first.
+    a forced feed runs out first. Registries of more than 64 kinds
+    raise ValueError.
     """
     profile = profile or SubunitProfile()
     reg = registry or default_registry()
+    n_kinds = len(reg.kinds)
+    if n_kinds > _MAX_KINDS:
+        raise ValueError(f"the copier takes at most {_MAX_KINDS} kinds, got {n_kinds}")
     n = len(tape)
     if max_cycles is None:
         max_cycles = max(10_000, 2_000 * n)
-    draw = _seeded_draws(seed) if feed is None else _forced_draws(feed, reg)
+    draw = _seeded_draws(seed, n_kinds) if feed is None else _forced_draws(feed, reg)
     stick_tab, mut_tab = _tables(profile.sparing, reg)
     slot_codes = np.array(_slot_codes(tape, reg), dtype=np.int64)
     out_kinds = np.full(n, -1, dtype=np.int8)
@@ -341,14 +337,14 @@ def analytic_cycle_stats(
 ) -> dict:
     """Exact per-slot acceptance odds and waiting-time moments.
 
-    Enumerates the 24 equally likely (kind, case) draws against each slot;
-    waiting times are geometric, so expectation is 1/p per slot.
+    Enumerates the 4 x kinds equally likely (kind, case) draws against
+    each slot; waiting times are geometric, so expectation is 1/p per slot.
     """
     profile = profile or SubunitProfile()
     reg = registry or default_registry()
     stick, _ = _tables(profile.sparing, reg)
     per_slot = [
-        Fraction(int(np.count_nonzero(stick[code] == 0)), 24)
+        Fraction(int(np.count_nonzero(stick[code] == 0)), stick[code].size)
         for code in _slot_codes(tape, reg)
     ]
     expected = sum((1 / p for p in per_slot), Fraction(0))

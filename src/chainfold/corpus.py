@@ -66,6 +66,7 @@ def load_manifest(directory: str | Path | None = None) -> dict[str, Fixture]:
             )
         if not isinstance(item.get("expected", {}), dict):
             raise ValueError(f'manifest entry {i} has an "expected" that is not an object')
+        _check_tags(i, item.get("expected", {}).get("tags", {}))
         path = d / item["file"]
         fx = Fixture(
             id=item["id"],
@@ -81,6 +82,24 @@ def load_manifest(directory: str | Path | None = None) -> dict[str, Fixture]:
             raise ValueError(f"curated fixture {fx.id!r} has no correction note")
         out[fx.id] = fx
     return out
+
+
+def _check_tags(i: int, tags) -> None:
+    """The shape of the tags that verification and the stats read."""
+    if not isinstance(tags, dict):
+        raise ValueError(f'manifest entry {i} has "tags" that are not an object')
+    helix = tags.get("helix", {"lead": 0, "unit": 1})
+    if not isinstance(helix, dict) or not all(
+        type(helix.get(key)) is int and helix[key] >= low
+        for key, low in (("lead", 0), ("unit", 1))
+    ):
+        raise ValueError(
+            f'manifest entry {i} has a "helix" that is not an object with'
+            ' an int "lead" >= 0 and an int "unit" >= 1'
+        )
+    for key in ("mirror_of", "machine_role"):
+        if not isinstance(tags.get(key, ""), str):
+            raise ValueError(f'manifest entry {i} has a "{key}" that is not a string')
 
 
 def load_fixture(fixture_id: str, directory: str | Path | None = None) -> Fixture:

@@ -4,7 +4,9 @@ A world is a set of lattice-exclusive block instances with glue bonds,
 stepped on a global tick. Per tick, in order: due dissolvables vanish,
 due chain folds rotate their upstream sub-chain, movers on their phase
 push or carry, gluers bond across their active face. Blocked actions are
-no-ops (folds retry next tick); there is no other failure mode.
+no-ops (folds retry next tick); there is no other failure mode. A fold is
+blocked by a block in its way and by a glue bond it would tear (one end
+turned, the other not, no longer adjacent).
 
 Movers fire every ten ticks on their phase digit. A mover facing another
 group shoves that group one cell; a mover facing empty space carries its
@@ -61,6 +63,10 @@ def _vsub(a: Cell, b: Cell) -> Cell:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
+def _adjacent(a: Cell, b: Cell) -> bool:
+    return sorted(map(abs, _vsub(a, b))) == [0, 0, 1]
+
+
 @dataclass(frozen=True)
 class BlockInstance:
     id: int
@@ -113,8 +119,7 @@ class World:
             a, b = sorted(pair)
             if a not in self.blocks or b not in self.blocks:
                 raise KinematicsError(f"bond {a}-{b} names a missing block")
-            d = _vsub(self.blocks[a].cell, self.blocks[b].cell)
-            if sorted(map(abs, d)) != [0, 0, 1]:
+            if not _adjacent(self.blocks[a].cell, self.blocks[b].cell):
                 raise KinematicsError(f"bond {a}-{b} joins non-adjacent cells")
 
 
@@ -219,9 +224,11 @@ def _move(
 def _try_fold(
     blocks: dict[int, BlockInstance],
     occupancy: dict[Cell, int],
+    bonds: set[frozenset[int]],
     hinge: BlockInstance,
 ) -> bool:
-    """Rotate chain ids below the hinge about its cell; False when blocked."""
+    """Rotate chain ids below the hinge about its cell; False, changing
+    nothing, when a block is in the way or a bond would tear."""
     w = compose(
         compose(hinge.orientation, TOKEN_ROTATIONS[hinge.kind]),
         inverse(hinge.orientation),
@@ -236,6 +243,12 @@ def _try_fold(
         for b in blocks.values()
         if b.chain_index is not None and b.chain_index < hinge.chain_index
     ]
+    cell = {b.id: b.cell for b in turned}
+    for a, b in bonds:
+        if (a in cell) != (b in cell) and not _adjacent(
+            cell.get(a, blocks[a].cell), cell.get(b, blocks[b].cell)
+        ):
+            return False
     return _move(blocks, occupancy, turned)
 
 
@@ -277,7 +290,7 @@ def step_world(world: World) -> World:
             continue  # hinge dissolved before it could fire
         if ev.due_tick > now:
             still_pending.append(ev)
-        elif not _try_fold(blocks, occupancy, blocks[hinge_id[ev.chain_index]]):
+        elif not _try_fold(blocks, occupancy, bonds, blocks[hinge_id[ev.chain_index]]):
             still_pending.append(FoldEvent(ev.chain_index, now + 1))
 
     due = _due_movers(blocks, now)
@@ -325,146 +338,70 @@ _RETAINER_PHASE_Z = 8
 _RELEASE_TICK = 13
 _SHUTTLE_PHASE_L = 2
 _SHUTTLE_PHASE_R = 7
+_MIN_LENGTH = {"walker": 5, "retainer": 4, "shuttle": 3}
 
 
-def _anchored_row(start_id, cells, kind="b"):
-    return {
-        start_id + k: BlockInstance(
-            id=start_id + k, kind=kind, cell=c, anchored=True
-        )
-        for k, c in enumerate(cells)
-    }
+def build_scenario(name: str, length: int = 8) -> tuple[World, dict]:
+    """Hand-placed idealized templates, fixed by `name` and `length`; meta
+    names the blocks and cells `run_scenario` reads.
 
-
-def build_scenario(name: str, length: int = 8, seed: int = 0) -> tuple[World, dict]:
-    """Hand-placed idealized templates; meta names the cells tests care about.
-
-    The templates are fully determined by `name` and `length`: `seed` is
-    inert. It is accepted and echoed in the trace so a scenario run reads
-    like every other seeded command, but it draws nothing.
+    All three sit on one anchored, chain-bonded track along x; the walker
+    and the retainer pull the same leashed carriage. Ids follow placement
+    order.
     """
     if name not in SCENARIO_NAMES:
         raise UnknownScenarioError(name)
+    if length < _MIN_LENGTH[name]:
+        raise KinematicsError(f"{name} needs length >= {_MIN_LENGTH[name]}")
+    blocks: dict[int, BlockInstance] = {}
+    bonds: set[frozenset[int]] = set()
+
+    def add(kind: str, cell: Cell, bond_to: int | None = None, **fields) -> int:
+        bid = len(blocks)
+        blocks[bid] = BlockInstance(id=bid, kind=kind, cell=cell, **fields)
+        if bond_to is not None:
+            bonds.add(frozenset((bid, bond_to)))
+        return bid
+
+    def carriage() -> tuple[int, int]:
+        """Leash (bonded to track block 0 until it dissolves), body, x-mover."""
+        leash = add("d", (0, 0, 1), 0, dissolve_due=_RELEASE_TICK)
+        body = add("b", (1, 0, 1), leash)
+        return body, add("M", (2, 0, 1), body, mover_face=0, mover_phase=_WALKER_PHASE_X)
+
+    prev = None
+    for x in range(length + 3 if name == "retainer" else length):
+        prev = add("b", (x, 0, 0), prev, anchored=True)
+
     if name == "walker":
-        if length < 5:
-            raise KinematicsError("walker needs length >= 5")
-        blocks = _anchored_row(0, [(x, 0, 0) for x in range(length)])
-        wall_id = length
-        blocks[wall_id] = BlockInstance(
-            id=wall_id, kind="b", cell=(length - 1, 0, 1), anchored=True
-        )
-        d_id, body_id, mover_id = length + 1, length + 2, length + 3
-        blocks[d_id] = BlockInstance(
-            id=d_id, kind="d", cell=(0, 0, 1), dissolve_due=_RELEASE_TICK
-        )
-        blocks[body_id] = BlockInstance(id=body_id, kind="b", cell=(1, 0, 1))
-        blocks[mover_id] = BlockInstance(
-            id=mover_id,
-            kind="M",
-            cell=(2, 0, 1),
-            mover_face=0,
-            mover_phase=_WALKER_PHASE_X,
-        )
-        bonds = frozenset(
-            {
-                frozenset((0, d_id)),  # leash to the track until release
-                frozenset((d_id, body_id)),
-                frozenset((body_id, mover_id)),
-            }
-            | {frozenset((i, i + 1)) for i in range(length - 1)}
-        )
-        meta = {
-            "mover_id": mover_id,
-            "walker_ids": (body_id, mover_id),
-            "track_end": length - 2,
-            "release_tick": _RELEASE_TICK,
-            "default_ticks": MOVER_PERIOD * length + 40,
-        }
-        return World(blocks=blocks, bonds=bonds), meta
-
-    if name == "retainer":
-        if length < 4:
-            raise KinematicsError("retainer needs length >= 4")
-        track = [(x, 0, 0) for x in range(length + 3)]
-        blocks = _anchored_row(0, track)
-        nid = len(track)
-        roof_cells = [(x, 0, 3) for x in range(1, length)]
-        for c in roof_cells:
-            blocks[nid] = BlockInstance(id=nid, kind="b", cell=c, anchored=True)
-            nid += 1
+        add("b", (length - 1, 0, 1), anchored=True)  # wall at the track end
+        _, mover = carriage()
+        meta = {"mover_id": mover, "track_end": length - 2}
+    elif name == "retainer":
+        for x in range(1, length):
+            add("b", (x, 0, 3), anchored=True)  # roof
         for z in range(1, 9):  # post at the track end stops the carriage
-            blocks[nid] = BlockInstance(
-                id=nid, kind="b", cell=(length + 2, 0, z), anchored=True
-            )
-            nid += 1
-        d_id, body_id, mx_id, mz_id = nid, nid + 1, nid + 2, nid + 3
-        blocks[d_id] = BlockInstance(
-            id=d_id, kind="d", cell=(0, 0, 1), dissolve_due=_RELEASE_TICK
-        )
-        blocks[body_id] = BlockInstance(id=body_id, kind="b", cell=(1, 0, 1))
-        blocks[mx_id] = BlockInstance(
-            id=mx_id, kind="M", cell=(2, 0, 1), mover_face=0, mover_phase=_WALKER_PHASE_X
-        )
-        blocks[mz_id] = BlockInstance(
-            id=mz_id, kind="M", cell=(1, 0, 2), mover_face=4, mover_phase=_RETAINER_PHASE_Z
-        )
-        bonds = frozenset(
-            {
-                frozenset((0, d_id)),
-                frozenset((d_id, body_id)),
-                frozenset((body_id, mx_id)),
-                frozenset((body_id, mz_id)),
-            }
-            | {frozenset((i, i + 1)) for i in range(len(track) - 1)}
-        )
+            add("b", (length + 2, 0, z), anchored=True)
+        body, _ = carriage()
+        payload = add("M", (1, 0, 2), body, mover_face=4, mover_phase=_RETAINER_PHASE_Z)
         meta = {
-            "payload_id": mz_id,
+            "payload_id": payload,
             "start_z": 2,
-            "roof_span": (1, length - 1),
             "track_end": length,  # payload x once the carriage parks
-            "release_tick": _RELEASE_TICK,
-            "default_ticks": MOVER_PERIOD * length + 40,
         }
-        return World(blocks=blocks, bonds=bonds), meta
-
-    # shuttle
-    if length < 3:
-        raise KinematicsError("shuttle needs length >= 3")
-    blocks = _anchored_row(0, [(x, 0, 0) for x in range(length)])
-    left_id, right_id = length, length + 1
-    blocks[left_id] = BlockInstance(
-        id=left_id,
-        kind="M",
-        cell=(-1, 0, 1),
-        anchored=True,
-        mover_face=0,
-        mover_phase=_SHUTTLE_PHASE_L,
-    )
-    blocks[right_id] = BlockInstance(
-        id=right_id,
-        kind="M",
-        cell=(length, 0, 1),
-        anchored=True,
-        mover_face=1,
-        mover_phase=_SHUTTLE_PHASE_R,
-    )
-    car_ids = list(range(length + 2, length + 2 + length - 1))
-    car = {
-        cid: BlockInstance(id=cid, kind="b", cell=(x, 0, 1))
-        for x, cid in enumerate(car_ids)
-    }
-    blocks.update(car)
-    bonds = frozenset(
-        {frozenset((i, i + 1)) for i in range(length - 1)}
-        | {frozenset((a, b)) for a, b in zip(car_ids, car_ids[1:])}
-    )
-    meta = {
-        "car_ids": tuple(car_ids),
-        "left_end": 0,
-        "right_end": length - 1,
-        "default_ticks": MOVER_PERIOD * length + 60,
-    }
-    return World(blocks=blocks, bonds=bonds), meta
+    else:
+        add("M", (-1, 0, 1), anchored=True, mover_face=0, mover_phase=_SHUTTLE_PHASE_L)
+        add("M", (length, 0, 1), anchored=True, mover_face=1, mover_phase=_SHUTTLE_PHASE_R)
+        car, prev = len(blocks), None
+        for x in range(length - 1):
+            prev = add("b", (x, 0, 1), prev)
+        meta = {
+            "car_ids": tuple(range(car, len(blocks))),
+            "left_end": 0,
+            "right_end": length - 1,
+        }
+    meta["default_ticks"] = MOVER_PERIOD * length + (60 if name == "shuttle" else 40)
+    return World(blocks=blocks, bonds=frozenset(bonds)), meta
 
 
 @dataclass(frozen=True)
@@ -514,7 +451,7 @@ def run_scenario(
     """
     if ticks is not None and ticks < 0:
         raise ValueError(f"ticks must not be negative, got {ticks}")
-    world, meta = build_scenario(name, length=length, seed=seed)
+    world, meta = build_scenario(name, length=length)
     total = ticks if ticks is not None else meta["default_ticks"]
     mobile = [i for i, b in world.blocks.items() if not b.anchored]
     frames = []

@@ -207,6 +207,35 @@ def test_corpus_malformed_manifest_exits_one(capsys, tmp_path, command, manifest
     assert err == f"chainfold: {message}\n"
 
 
+HELIX_MESSAGE = (
+    'manifest entry 0 has a "helix" that is not an object with'
+    ' an int "lead" >= 0 and an int "unit" >= 1'
+)
+
+
+@pytest.mark.parametrize("command", ["verify", "stats"])
+@pytest.mark.parametrize(
+    "tags,message",
+    [
+        (5, 'manifest entry 0 has "tags" that are not an object'),
+        ({"helix": 1}, HELIX_MESSAGE),
+        ({"helix": {"lead": "x", "unit": 2}}, HELIX_MESSAGE),
+        ({"helix": {"lead": 0, "unit": 0}}, HELIX_MESSAGE),
+        ({"helix": {"lead": -1, "unit": 2}}, HELIX_MESSAGE),
+        ({"helix": {"lead": 0, "unit": True}}, HELIX_MESSAGE),
+        ({"mirror_of": ["a"]}, 'manifest entry 0 has a "mirror_of" that is not a string'),
+        ({"machine_role": ["copier"]}, 'manifest entry 0 has a "machine_role" that is not a string'),
+    ],
+)
+def test_corpus_malformed_manifest_tags_exit_one(capsys, tmp_path, command, tags, message):
+    (tmp_path / "x.mdl").write_text("b_H_b_b_b_")
+    entry = {"id": "x", "file": "x.mdl", "expected": {"tags": tags}}
+    (tmp_path / "manifest.json").write_text(json.dumps({"fixtures": [entry]}))
+    code, out, err = run_cli(capsys, "corpus", command, "--fixtures", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"chainfold: {message}\n"
+
+
 def test_scenario_help_calls_the_seed_inert(capsys):
     with pytest.raises(SystemExit) as e:
         main(["scenario", "--help"])

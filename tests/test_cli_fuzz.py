@@ -27,6 +27,10 @@ def files(tmp_path_factory):
     (d / "empty").mkdir()
     (d / "bad_manifest").mkdir()
     (d / "bad_manifest" / "manifest.json").write_text(json.dumps({"fixtures": [{"id": "x"}]}))
+    (d / "bad_tags").mkdir()
+    (d / "bad_tags" / "x.mdl").write_text("b_H_b_b_b_")
+    helix = {"id": "x", "file": "x.mdl", "expected": {"tags": {"helix": 1}}}
+    (d / "bad_tags" / "manifest.json").write_text(json.dumps({"fixtures": [helix]}))
     written = {
         "bad_entries.json": json.dumps({"entries": [["zz", True]]}),
         "unknown_kind.json": json.dumps({"entries": [{"kind": "a"}]}),
@@ -51,6 +55,7 @@ def files(tmp_path_factory):
             d / "binary.mdl",
             d / "empty",
             d / "bad_manifest",
+            d / "bad_tags",
             d / "missing.json",
             d / "missing.mdl",
         )

@@ -21,6 +21,7 @@ from chainfold.copier import (
     stickout,
 )
 from chainfold.encoding import (
+    MarkingPattern,
     TapeEntry,
     TypeRegistry,
     UnknownTapeKindError,
@@ -52,13 +53,6 @@ ACCEPT_BOTH_SIDES = {
     k: v | ({(k, F)} if k not in ("L__", "R__") else set())
     for k, v in ACCEPT_ONE_SIDE.items()
 }
-
-
-def test_profile_geometry():
-    assert ONE.volume == 4 * 4 * 5 == 80
-    assert ONE.clearance == 3
-    with pytest.raises(ValueError):
-        SubunitProfile(body=(4, 4, 2), clearance=3)
 
 
 def test_stickout_table_is_exhaustive_and_bounded():
@@ -249,6 +243,55 @@ def test_registry_in_another_kind_order_copies_alike():
         assert analytic_cycle_stats(tape, profile, again) == analytic_cycle_stats(
             tape, profile
         )
+
+
+def _registry(patterns):
+    """Each pattern and its complement, as kinds named by their bits."""
+    bits = set(patterns) | {"".join("10"[int(c)] for c in p) for p in patterns}
+    return TypeRegistry({p: (p, MarkingPattern.from_string(p)) for p in sorted(bits)})
+
+
+FOUR_KINDS = _registry(["1100", "1001"])
+EIGHT_KINDS = _registry(["111000", "101100", "100110", "110010"])
+BALANCED_8 = [
+    "".join(b) for b in itertools.product("01", repeat=8) if b.count("1") == 4
+]
+
+
+@pytest.mark.parametrize("reg", [FOUR_KINDS, EIGHT_KINDS])
+@pytest.mark.parametrize("profile", [ONE, BOTH])
+def test_analytic_odds_count_every_draw_of_any_registry(reg, profile):
+    tape = tuple(TapeEntry(k, f) for k in reg.kinds for f in (False, True))
+    expected = [
+        Fraction(
+            sum(
+                stickout(cand, case, slot, profile, reg) == 0
+                for cand in reg.kinds
+                for case in PresentationCase
+            ),
+            4 * len(reg.kinds),
+        )
+        for slot in tape
+    ]
+    assert analytic_cycle_stats(tape, profile, reg)["per_slot"] == expected
+
+
+SIXTY_FOUR_KINDS = _registry([p for p in BALANCED_8 if p[0] == "0"][:32])
+
+
+@pytest.mark.parametrize("reg", [FOUR_KINDS, EIGHT_KINDS, SIXTY_FOUR_KINDS])
+def test_registry_of_any_size_up_to_64_kinds_copies(reg):
+    assert len(reg.kinds) in (4, 8, 64)
+    tape = tuple(TapeEntry(k, f) for k, f in zip(reg.kinds, itertools.cycle((False, True))))
+    assert run_copy(tape, ONE, seed=4, registry=reg).output == negative_copy(tape, reg)
+    assert copy_twice(tape, ONE, seed=4, registry=reg) == tape
+
+
+def test_registry_past_64_kinds_is_refused():
+    reg = _registry(BALANCED_8)
+    assert len(reg.kinds) == 70
+    with pytest.raises(ValueError, match="at most 64 kinds"):
+        run_copy(tape_from_kinds(reg.kinds[:2]), ONE, registry=reg)
 
 
 def test_cycle_counts_within_three_sigma():

@@ -3,7 +3,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainfold.corpus import load_fixture, load_manifest
@@ -337,6 +337,29 @@ def test_blocked_fold_retries_until_clear():
     assert cells[0] == (1, 1, 0)
 
 
+def test_fold_that_would_tear_a_glue_bond_waits():
+    # at tick 52 gluer 0 bonds to block 7; the fold at hinge 6 would turn
+    # block 0 away from block 7, so it stays pending instead
+    w = run_world(world_from_chain("G0_H_b_H_G0_H_h_b_b_H_"), 150)
+    assert [e.chain_index for e in w.pending_folds] == [6]
+    assert frozenset((0, 7)) in w.bonds
+
+
+@given(
+    st.lists(st.sampled_from(["b", "H", "h", "L", "R", "Z", "G0"]), min_size=4, max_size=16),
+    st.integers(0, 3),
+)
+@example(["G0", "H", "b", "H", "G0", "H", "h", "b", "b", "H"], 0)
+@settings(max_examples=150, deadline=None)
+def test_bonds_join_adjacent_cells_every_tick(kinds, fold_delay):
+    w = world_from_chain("".join(k + "_" for k in kinds), fold_delay=fold_delay)
+    for _ in range(40):
+        w = step_world(w)
+        for pair in w.bonds:
+            a, b = (w.blocks[i].cell for i in pair)
+            assert sorted(abs(x - y) for x, y in zip(a, b)) == [0, 0, 1]
+
+
 # --- scenarios --------------------------------------------------------------
 
 
@@ -452,6 +475,41 @@ INWORLD_DIGESTS = {
     "fig15d": "bff98948fb324cca1b6fc8f2d7139d0425904bfb7b66da8261d3ad9214acf057",
     "fig16a": "2c7cf8b46c1f6e1582941e66375246f5e6fa6ed6db7985f639ce0994094ecf25",
 }
+
+
+# SHA-256 of each template as built, anchored blocks and bonds included:
+# every block's fields by id, the sorted bonds, and the error one cell
+# below the template's minimum length.
+TEMPLATE_DIGESTS = {
+    ("walker", 5): "9af600165b9a8d1d70a584fc741d730eecb7ece6ca9c96e00a5362b371a65fb1",
+    ("walker", 8): "a67b93472e3dc0f08f50a9f3c3ddf80ac09b284ebf5bea8e2352dfb89fb8a5ba",
+    ("walker", 13): "ef799514cab7eafe9541b77f2539d54a89da6352a81e9064dd389262257b175b",
+    ("walker", 32): "aa8b06300fe3bc12e3821952b1e7e9a4a2c72260934dee4e0be6a128a6205553",
+    ("shuttle", 3): "db8e51d591d639568961c2f9285fe174b935ed25a1af16249173382c356b5c06",
+    ("shuttle", 8): "7a6b154d0527fbbc911e05379f5ee5bfde0945d9eb81f074a82a8256592b231b",
+    ("shuttle", 13): "05c71befee592b2bfdba584b5a4129c09f8d792a63413a2b96e68fd295b3eda2",
+    ("shuttle", 32): "721947a3c0a3db8de5ee664183e80ed2cb04ba1c5a9da8553205b6328cf57cbe",
+    ("retainer", 4): "749fd33bae1ac5e50048bd9fdaf37c95a65b3b51e8140cc2c63a756fe70780c4",
+    ("retainer", 8): "67feeab2efce2b345452ba7e06bdf4297d631883204fbb3493f4cac0c8c4fa9b",
+    ("retainer", 13): "f5c42f25a0423b38435e82edfdf34e2cd72699940b2115a21349db627b86f2bd",
+    ("retainer", 32): "8cfbef9473e4ea708f3ce2007a120f0ef47e0691be26b17f05615e2b6ad84934",
+}
+MIN_LENGTH = {"walker": 5, "shuttle": 3, "retainer": 4}
+
+
+@pytest.mark.parametrize("name,length", sorted(TEMPLATE_DIGESTS))
+def test_scenario_template_matches_pinned_digest(name, length):
+    world, _ = build_scenario(name, length=length)
+    blocks = [
+        (b.id, b.kind, b.cell, b.orientation, b.anchored, b.mover_face,
+         b.mover_phase, b.dissolve_due, b.chain_index)
+        for b in sorted(world.blocks.values(), key=lambda b: b.id)
+    ]
+    bonds = sorted(sorted(p) for p in world.bonds)
+    with pytest.raises(KinematicsError) as too_short:
+        build_scenario(name, length=MIN_LENGTH[name] - 1)
+    text = json.dumps([blocks, bonds, str(too_short.value)])
+    assert hashlib.sha256(text.encode()).hexdigest() == TEMPLATE_DIGESTS[name, length]
 
 
 @pytest.mark.parametrize("name,length", sorted(TRACE_DIGESTS))
