@@ -14,17 +14,18 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import kinematics, protoevolution
-from .copier import (
+from . import kinematics
+from .encoding import (
     CycleLimitExceededError,
-    Sparing,
-    SubunitProfile,
     TapeExhaustedError,
-    run_copy,
+    UnknownTapeKindError,
+    load_tape,
+    negative_copy,
+    tape_from_kinds,
+    tape_to_json_dict,
 )
-from .encoding import UnknownTapeKindError, load_tape, negative_copy, tape_from_kinds, tape_to_json_dict
 from .folding import FoldError, export_obj, fold, render_ascii, to_json_dict
-from .mdl import MdlError, parse_mdl
+from .mdl import KindOutsideProfileError, MdlError, parse_mdl
 
 DEFAULT_SEED = 7
 
@@ -35,7 +36,7 @@ _DOMAIN_ERRORS = (
     TapeExhaustedError,
     UnknownTapeKindError,
     kinematics.KinematicsError,
-    protoevolution.KindOutsideProfileError,
+    KindOutsideProfileError,
 )
 
 
@@ -109,6 +110,9 @@ def _load_tape_file(path: str):
 
 def _cmd_copy(args) -> int:
     tape = _load_tape_file(args.tape)
+    # numpy loads with the copier, so only commands that draw pay for it
+    from .copier import Sparing, SubunitProfile, run_copy
+
     profile = SubunitProfile(sparing=Sparing[args.sparing.upper()])
     run = run_copy(tape, profile=profile, seed=args.seed, max_cycles=args.max_cycles)
     _emit(
@@ -131,6 +135,8 @@ def _cmd_copy(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
+    from . import protoevolution
+
     alphabet = protoevolution.build_alphabet(
         args.alphabet_size, include_separator=args.separator
     )

@@ -28,9 +28,11 @@ import numpy as np
 
 from . import kernels
 from .encoding import (
+    CycleLimitExceededError,
     FitResult,
     Tape,
     TapeEntry,
+    TapeExhaustedError,
     TypeRegistry,
     UnknownTapeKindError,
     default_registry,
@@ -62,19 +64,6 @@ class SubunitProfile:
     marking row are spared."""
 
     sparing: Sparing = Sparing.ONE_SIDE
-
-
-class TapeExhaustedError(Exception):
-    pass
-
-
-class CycleLimitExceededError(Exception):
-    def __init__(self, cycles: int, head: int, tape_len: int):
-        super().__init__(
-            f"no finished copy after {cycles} cycles (head {head}/{tape_len})"
-        )
-        self.cycles = cycles
-        self.head = head
 
 
 def _classify(
@@ -263,8 +252,8 @@ def run_copy(
     generator. Passing `feed` (iterable of (kind, case)) replaces the
     random stream entirely, for forced experiments. Either way the copy
     stops with CycleLimitExceededError after `max_cycles` draws, or when
-    a forced feed runs out first. Registries of more than 64 kinds
-    raise ValueError.
+    a forced feed runs out first. Registries of more than 64 kinds and a
+    negative `max_cycles` raise ValueError.
     """
     profile = profile or SubunitProfile()
     reg = registry or default_registry()
@@ -274,6 +263,8 @@ def run_copy(
     n = len(tape)
     if max_cycles is None:
         max_cycles = max(10_000, 2_000 * n)
+    elif max_cycles < 0:
+        raise ValueError(f"max_cycles must not be negative, got {max_cycles}")
     draw = _seeded_draws(seed, n_kinds) if feed is None else _forced_draws(feed, reg)
     stick_tab, mut_tab = _tables(profile.sparing, reg)
     slot_codes = np.array(_slot_codes(tape, reg), dtype=np.int64)

@@ -160,6 +160,19 @@ class UnknownTapeKindError(KeyError):
         return self.args[0]
 
 
+class TapeExhaustedError(Exception):
+    pass
+
+
+class CycleLimitExceededError(Exception):
+    def __init__(self, cycles: int, head: int, tape_len: int):
+        super().__init__(
+            f"no finished copy after {cycles} cycles (head {head}/{tape_len})"
+        )
+        self.cycles = cycles
+        self.head = head
+
+
 class FitResult(Enum):
     EXACT = "exact"
     REVERSED = "reversed"

@@ -22,12 +22,14 @@ as the actions before them left them. Folds and pushes share one rule,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .folding import TOKEN_ROTATIONS, fold
 from .geometry import IDENTITY, Cell, Rot, apply, compose, inverse
 from .mdl import Chain, Token, parse_mdl
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FACE_VECTORS: tuple[Cell, ...] = (
     (1, 0, 0),
@@ -149,6 +151,9 @@ def world_from_chain(
     tick starting at fold_delay; each dissolvable's timer starts at fold
     completion and runs for its first parameter digit.
     """
+    # imported here so that the templates and the CLI start without numpy
+    import numpy as np
+
     chain = parse_mdl(chain) if isinstance(chain, str) else chain
     n = len(chain)
     rng = np.random.default_rng(seed)
@@ -396,7 +401,7 @@ def build_scenario(name: str, length: int = 8) -> tuple[World, dict]:
         for x in range(length - 1):
             prev = add("b", (x, 0, 1), prev)
         meta = {
-            "car_ids": tuple(range(car, len(blocks))),
+            "car_ids": frozenset(range(car, len(blocks))),
             "left_end": 0,
             "right_end": length - 1,
         }

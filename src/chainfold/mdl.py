@@ -153,6 +153,12 @@ class AlphabetProfile:
 SIX_TYPE_PROFILE = AlphabetProfile(("G0_", "H__", "L__", "R__", "b__", "M1x"))
 
 
+class KindOutsideProfileError(ValueError):
+    def __init__(self, token: Token):
+        super().__init__(f"{token.canonical} is outside the declared profile")
+        self.token = token
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     code: str

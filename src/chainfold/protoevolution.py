@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .mdl import SIX_TYPE_PROFILE, AlphabetProfile, Chain, Token
+from .mdl import SIX_TYPE_PROFILE, AlphabetProfile, Chain, KindOutsideProfileError, Token
 
 TARGET_KINDS = "MHbbG"
 SEPARATOR_KIND = "d"
@@ -25,12 +25,6 @@ JACOBSON_LIMIT_BITS = 200
 
 # filler kinds for enlarged alphabets; none can shadow the target kinds
 _FILLER_KINDS = "SZ12"
-
-
-class KindOutsideProfileError(ValueError):
-    def __init__(self, token: Token):
-        super().__init__(f"{token.canonical} is outside the declared profile")
-        self.token = token
 
 
 def build_alphabet(size: int = 6, include_separator: bool = False) -> tuple[str, ...]:

@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import chainfold
 from chainfold.cli import DEFAULT_SEED, main
 from chainfold.corpus import fixtures_dir
 
@@ -153,6 +157,12 @@ def test_copy_cycle_budget_maps_to_exit_two(capsys):
     )
     assert code == 2
     assert "cycle" in err.lower()
+
+
+def test_copy_negative_cycle_budget_exits_one(capsys):
+    code, out, err = run_cli(capsys, "copy", "--tape", TAPE8, "--max-cycles", "-5")
+    assert code == 1 and out == ""
+    assert err == "chainfold: max_cycles must not be negative, got -5\n"
 
 
 def test_copy_rejects_a_json_file_that_is_not_a_tape(capsys):
@@ -324,3 +334,39 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["fixture_count"] == 48
+
+
+def test_commands_that_draw_nothing_never_load_numpy(tmp_path):
+    # numpy costs about half of a short command's start-up; only copy,
+    # evolve and in-world runs with drawn mover phases need it
+    script = textwrap.dedent(
+        f"""
+        import contextlib, io, sys
+        from chainfold import cli
+        assert "numpy" not in sys.modules, "import chainfold.cli"
+        for argv in (
+            ["fold", {FIG4A!r}],
+            ["corpus", "verify"],
+            ["corpus", "stats"],
+            ["scenario", "--name", "walker"],
+            ["scenario", "--name", "shuttle"],
+            ["scenario", "--name", "retainer"],
+            ["frobnicate"],
+            ["copy", "--tape", {str(tmp_path / "no-such.json")!r}],
+        ):
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                try:
+                    cli.main(argv)
+                except SystemExit:
+                    pass
+            assert "numpy" not in sys.modules, argv
+        """
+    )
+    src = str(Path(chainfold.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

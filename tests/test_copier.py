@@ -184,6 +184,17 @@ def test_copy_twice_round_trips_with_flips():
     assert copy_twice((), ONE, seed=5) == ()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    tape=st.lists(
+        st.builds(TapeEntry, st.sampled_from(KINDS), st.booleans()), max_size=60
+    ).map(tuple),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_copy_twice_is_identity_for_any_tape_and_seed(tape, seed):
+    assert copy_twice(tape, ONE, seed=seed) == tape
+
+
 def test_mutations_confined_to_partner_pairs():
     rng = np.random.default_rng(23)
     mutated_runs = 0
@@ -372,6 +383,19 @@ def test_cycle_limit():
         run_copy(tape, ONE, feed=[("H__", U)] * 50, max_cycles=10)
     with pytest.raises(CycleLimitExceededError):
         run_copy(tape, ONE, feed=iter([]))
+
+
+def test_negative_cycle_budget_is_refused():
+    tape = tape_from_kinds(["G0_"])
+    for feed in (None, [("b__", U)]):
+        with pytest.raises(ValueError, match="max_cycles must not be negative, got -5"):
+            run_copy(tape, ONE, feed=feed, max_cycles=-5)
+    with pytest.raises(ValueError):
+        run_copy((), ONE, max_cycles=-1)
+    # a zero budget stays legal: it finishes an empty tape and nothing else
+    assert run_copy((), ONE, max_cycles=0).cycles == 0
+    with pytest.raises(CycleLimitExceededError):
+        run_copy(tape, ONE, max_cycles=0)
 
 
 def test_empty_tape():

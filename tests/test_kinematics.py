@@ -172,11 +172,17 @@ def test_later_mover_sees_cells_an_earlier_mover_changed():
 
 
 def test_conservation_of_non_dissolvables():
-    w, _ = build_scenario("walker", length=8)
-    ids = {i for i, b in w.blocks.items() if b.kind != "d"}
-    final = run_world(w, 120)
-    assert ids <= set(final.blocks)
-    assert all(final.blocks[i].kind != "d" or True for i in final.blocks)
+    for name in ("walker", "retainer"):
+        w, _ = build_scenario(name, length=8)
+        ids = {i for i, b in w.blocks.items() if b.kind != "d"}
+        final = run_world(w, 120)
+        assert ids <= set(final.blocks)
+        due = {
+            i
+            for i, b in w.blocks.items()
+            if b.kind == "d" and b.dissolve_due < final.time
+        }
+        assert due and not due & set(final.blocks)
 
 
 def test_bonded_blocks_stay_adjacent_through_run():
