@@ -1,6 +1,7 @@
-"""Lattice block chains: folding, key-lock copying, and kinematics."""
+"""Lattice block chains: folding, key-lock copying, and kinematics.
+
+Import what you need from the submodules (`chainfold.folding`,
+`chainfold.mdl`, ...); the package itself loads none of them.
+"""
 
 __version__ = "0.1.0"
-
-from .mdl import Chain, Token, parse_mdl, write_canonical  # noqa: F401
-from .folding import FoldedStructure, fold  # noqa: F401

@@ -13,29 +13,28 @@ import json
 import sys
 from pathlib import Path
 
-from . import corpus as corpus_mod
-from . import kinematics
-from .encoding import (
+# Each command reads its input file, then imports the modules it runs, so
+# a usage error, --help or a missing file loads nothing of chainfold
+# beyond this module and errors.
+from .errors import (
     CycleLimitExceededError,
+    FoldError,
+    KindOutsideProfileError,
+    KinematicsError,
     TapeExhaustedError,
     UnknownTapeKindError,
-    load_tape,
-    negative_copy,
-    tape_from_kinds,
-    tape_to_json_dict,
 )
-from .folding import FoldError, export_obj, fold, render_ascii, to_json_dict
-from .mdl import KindOutsideProfileError, MdlError, parse_mdl
 
 DEFAULT_SEED = 7
 
-_INPUT_ERRORS = (MdlError, OSError, json.JSONDecodeError, ValueError)
+# MdlError and json.JSONDecodeError are ValueErrors
+_INPUT_ERRORS = (OSError, ValueError)
 _DOMAIN_ERRORS = (
     FoldError,
     CycleLimitExceededError,
     TapeExhaustedError,
     UnknownTapeKindError,
-    kinematics.KinematicsError,
+    KinematicsError,
     KindOutsideProfileError,
 )
 
@@ -50,8 +49,22 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _seed(text: str) -> int:
+    # numpy would reject a negative seed, but only after its ~150 ms import
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _cmd_fold(args) -> int:
     text = Path(args.file).read_text(encoding="utf-8")
+    from .folding import export_obj, fold, render_ascii, to_json_dict
+    from .mdl import parse_mdl
+
     chain = parse_mdl(text, strict=args.strict)
     structure = fold(chain, permissive=args.permissive)
     if args.format == "ascii":
@@ -64,7 +77,9 @@ def _cmd_fold(args) -> int:
 
 
 def _cmd_corpus_verify(args) -> int:
-    reports = corpus_mod.verify_corpus(args.fixtures)
+    from .corpus import verify_corpus
+
+    reports = verify_corpus(args.fixtures)
     if args.json:
         _emit(
             {
@@ -96,22 +111,29 @@ def _cmd_corpus_verify(args) -> int:
 
 
 def _cmd_corpus_stats(args) -> int:
-    _emit(corpus_mod.corpus_stats(args.fixtures))
+    from .corpus import corpus_stats
+
+    _emit(corpus_stats(args.fixtures))
     return 0
 
 
 def _load_tape_file(path: str):
     p = Path(path)
+    text = p.read_text(encoding="utf-8")
+    from .encoding import tape_from_json_dict, tape_from_kinds
+
     if p.suffix == ".json":
-        return load_tape(p)
-    chain = parse_mdl(p.read_text(encoding="utf-8"))
-    return tape_from_kinds(t.canonical for t in chain)
+        return tape_from_json_dict(json.loads(text))
+    from .mdl import parse_mdl
+
+    return tape_from_kinds(t.canonical for t in parse_mdl(text))
 
 
 def _cmd_copy(args) -> int:
     tape = _load_tape_file(args.tape)
-    # numpy loads with the copier, so only commands that draw pay for it
+    # numpy loads with the copier, after a bad tape has exited 1
     from .copier import Sparing, SubunitProfile, run_copy
+    from .encoding import negative_copy, tape_to_json_dict
 
     profile = SubunitProfile(sparing=Sparing[args.sparing.upper()])
     run = run_copy(tape, profile=profile, seed=args.seed, max_cycles=args.max_cycles)
@@ -169,10 +191,12 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    trace = kinematics.run_scenario(
+    from .kinematics import run_scenario, trace_to_json_dict
+
+    trace = run_scenario(
         args.name, length=args.length, ticks=args.ticks, seed=args.seed
     )
-    full = kinematics.trace_to_json_dict(trace)
+    full = trace_to_json_dict(trace)
     if args.trace_out:
         Path(args.trace_out).write_text(
             json.dumps(full, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -211,14 +235,14 @@ def build_parser() -> _Parser:
     p_copy.add_argument(
         "--sparing", choices=("one_side", "both_sides"), default="one_side"
     )
-    p_copy.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_copy.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_copy.add_argument("--max-cycles", type=int, default=None)
     p_copy.set_defaults(func=_cmd_copy)
 
     p_evolve = sub.add_parser("evolve", help="random-stream self-copy statistics")
     p_evolve.add_argument("--alphabet-size", type=int, default=6)
     p_evolve.add_argument("--trials", type=int, default=1_000_000)
-    p_evolve.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_evolve.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p_evolve.add_argument(
         "--separator", action="store_true", help="require a trailing dissolvable"
     )

@@ -27,17 +27,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import kernels
-from .encoding import (
-    CycleLimitExceededError,
-    FitResult,
-    Tape,
-    TapeEntry,
-    TapeExhaustedError,
-    TypeRegistry,
-    UnknownTapeKindError,
-    default_registry,
-    fit,
-)
+from .encoding import FitResult, Tape, TapeEntry, TypeRegistry, default_registry, fit
+from .errors import CycleLimitExceededError, TapeExhaustedError, UnknownTapeKindError
 
 FEED_CHUNK = 4096
 

@@ -22,6 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+# the copier's two errors stay importable from here
+from .errors import CycleLimitExceededError, TapeExhaustedError, UnknownTapeKindError  # noqa: F401
+
 
 def codon_count(n: int) -> int:
     """Number of distinct n-bit patterns with exactly n/2 bits raised."""
@@ -148,29 +151,6 @@ class TypeRegistry:
                 for kind, entry in raw.items()
             }
         )
-
-
-class UnknownTapeKindError(KeyError):
-    def __init__(self, kind: str):
-        super().__init__(f"kind {kind!r} is not in the type registry")
-        self.kind = kind
-
-    def __str__(self) -> str:
-        # KeyError would repr the message, quotes and all
-        return self.args[0]
-
-
-class TapeExhaustedError(Exception):
-    pass
-
-
-class CycleLimitExceededError(Exception):
-    def __init__(self, cycles: int, head: int, tape_len: int):
-        super().__init__(
-            f"no finished copy after {cycles} cycles (head {head}/{tape_len})"
-        )
-        self.cycles = cycles
-        self.head = head
 
 
 class FitResult(Enum):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import FoldError
 from .geometry import (
     IDENTITY,
     RX90,
@@ -39,10 +40,6 @@ TOKEN_ROTATIONS: dict[str, Rot] = {
 }
 
 _E_X: Cell = (1, 0, 0)
-
-
-class FoldError(Exception):
-    pass
 
 
 class CollisionError(FoldError):

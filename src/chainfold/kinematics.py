@@ -21,15 +21,13 @@ as the actions before them left them. Folds and pushes share one rule,
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
+from .errors import KinematicsError
 from .folding import TOKEN_ROTATIONS, fold
 from .geometry import IDENTITY, Cell, Rot, apply, compose, inverse
 from .mdl import Chain, Token, parse_mdl
-
-if TYPE_CHECKING:
-    import numpy as np
 
 FACE_VECTORS: tuple[Cell, ...] = (
     (1, 0, 0),
@@ -45,10 +43,6 @@ DEFAULT_FOLD_DELAY = 50
 DEFAULT_DISSOLVE_DIGIT = 10
 
 SCENARIO_NAMES = ("walker", "retainer", "shuttle")
-
-
-class KinematicsError(Exception):
-    pass
 
 
 class UnknownScenarioError(KinematicsError):
@@ -125,16 +119,28 @@ class World:
                 raise KinematicsError(f"bond {a}-{b} joins non-adjacent cells")
 
 
-def _draw_phase(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, MOVER_PERIOD))
+def _phase_drawer(seed: int) -> Callable[[], int]:
+    """Draws mover phases from one Generator, seeded at the first draw so
+    that chains with no drawn phase (and the CLI) never load numpy."""
+    rng = None
+
+    def draw() -> int:
+        nonlocal rng
+        if rng is None:
+            import numpy as np
+
+            rng = np.random.default_rng(seed)
+        return int(rng.integers(0, MOVER_PERIOD))
+
+    return draw
 
 
-def _mover_fields(token: Token, rng: np.random.Generator) -> tuple[int, int]:
+def _mover_fields(token: Token, draw_phase: Callable[[], int]) -> tuple[int, int]:
     face = int(token.params[0]) if token.params[0].isdigit() else 0
     if face > 5:
         raise KinematicsError(f"face digit {face} out of range in {token.canonical}")
     phase = (
-        int(token.params[1]) if token.params[1].isdigit() else _draw_phase(rng)
+        int(token.params[1]) if token.params[1].isdigit() else draw_phase()
     )
     return face, phase
 
@@ -151,12 +157,9 @@ def world_from_chain(
     tick starting at fold_delay; each dissolvable's timer starts at fold
     completion and runs for its first parameter digit.
     """
-    # imported here so that the templates and the CLI start without numpy
-    import numpy as np
-
     chain = parse_mdl(chain) if isinstance(chain, str) else chain
     n = len(chain)
-    rng = np.random.default_rng(seed)
+    draw_phase = _phase_drawer(seed)
     folds = []
     hinge_no = 0
     for j, t in enumerate(chain):
@@ -168,7 +171,7 @@ def world_from_chain(
     for j, t in enumerate(chain):
         face = phase = due = None
         if t.kind == "M":
-            face, phase = _mover_fields(t, rng)
+            face, phase = _mover_fields(t, draw_phase)
         if t.kind == "d":
             digit = (
                 int(t.params[0]) if t.params[0].isdigit() else DEFAULT_DISSOLVE_DIGIT
@@ -356,6 +359,8 @@ def build_scenario(name: str, length: int = 8) -> tuple[World, dict]:
     """
     if name not in SCENARIO_NAMES:
         raise UnknownScenarioError(name)
+    if length < 0:
+        raise ValueError(f"length must not be negative, got {length}")
     if length < _MIN_LENGTH[name]:
         raise KinematicsError(f"{name} needs length >= {_MIN_LENGTH[name]}")
     blocks: dict[int, BlockInstance] = {}

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import KindOutsideProfileError  # noqa: F401  (re-exported)
+
 KIND_CHARS = "bdSGMHhRLZ12"
 PARAM_CHARS = "0123456789x_"
 # '_' between tokens is a separator; inside a token it is padding.
@@ -151,12 +153,6 @@ class AlphabetProfile:
 
 
 SIX_TYPE_PROFILE = AlphabetProfile(("G0_", "H__", "L__", "R__", "b__", "M1x"))
-
-
-class KindOutsideProfileError(ValueError):
-    def __init__(self, token: Token):
-        super().__init__(f"{token.canonical} is outside the declared profile")
-        self.token = token
 
 
 @dataclass(frozen=True)

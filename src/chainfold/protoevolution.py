@@ -5,7 +5,8 @@ asks whether they spell Mover, Hinge, block, block, Gluer in order (plus
 a trailing dissolvable when a separator is required). The analytic rate
 is (1/|A|)^k, and the Monte Carlo estimate must sit within sampling error
 of it. Counting runs through the array kernels so large trial counts
-stay cheap.
+stay cheap. numpy loads in the functions that draw, so a rejected
+experiment never pays for it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import KindOutsideProfileError
+from .mdl import SIX_TYPE_PROFILE, AlphabetProfile, Chain, Token
 
-from . import kernels
-from .mdl import SIX_TYPE_PROFILE, AlphabetProfile, Chain, KindOutsideProfileError, Token
+if TYPE_CHECKING:
+    import numpy as np
 
 TARGET_KINDS = "MHbbG"
 SEPARATOR_KIND = "d"
@@ -75,6 +78,8 @@ class StreamExperiment:
 
     def target_indices(self) -> np.ndarray:
         """Alphabet index each stream position must hit for a self-copy."""
+        import numpy as np
+
         wanted = TARGET_KINDS + (SEPARATOR_KIND if self.require_separator else "")
         out = []
         for kind in wanted:
@@ -106,6 +111,8 @@ def mhbbg_trial(
             for s in forced_stream
         )
     else:
+        import numpy as np
+
         rng = rng if rng is not None else np.random.default_rng(exp.seed)
         idx = rng.integers(0, len(exp.alphabet), size=k)
         tokens = tuple(
@@ -146,6 +153,10 @@ def mhbbg_probability(exp: StreamExperiment) -> ProbabilityReport:
     Draws come in fixed-size chunks from one seeded generator, so the
     count is a pure function of the seed.
     """
+    import numpy as np
+
+    from . import kernels
+
     k = exp.target_length
     target = exp.target_indices()
     analytic = analytic_self_copy_probability(len(exp.alphabet), k)

@@ -336,6 +336,18 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["fixture_count"] == 48
 
 
+def _run_fresh(script: str, *args: str) -> str:
+    """stdout of `script` run in a fresh interpreter that imports this chainfold."""
+    src = str(Path(chainfold.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_commands_that_draw_nothing_never_load_numpy(tmp_path):
     # numpy costs about half of a short command's start-up; only copy,
     # evolve and in-world runs with drawn mover phases need it
@@ -353,6 +365,10 @@ def test_commands_that_draw_nothing_never_load_numpy(tmp_path):
             ["scenario", "--name", "retainer"],
             ["frobnicate"],
             ["copy", "--tape", {str(tmp_path / "no-such.json")!r}],
+            ["copy", "--tape", {TAPE8!r}, "--seed", "-1"],
+            ["evolve", "--trials", "0"],
+            ["evolve", "--alphabet-size", "3"],
+            ["evolve", "--alphabet-size", "300"],
         ):
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -361,12 +377,98 @@ def test_commands_that_draw_nothing_never_load_numpy(tmp_path):
                 except SystemExit:
                     pass
             assert "numpy" not in sys.modules, argv
+        from chainfold.kinematics import run_world, world_from_chain
+        run_world(world_from_chain("b__H__b__"), 60)
+        assert "numpy" not in sys.modules, "in-world run without drawn phases"
         """
     )
-    src = str(Path(chainfold.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(script)
+
+
+# prints the chainfold modules loaded after `cli.main(argv)`; no argv, no call
+_LOADED_BY = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    from chainfold import cli
+    if len(sys.argv) > 1:
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                cli.main(sys.argv[1:])
+            except SystemExit:
+                pass
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("chainfold"))))
+    """
+)
+CLI_ONLY = {"chainfold", "chainfold.cli", "chainfold.errors"}
+
+
+def _chainfold_modules_after(*argv: str) -> set[str]:
+    return set(json.loads(_run_fresh(_LOADED_BY, *argv)))
+
+
+def test_importing_the_cli_loads_no_other_chainfold_module():
+    assert _chainfold_modules_after() == CLI_ONLY
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("frobnicate",),
+        ("copy", "--help"),
+        ("evolve", "--seed", "-3"),
+        ("fold", "no-such-chain.mdl"),
+        ("copy", "--tape", "no-such-tape.json"),
+    ],
+)
+def test_usage_errors_and_missing_files_load_no_command_module(argv):
+    assert _chainfold_modules_after(*argv) == CLI_ONLY
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (("fold", FIG4A), {"kinematics", "corpus", "encoding", "copier"}),
+        (("scenario", "--name", "walker"), {"corpus", "encoding", "copier"}),
+        (("corpus", "stats"), {"kinematics", "encoding", "copier"}),
+        (("copy", "--tape", TAPE8), {"kinematics", "corpus", "mdl", "folding"}),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, absent):
+    loaded = _chainfold_modules_after(*argv)
+    assert loaded >= CLI_ONLY
+    assert not loaded & {f"chainfold.{m}" for m in absent}, sorted(loaded)
+
+
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    out = capsys.readouterr()
+    return e.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", ["copy", "evolve"])
+def test_negative_seed_is_a_usage_error(capsys, command):
+    argv = [command, "--seed", "-1"] + (["--tape", TAPE8] if command == "copy" else [])
+    code, out, err = usage_error(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"chainfold {command}: error: argument --seed: must not be negative, got -1\n"
+
+
+def test_non_integer_seed_keeps_the_argparse_message(capsys):
+    code, out, err = usage_error(capsys, "evolve", "--seed", "abc")
+    assert code == 1 and out == ""
+    assert err == "chainfold evolve: error: argument --seed: invalid int value: 'abc'\n"
+
+
+def test_scenario_negative_length_exits_one(capsys):
+    code, out, err = run_cli(capsys, "scenario", "--name", "walker", "--length", "-5")
+    assert code == 1 and out == ""
+    assert err == "chainfold: length must not be negative, got -5\n"
+
+
+def test_scenario_short_length_stays_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "scenario", "--name", "walker", "--length", "0")
+    assert code == 2 and out == ""
+    assert err == "chainfold: walker needs length >= 5\n"

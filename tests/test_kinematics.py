@@ -260,6 +260,14 @@ def test_random_phase_drawn_once_per_seed():
     assert len(set(phases.values())) > 1
 
 
+def test_drawn_phases_follow_one_generator_in_chain_order():
+    # numpy's default_rng(11).integers(0, 10) gives 1, 1, 7, 4: one draw per
+    # non-digit phase, in chain order, and none for the digit phase "3"
+    w = world_from_chain("M1xb__M13M2xM0xM5_", seed=11)
+    movers = sorted((b for b in w.blocks.values() if b.kind == "M"), key=lambda b: b.id)
+    assert [b.mover_phase for b in movers] == [1, 3, 1, 7, 4]
+
+
 def test_dissolve_timer_starts_at_fold_completion():
     w = world_from_chain("b_H_d3b_", fold_delay=20)
     d = next(b for b in w.blocks.values() if b.kind == "d")
@@ -372,6 +380,14 @@ def test_bonds_join_adjacent_cells_every_tick(kinds, fold_delay):
 def test_unknown_scenario_raises():
     with pytest.raises(UnknownScenarioError):
         run_scenario("conveyor", length=5)
+
+
+@pytest.mark.parametrize("name", ["walker", "retainer", "shuttle"])
+def test_negative_length_is_bad_input_not_a_short_template(name):
+    with pytest.raises(ValueError, match="^length must not be negative, got -1$"):
+        build_scenario(name, length=-1)
+    with pytest.raises(KinematicsError, match=f"^{name} needs length >= "):
+        build_scenario(name, length=0)
 
 
 def test_walker_reaches_track_end_and_stops():
