@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .folding import CollisionError, FoldedStructure, fold
-from .geometry import MIRROR_Z, apply, cross, dot
+from .geometry import MIRROR_Z, apply, bounding_box, cross, dot, sub
 from .mdl import Chain, MdlError, parse_mdl
 
 ENV_FIXTURES = "CHAINFOLD_FIXTURES"
@@ -129,15 +129,11 @@ class VerifyReport:
         return all(c.ok for c in self.checks)
 
 
-def _vsub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
 def _helix_strides(structure: FoldedStructure, lead: int, unit: int):
     """Net displacement between successive repeat-unit anchors."""
     cells = structure.cells_by_index()
     starts = list(range(lead, len(cells), unit))
-    return [_vsub(cells[b], cells[a]) for a, b in zip(starts, starts[1:])]
+    return [sub(cells[b], cells[a]) for a, b in zip(starts, starts[1:])]
 
 
 def _coplanar(cells) -> bool:
@@ -148,7 +144,7 @@ def _coplanar(cells) -> bool:
     u = None
     normal = None
     for c in cells[1:]:
-        v = _vsub(c, origin)
+        v = sub(c, origin)
         if v == (0, 0, 0):
             continue
         if u is None:
@@ -160,13 +156,13 @@ def _coplanar(cells) -> bool:
             break
     if normal is None:
         return True  # collinear
-    return all(dot(normal, _vsub(c, origin)) == 0 for c in cells)
+    return all(dot(normal, sub(c, origin)) == 0 for c in cells)
 
 
 def _mirrored_cells(structure: FoldedStructure) -> dict[int, tuple]:
     raw = {i: apply(MIRROR_Z, c) for i, c in structure.cells_by_index().items()}
-    lo = tuple(min(c[a] for c in raw.values()) for a in range(3))
-    return {i: _vsub(c, lo) for i, c in raw.items()}
+    lo = bounding_box(raw.values())[0]
+    return {i: sub(c, lo) for i, c in raw.items()}
 
 
 def verify_fixture(
@@ -190,14 +186,12 @@ def verify_fixture(
             )
         )
 
-    try:
-        structure = fold(chain)
-        free = True
-        fold_detail = "collision-free"
-    except CollisionError as exc:
-        structure = fold(chain, permissive=True)
-        free = False
-        fold_detail = str(exc)
+    structure = fold(chain, permissive=True)
+    free = not structure.collisions
+    fold_detail = "collision-free"
+    if not free:
+        first = structure.collisions[0]
+        fold_detail = str(CollisionError(first.chain_index, first.occupied_by))
     want_free = fixture.expected.get("collision_free")
     if want_free is None:
         checks.append(Check("folds", True, fold_detail))

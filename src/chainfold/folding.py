@@ -12,6 +12,7 @@ cells, attributed to the later chain index.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,12 +23,13 @@ from .geometry import (
     RZ90,
     Cell,
     Rot,
+    add,
     apply,
     bounding_box,
     compose,
     dot,
     inverse,
-    power,
+    sub,
 )
 from .mdl import SIX_TYPE_PROFILE, Chain, Token, parse_mdl
 
@@ -36,7 +38,7 @@ TOKEN_ROTATIONS: dict[str, Rot] = {
     "h": inverse(RZ90),
     "L": RX90,
     "R": inverse(RX90),
-    "Z": power(RX90, 2),
+    "Z": compose(RX90, RX90),
 }
 
 _E_X: Cell = (1, 0, 0)
@@ -115,8 +117,7 @@ def fold(chain: Chain | str, permissive: bool = False) -> FoldedStructure:
         finals[j] = t
         orients[j] = s
         s = compose(s, TOKEN_ROTATIONS.get(chain[j].kind, IDENTITY))
-        step = apply(s, _E_X)
-        t = (t[0] + step[0], t[1] + step[1], t[2] + step[2])
+        t = add(t, apply(s, _E_X))
 
     seen: dict[Cell, int] = {}
     collisions: list[CollisionRecord] = []
@@ -128,22 +129,21 @@ def fold(chain: Chain | str, permissive: bool = False) -> FoldedStructure:
             collisions.append(CollisionRecord(j, owner))
         seen[finals[j]] = j
 
-    survivors = set(seen.values())
-    off = tuple(min(finals[j][a] for j in survivors) for a in range(3))
+    off = bounding_box(seen)[0]
     blocks = tuple(
         PlacedBlock(
-            cell=(finals[j][0] - off[0], finals[j][1] - off[1], finals[j][2] - off[2]),
+            cell=sub(finals[j], off),
             token=chain[j],
             orientation=orients[j],
             chain_index=j,
         )
         for j in range(n)
     )
-    occupancy = {blocks[j].cell: blocks[j] for j in sorted(survivors)}
+    occupancy = {blocks[j].cell: blocks[j] for j in sorted(seen.values())}
     return FoldedStructure(
         blocks=blocks,
         occupancy=occupancy,
-        offset=off,  # type: ignore[arg-type]
+        offset=off,
         collisions=tuple(collisions),
     )
 
@@ -174,11 +174,9 @@ def bend_axis(structure: FoldedStructure, at_index: int) -> Cell:
     cells = structure.cells_by_index()
     if at_index - 1 not in cells or at_index + 1 not in cells:
         raise NotABendError(f"index {at_index} lacks two chain neighbors")
-    pre = cells[at_index - 1]
     mid = cells[at_index]
-    post = cells[at_index + 1]
-    d_pre = (pre[0] - mid[0], pre[1] - mid[1], pre[2] - mid[2])
-    d_post = (mid[0] - post[0], mid[1] - post[1], mid[2] - post[2])
+    d_pre = sub(cells[at_index - 1], mid)
+    d_post = sub(mid, cells[at_index + 1])
     if dot(d_pre, d_post) != 0:
         raise NotABendError(f"segments around index {at_index} are collinear")
     return d_pre
@@ -244,27 +242,27 @@ def to_json_dict(structure: FoldedStructure) -> dict:
     }
 
 
+# corner index = dx*4 + dy*2 + dz
+_CUBE_CORNERS = tuple(itertools.product((0, 1), repeat=3))
+_CUBE_QUADS = (
+    (0, 1, 3, 2),  # x = 0 side
+    (4, 6, 7, 5),  # x = 1 side
+    (0, 4, 5, 1),  # y = 0 side
+    (2, 3, 7, 6),  # y = 1 side
+    (0, 2, 6, 4),  # z = 0 side
+    (1, 5, 7, 3),  # z = 1 side
+)
+
+
 def export_obj(structure: FoldedStructure) -> str:
     """Eight vertices and six quad faces per occupied cell."""
     v_lines: list[str] = []
     f_lines: list[str] = []
     base = 1
     for cell in sorted(structure.occupancy):
-        x, y, z = cell
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    v_lines.append(f"v {x + dx} {y + dy} {z + dz}")
-        # corner order above: index = dx*4 + dy*2 + dz
-        quads = [
-            (0, 1, 3, 2),  # x = 0 side
-            (4, 6, 7, 5),  # x = 1 side
-            (0, 4, 5, 1),  # y = 0 side
-            (2, 3, 7, 6),  # y = 1 side
-            (0, 2, 6, 4),  # z = 0 side
-            (1, 5, 7, 3),  # z = 1 side
-        ]
-        for q in quads:
-            f_lines.append("f " + " ".join(str(base + i) for i in q))
+        for corner in _CUBE_CORNERS:
+            v_lines.append("v %d %d %d" % add(cell, corner))
+        for a, b, c, d in _CUBE_QUADS:
+            f_lines.append("f %d %d %d %d" % (base + a, base + b, base + c, base + d))
         base += 8
     return "\n".join(v_lines + f_lines) + "\n"

@@ -1,5 +1,7 @@
 """Integer lattice geometry: cells, proper rotations, mirrors.
 
+Every module does its cell and rotation arithmetic with these functions.
+
 Rotations are 3x3 integer matrices stored as nested tuples so they can be
 dict keys and set members. The two generators fix the handedness of every
 convention downstream:
@@ -37,37 +39,28 @@ def apply(rot: Rot, cell: Cell) -> Cell:
 
 def compose(a: Rot, b: Rot) -> Rot:
     """Matrix product a @ b: the transform that applies b first, then a."""
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )  # type: ignore[return-value]
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return tuple([
+        (
+            x * b00 + y * b10 + z * b20,
+            x * b01 + y * b11 + z * b21,
+            x * b02 + y * b12 + z * b22,
+        )
+        for x, y, z in a
+    ])  # type: ignore[return-value]
 
 
 def inverse(rot: Rot) -> Rot:
     # Orthogonal with integer entries, so the inverse is the transpose.
-    return tuple(tuple(rot[j][i] for j in range(3)) for i in range(3))  # type: ignore[return-value]
+    return tuple(zip(*rot))  # type: ignore[return-value]
 
 
-def power(rot: Rot, n: int) -> Rot:
-    out = IDENTITY
-    if n < 0:
-        rot, n = inverse(rot), -n
-    for _ in range(n):
-        out = compose(rot, out)
-    return out
+def add(a: Cell, b: Cell) -> Cell:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def rotate_x(cell: Cell, quarter_turns: int = 1) -> Cell:
-    return apply(power(RX90, quarter_turns), cell)
-
-
-def rotate_z(cell: Cell, quarter_turns: int = 1) -> Cell:
-    return apply(power(RZ90, quarter_turns), cell)
-
-
-def translate(cells: Iterable[Cell], offset: Cell) -> list[Cell]:
-    dx, dy, dz = offset
-    return [(x + dx, y + dy, z + dz) for x, y, z in cells]
+def sub(a: Cell, b: Cell) -> Cell:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 def cross(a: Cell, b: Cell) -> Cell:

@@ -25,8 +25,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .errors import KinematicsError
-from .folding import TOKEN_ROTATIONS, fold
-from .geometry import IDENTITY, Cell, Rot, apply, compose, inverse
+from .folding import TOKEN_ROTATIONS
+from .geometry import IDENTITY, Cell, Rot, add, apply, compose, inverse, sub
 from .mdl import Chain, Token, parse_mdl
 
 FACE_VECTORS: tuple[Cell, ...] = (
@@ -51,16 +51,8 @@ class UnknownScenarioError(KinematicsError):
         self.name = name
 
 
-def _vadd(a: Cell, b: Cell) -> Cell:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def _vsub(a: Cell, b: Cell) -> Cell:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
 def _adjacent(a: Cell, b: Cell) -> bool:
-    return sorted(map(abs, _vsub(a, b))) == [0, 0, 1]
+    return sorted(map(abs, sub(a, b))) == [0, 0, 1]
 
 
 @dataclass(frozen=True)
@@ -245,7 +237,7 @@ def _try_fold(
     turned = [
         replace(
             b,
-            cell=_vadd(pivot, apply(w, _vsub(b.cell, pivot))),
+            cell=add(pivot, apply(w, sub(b.cell, pivot))),
             orientation=compose(w, b.orientation),
         )
         for b in blocks.values()
@@ -310,18 +302,18 @@ def step_world(world: World) -> World:
     for mover in due:
         cur = blocks[mover.id]
         delta = cur.absolute_face()
-        tid = occupancy.get(_vadd(cur.cell, delta))
+        tid = occupancy.get(add(cur.cell, delta))
         own = _group(bonded, cur.id)
         if tid in own:
             continue  # a mover cannot shove its own group
         group = own if tid is None else _group(bonded, tid)
         if not any(blocks[i].anchored for i in group):
-            shifted = [replace(blocks[i], cell=_vadd(blocks[i].cell, delta)) for i in group]
+            shifted = [replace(blocks[i], cell=add(blocks[i].cell, delta)) for i in group]
             _move(blocks, occupancy, shifted)
 
     for b in blocks.values():
         if b.kind == "G":
-            nid = occupancy.get(_vadd(b.cell, b.absolute_face()))
+            nid = occupancy.get(add(b.cell, b.absolute_face()))
             if nid is not None:
                 bonds.add(frozenset((b.id, nid)))
 
@@ -366,7 +358,7 @@ def build_scenario(name: str, length: int = 8) -> tuple[World, dict]:
     blocks: dict[int, BlockInstance] = {}
     bonds: set[frozenset[int]] = set()
 
-    def add(kind: str, cell: Cell, bond_to: int | None = None, **fields) -> int:
+    def place(kind: str, cell: Cell, bond_to: int | None = None, **fields) -> int:
         bid = len(blocks)
         blocks[bid] = BlockInstance(id=bid, kind=kind, cell=cell, **fields)
         if bond_to is not None:
@@ -375,36 +367,36 @@ def build_scenario(name: str, length: int = 8) -> tuple[World, dict]:
 
     def carriage() -> tuple[int, int]:
         """Leash (bonded to track block 0 until it dissolves), body, x-mover."""
-        leash = add("d", (0, 0, 1), 0, dissolve_due=_RELEASE_TICK)
-        body = add("b", (1, 0, 1), leash)
-        return body, add("M", (2, 0, 1), body, mover_face=0, mover_phase=_WALKER_PHASE_X)
+        leash = place("d", (0, 0, 1), 0, dissolve_due=_RELEASE_TICK)
+        body = place("b", (1, 0, 1), leash)
+        return body, place("M", (2, 0, 1), body, mover_face=0, mover_phase=_WALKER_PHASE_X)
 
     prev = None
     for x in range(length + 3 if name == "retainer" else length):
-        prev = add("b", (x, 0, 0), prev, anchored=True)
+        prev = place("b", (x, 0, 0), prev, anchored=True)
 
     if name == "walker":
-        add("b", (length - 1, 0, 1), anchored=True)  # wall at the track end
+        place("b", (length - 1, 0, 1), anchored=True)  # wall at the track end
         _, mover = carriage()
         meta = {"mover_id": mover, "track_end": length - 2}
     elif name == "retainer":
         for x in range(1, length):
-            add("b", (x, 0, 3), anchored=True)  # roof
+            place("b", (x, 0, 3), anchored=True)  # roof
         for z in range(1, 9):  # post at the track end stops the carriage
-            add("b", (length + 2, 0, z), anchored=True)
+            place("b", (length + 2, 0, z), anchored=True)
         body, _ = carriage()
-        payload = add("M", (1, 0, 2), body, mover_face=4, mover_phase=_RETAINER_PHASE_Z)
+        payload = place("M", (1, 0, 2), body, mover_face=4, mover_phase=_RETAINER_PHASE_Z)
         meta = {
             "payload_id": payload,
             "start_z": 2,
             "track_end": length,  # payload x once the carriage parks
         }
     else:
-        add("M", (-1, 0, 1), anchored=True, mover_face=0, mover_phase=_SHUTTLE_PHASE_L)
-        add("M", (length, 0, 1), anchored=True, mover_face=1, mover_phase=_SHUTTLE_PHASE_R)
+        place("M", (-1, 0, 1), anchored=True, mover_face=0, mover_phase=_SHUTTLE_PHASE_L)
+        place("M", (length, 0, 1), anchored=True, mover_face=1, mover_phase=_SHUTTLE_PHASE_R)
         car, prev = len(blocks), None
         for x in range(length - 1):
-            prev = add("b", (x, 0, 1), prev)
+            prev = place("b", (x, 0, 1), prev)
         meta = {
             "car_ids": frozenset(range(car, len(blocks))),
             "left_end": 0,

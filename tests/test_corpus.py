@@ -13,6 +13,7 @@ from chainfold.corpus import (
     verify_corpus,
     verify_fixture,
 )
+from chainfold.folding import CollisionError, fold
 from chainfold.mdl import parse_mdl, write_canonical
 
 # recounted by hand from the source strings; the manifest must agree
@@ -118,6 +119,25 @@ def test_verify_reports_failures_instead_of_raising(tmp_path, corpus):
     assert not report.ok
     failed = {c.name for c in report.checks if not c.ok}
     assert failed == {"token_count"}
+
+
+def test_verify_reads_collisions_from_one_permissive_fold(tmp_path):
+    # no bundled fixture collides, so a two-entry manifest supplies one
+    (tmp_path / "loop.mdl").write_text("b_H_H_H_b_\n")
+    entries = [
+        {"id": f"loop_{want}", "file": "loop.mdl", "expected": {"collision_free": want}}
+        for want in (False, True)
+    ]
+    (tmp_path / "manifest.json").write_text(json.dumps({"fixtures": entries}))
+    reports = verify_corpus(tmp_path)
+    with pytest.raises(CollisionError) as strict:
+        fold("b_H_H_H_b_")
+    assert str(strict.value).startswith("collision at index 4:")
+    for fid, ok in (("loop_False", True), ("loop_True", False)):
+        (check,) = [c for c in reports[fid].checks if c.name == "collision_free"]
+        assert check.ok is ok
+        assert check.detail == str(strict.value)
+    assert reports["loop_False"].ok and not reports["loop_True"].ok
 
 
 def test_env_var_overrides_fixture_directory(tmp_path, monkeypatch):

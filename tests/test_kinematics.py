@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chainfold.corpus import load_fixture, load_manifest
 from chainfold.folding import CollisionError, fold
+from chainfold.geometry import bounding_box, sub
 from chainfold.kinematics import (
     FACE_VECTORS,
     BlockInstance,
@@ -284,9 +285,15 @@ def _congruent_with_static_fold(text_or_chain, fold_delay=0, max_ticks=500):
     if not folding_complete(w):
         return False
     cells = {b.chain_index: b.cell for b in w.blocks.values()}
-    lo = tuple(min(c[a] for c in cells.values()) for a in range(3))
-    norm = {i: (c[0] - lo[0], c[1] - lo[1], c[2] - lo[2]) for i, c in cells.items()}
-    return norm == fold(text_or_chain).cells_by_index()
+    lo = bounding_box(cells.values())[0]
+    norm = {i: sub(c, lo) for i, c in cells.items()}
+    static = fold(text_or_chain)
+    # fold()'s recurrence and _try_fold's conjugated turn must agree on
+    # every block's orientation, not only on its cell
+    orients = {b.chain_index: b.orientation for b in w.blocks.values()}
+    return norm == static.cells_by_index() and orients == {
+        b.chain_index: b.orientation for b in static.blocks
+    }
 
 
 @pytest.mark.parametrize(
