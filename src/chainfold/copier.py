@@ -190,6 +190,14 @@ def _tables(sparing: Sparing, registry: TypeRegistry) -> tuple[np.ndarray, np.nd
     return stick, mut
 
 
+@functools.cache
+def _accept(sparing: Sparing, registry: TypeRegistry) -> tuple[tuple[bool, ...], ...]:
+    """The kernel's acceptance rows: per slot code, whether each flat draw
+    index kind * cases + case glues (has stick-out 0)."""
+    stick, _ = _tables(sparing, registry)
+    return tuple(map(tuple, (stick == 0).reshape(len(stick), -1).tolist()))
+
+
 def _seeded_draws(seed: int | np.random.SeedSequence, n_kinds: int):
     rng = np.random.default_rng(seed)
 
@@ -257,12 +265,10 @@ def run_copy(
     elif max_cycles < 0:
         raise ValueError(f"max_cycles must not be negative, got {max_cycles}")
     draw = _seeded_draws(seed, n_kinds) if feed is None else _forced_draws(feed, reg)
-    stick_tab, mut_tab = _tables(profile.sparing, reg)
-    slot_codes = np.array(_slot_codes(tape, reg), dtype=np.int64)
-    out_kinds = np.full(n, -1, dtype=np.int8)
-    out_flips = np.zeros(n, dtype=np.uint8)
-    out_mut = np.zeros(n, dtype=np.uint8)
-    logs: list[np.ndarray] = []
+    accept = _accept(profile.sparing, reg)
+    codes = _slot_codes(tape, reg)
+    drawn = bytearray()  # each used draw as its flat index, kind * cases + case
+    glue_cycles = [-1]  # the cycle that glued each slot, after -1 for the start
     head = 0
     cycles = 0
     while head < n:
@@ -271,28 +277,29 @@ def run_copy(
         kinds, cases = draw(n - head, max_cycles - cycles)
         if not len(kinds):  # a forced feed ran dry
             raise CycleLimitExceededError(cycles, head, n)
-        stick_log = np.zeros(len(kinds), dtype=np.uint8)
-        head, used = kernels.copier_chunk(
-            stick_tab,
-            mut_tab,
-            slot_codes,
-            head,
-            kinds,
-            cases,
-            out_kinds,
-            out_flips,
-            out_mut,
-            stick_log,
-        )
-        logs.append(stick_log[:used])
+        flat = (kinds * len(PresentationCase) + cases).tobytes()
+        head, used, glued = kernels.copier_chunk(accept, codes, head, flat)
+        glue_cycles += (cycles + p for p in glued)
+        drawn += flat[:used]
         cycles += used
+    # the copy is finished, so every slot has its glue: gather in one pass
+    stick_rows, mut_rows = (t.reshape(len(t), -1) for t in _tables(profile.sparing, reg))
+    flat = np.frombuffer(drawn, dtype=np.uint8)
+    ends = np.array(glue_cycles, dtype=np.intp)
+    glues = flat[ends[1:]]
+    slots = np.array(codes, dtype=np.uint8)  # codes < 2 * _MAX_KINDS fit a byte
+    mut = mut_rows[slots, glues]
+    # a glue takes the drawn kind and lies in its slot's flip frame (bit 0
+    # of the code), unless it is a mutation, which sits the other way up
+    out_codes = glues // len(PresentationCase) * 2 + ((slots & 1) ^ mut)
+    # each slot met the draws after the glue before it, up to its own glue
+    met = np.repeat(slots, np.diff(ends))
     entries = _entries(reg)
-    output = tuple(map(entries.__getitem__, (out_kinds * 2 + out_flips).tolist()))
     return CopyRun(
-        output=output,
+        output=tuple(map(entries.__getitem__, out_codes.tolist())),
         cycles=cycles,
-        mutations=tuple(int(i) for i in np.flatnonzero(out_mut)),
-        stickout_log=np.concatenate(logs) if logs else np.zeros(0, dtype=np.uint8),
+        mutations=tuple(np.flatnonzero(mut).tolist()),
+        stickout_log=stick_rows[met, flat],
         seed=seed if feed is None else None,
         sparing=profile.sparing,
         backend=kernels.active_backend(),

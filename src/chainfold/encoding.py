@@ -96,9 +96,6 @@ class TypeRegistry:
                     f"found {partners}"
                 )
             self._partner[kind] = partners[0]
-        for kind in self._by_kind:
-            if self._partner[self._partner[kind]] != kind:
-                raise ValueError("complement partnership must be symmetric")
 
     @classmethod
     def default(cls) -> "TypeRegistry":

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from .errors import KinematicsError
 from .folding import TOKEN_ROTATIONS
 from .geometry import IDENTITY, Cell, Rot, add, apply, compose, inverse, sub
-from .mdl import Chain, Token, parse_mdl
+from .mdl import FACE_DIGITS, Chain, Token, parse_mdl
 
 FACE_VECTORS: tuple[Cell, ...] = (
     (1, 0, 0),
@@ -128,13 +128,10 @@ def _phase_drawer(seed: int) -> Callable[[], int]:
 
 
 def _mover_fields(token: Token, draw_phase: Callable[[], int]) -> tuple[int, int]:
-    face = int(token.params[0]) if token.params[0].isdigit() else 0
-    if face > 5:
-        raise KinematicsError(f"face digit {face} out of range in {token.canonical}")
-    phase = (
-        int(token.params[1]) if token.params[1].isdigit() else draw_phase()
-    )
-    return face, phase
+    face, phase = token.params
+    if face not in FACE_DIGITS:
+        raise KinematicsError(f"mover {token.canonical} needs a face digit 0-5")
+    return int(face), (int(phase) if phase.isdigit() else draw_phase())
 
 
 def world_from_chain(

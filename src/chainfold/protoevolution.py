@@ -73,16 +73,20 @@ class StreamExperiment:
             raise ValueError("separator trials need a dissolvable in the alphabet")
 
     @property
+    def target(self) -> str:
+        """The kinds a self-copy spells, in stream order."""
+        return TARGET_KINDS + (SEPARATOR_KIND if self.require_separator else "")
+
+    @property
     def target_length(self) -> int:
-        return len(TARGET_KINDS) + (1 if self.require_separator else 0)
+        return len(self.target)
 
     def target_indices(self) -> np.ndarray:
         """Alphabet index each stream position must hit for a self-copy."""
         import numpy as np
 
-        wanted = TARGET_KINDS + (SEPARATOR_KIND if self.require_separator else "")
         out = []
-        for kind in wanted:
+        for kind in self.target:
             matches = [i for i, e in enumerate(self.alphabet) if e[0] == kind]
             if len(matches) != 1:
                 raise ValueError(
@@ -118,9 +122,8 @@ def mhbbg_trial(
         tokens = tuple(
             Token(exp.alphabet[i][0], exp.alphabet[i][1:]) for i in idx
         )
-    wanted = TARGET_KINDS + (SEPARATOR_KIND if exp.require_separator else "")
     got = "".join(t.kind for t in tokens[:k])
-    copied = len(tokens) >= k and got == wanted
+    copied = len(tokens) >= k and got == exp.target
     if copied and exp.strict_params:
         by_kind = {e[0]: e for e in exp.alphabet}
         copied = all(t.canonical == by_kind[t.kind] for t in tokens[:k])

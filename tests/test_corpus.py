@@ -121,6 +121,36 @@ def test_verify_reports_failures_instead_of_raising(tmp_path, corpus):
     assert failed == {"token_count"}
 
 
+def _write_manifest(directory, entries):
+    (directory / "manifest.json").write_text(json.dumps({"fixtures": entries}))
+
+
+def test_loader_rejects_a_duplicate_fixture_id(tmp_path):
+    (tmp_path / "a.mdl").write_text("b_b_\n")
+    _write_manifest(tmp_path, [{"id": "twice", "file": "a.mdl"}] * 2)
+    with pytest.raises(ValueError, match="^duplicate fixture id 'twice'$"):
+        load_manifest(tmp_path)
+
+
+def test_verify_reports_unparsable_text_and_unknown_mirror(tmp_path):
+    (tmp_path / "bad.mdl").write_text("b_Q_b_\n")  # Q is no block kind
+    (tmp_path / "ok.mdl").write_text("b_H_b_\n")
+    _write_manifest(
+        tmp_path,
+        [
+            {"id": "bad", "file": "bad.mdl"},
+            {"id": "lost", "file": "ok.mdl", "expected": {"tags": {"mirror_of": "fig99z"}}},
+        ],
+    )
+    reports = verify_corpus(tmp_path)
+    (parses,) = reports["bad"].checks
+    assert (parses.name, parses.ok) == ("parses", False) and "Q" in parses.detail
+    failed = [c for c in reports["lost"].checks if not c.ok]
+    assert [(c.name, c.detail) for c in failed] == [
+        ("mirror_of", "cannot mirror against fig99z: 'fig99z'")
+    ]
+
+
 def test_verify_reads_collisions_from_one_permissive_fold(tmp_path):
     # no bundled fixture collides, so a two-entry manifest supplies one
     (tmp_path / "loop.mdl").write_text("b_H_H_H_b_\n")
@@ -128,7 +158,7 @@ def test_verify_reads_collisions_from_one_permissive_fold(tmp_path):
         {"id": f"loop_{want}", "file": "loop.mdl", "expected": {"collision_free": want}}
         for want in (False, True)
     ]
-    (tmp_path / "manifest.json").write_text(json.dumps({"fixtures": entries}))
+    _write_manifest(tmp_path, entries)
     reports = verify_corpus(tmp_path)
     with pytest.raises(CollisionError) as strict:
         fold("b_H_H_H_b_")

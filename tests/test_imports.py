@@ -1,7 +1,9 @@
-"""Every name a chainfold module imports is used (a stdlib stand-in for F401).
+"""Every name a chainfold module imports is used (a stdlib stand-in for
+F401), and every module-level `_private` name it defines is read in it.
 
 An import kept on purpose, such as a re-export, carries `# noqa: F401` on
-its statement.
+its statement. A private helper that no line of its own module reads is
+left over from a change that stopped calling it.
 """
 
 import ast
@@ -51,3 +53,51 @@ def test_the_check_sees_an_unused_import():
         "os.path.join(add)\n"
     )
     assert _unused_imports(src) == [(2, "json"), (5, "sub")]
+
+
+def _unread_privates(source: str) -> list[tuple[int, str]]:
+    """Module-level `_name` definitions that no expression in the module loads."""
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                defined.setdefault(name, node.lineno)
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted((line, name) for name, line in defined.items() if name not in loaded)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_read_in_its_module(path):
+    assert _unread_privates(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    src = (
+        "import functools\n"
+        "__all__ = ['run']\n"
+        "_LIMIT: int = 3\n"
+        "_A, _B = 1, 2\n"
+        "@functools.cache\n"
+        "def _orphan(x):\n"
+        "    return x\n"
+        "def _used():\n"
+        "    return _LIMIT + _A\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "def run():\n"
+        "    _local = 1\n"
+        "    return _used() + _local\n"
+    )
+    assert _unread_privates(src) == [(4, "_B"), (6, "_orphan"), (10, "_Gone")]

@@ -1,7 +1,10 @@
 """Parity of the numpy kernels with plain-Python loop oracles.
 
 Every kernel takes pre-drawn inputs, so each must agree with its loop
-version element for element, not just statistically.
+version element for element, not just statistically. The copier kernel
+only walks, so the copy gathered from its walk (kinds, flips, mutation
+flags, stick-out log) is checked at `run_copy` level against table
+lookups and the `step()` loop.
 """
 
 import numpy as np
@@ -10,8 +13,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainfold import kernels
-from chainfold.copier import PresentationCase, Sparing, _tables
-from chainfold.encoding import default_registry
+from chainfold.copier import (
+    FEED_CHUNK,
+    CopierState,
+    PresentationCase,
+    Sparing,
+    SubunitProfile,
+    _accept,
+    _entries,
+    _tables,
+    run_copy,
+    step,
+)
+from chainfold.encoding import default_registry, negative_copy
 
 
 def _count_matches_py(draws, target):
@@ -28,34 +42,33 @@ def _count_matches_py(draws, target):
     return hits
 
 
-def _copy_chunk_py(
-    stick_tab,
-    mut_tab,
-    slot_codes,
-    head,
-    kinds,
-    cases,
-    out_kinds,
-    out_flips,
-    out_mut,
-    stick_log,
-):
-    n = slot_codes.shape[0]
-    m = kinds.shape[0]
+def _walk_py(stick_tab, slot_codes, head, kinds, cases):
+    """The copier walk read straight off the stick table: (head, used, glued)."""
+    n = len(slot_codes)
+    glued = []
     pos = 0
-    while pos < m and head < n:
-        s = slot_codes[head]
-        k = kinds[pos]
-        c = cases[pos]
-        st = stick_tab[s, k, c]
-        stick_log[pos] = st
-        if st == 0:
-            out_kinds[head] = k
-            out_flips[head] = (s & 1) ^ mut_tab[s, k, c]
-            out_mut[head] = mut_tab[s, k, c]
+    while pos < len(kinds) and head < n:
+        if stick_tab[slot_codes[head], kinds[pos], cases[pos]] == 0:
+            glued.append(pos)
             head += 1
         pos += 1
-    return head, pos
+    return head, pos, glued
+
+
+def _copy_py(stick_tab, mut_tab, slot_codes, kinds, cases):
+    """A whole copy by table lookups: per slot the glued kind, flip and
+    mutation flag, and the stick-out of every draw up to the last glue."""
+    out_kinds, out_flips, out_mut, stick_log = [], [], [], []
+    for k, c in zip(kinds, cases):
+        if len(out_kinds) == len(slot_codes):
+            break
+        s = slot_codes[len(out_kinds)]
+        stick_log.append(int(stick_tab[s, k, c]))
+        if stick_tab[s, k, c] == 0:
+            out_kinds.append(int(k))
+            out_flips.append(int((s & 1) ^ mut_tab[s, k, c]))
+            out_mut.append(int(mut_tab[s, k, c]))
+    return out_kinds, out_flips, out_mut, stick_log
 
 
 def _random_draws(seed, m=2_000, k=3, high=4):
@@ -103,79 +116,96 @@ def test_count_matches_full_alphabet():
         assert kernels.count_matches(draws, target) == _count_matches_py(draws, target)
 
 
-def _chunk_inputs(seed, n_slots=40, m=1200, sparing=Sparing.BOTH_SIDES):
-    tables = _tables(sparing, default_registry())
+def _chunk_inputs(seed, n_slots=40, m=1200):
     rng = np.random.default_rng(seed)
-    slot_codes = rng.integers(0, 12, size=n_slots).astype(np.int64)
+    slot_codes = rng.integers(0, 12, size=n_slots).tolist()
     kinds = rng.integers(0, 6, size=m, dtype=np.uint8)
     cases = rng.integers(0, 4, size=m, dtype=np.uint8)
-    return tables, slot_codes, kinds, cases
+    return slot_codes, kinds, cases
 
 
-def _outputs(n, m):
-    """Fresh (out_kinds, out_flips, out_mut, stick_log) arrays."""
-    return (
-        np.full(n, -1, dtype=np.int8),
-        np.zeros(n, dtype=np.uint8),
-        np.zeros(n, dtype=np.uint8),
-        np.full(m, 255, dtype=np.uint8),
-    )
-
-
-def _run_chunk(chunk, tables, slot_codes, kinds, cases):
-    outs = _outputs(slot_codes.shape[0], kinds.shape[0])
-    head, used = chunk(*tables, slot_codes, 0, kinds, cases, *outs)
-    return (head, used, *outs)
+def _both_walks(sparing, slot_codes, head, kinds, cases):
+    """The loop oracle's and the kernel's (head, used, glued)."""
+    reg = default_registry()
+    flat = (kinds * len(PresentationCase) + cases).tobytes()
+    got = kernels.copier_chunk(_accept(sparing, reg), slot_codes, head, flat)
+    return _walk_py(_tables(sparing, reg)[0], slot_codes, head, kinds, cases), got
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_copier_chunk_backends_agree(seed):
-    tables, slot_codes, kinds, cases = _chunk_inputs(seed)
-    plain = _run_chunk(_copy_chunk_py, tables, slot_codes, kinds, cases)
-    fast = _run_chunk(kernels.copier_chunk, tables, slot_codes, kinds, cases)
-    assert plain[:2] == fast[:2]
-    for a, b in zip(plain[2:], fast[2:]):
-        assert np.array_equal(a, b)
-    # slots glued, some of them as mutations, so every output column counted
-    assert plain[0] > 0 and plain[4].any()
+    slot_codes, kinds, cases = _chunk_inputs(seed)
+    want, got = _both_walks(Sparing.BOTH_SIDES, slot_codes, 0, kinds, cases)
+    assert got == want
+    # slots glued, some of them as mutations
+    head, _, glued = got
+    mut = _tables(Sparing.BOTH_SIDES, default_registry())[1]
+    assert head > 0 and any(
+        mut[slot_codes[i], kinds[p], cases[p]] for i, p in enumerate(glued)
+    )
 
 
 def test_copier_chunk_resumes_mid_tape():
-    tables, slot_codes, kinds, cases = _chunk_inputs(5, n_slots=8, m=600)
-    n = slot_codes.shape[0]
-    whole = _run_chunk(_copy_chunk_py, tables, slot_codes, kinds, cases)
-    # split the draw stream in two; state carries across the boundary
-    outs = _outputs(n, kinds.shape[0])
-    out_kinds, out_flips, out_mut, log = outs
+    slot_codes, kinds, cases = _chunk_inputs(5, n_slots=8, m=600)
+    n = len(slot_codes)
+    whole, _ = _both_walks(Sparing.BOTH_SIDES, slot_codes, 0, kinds, cases)
+    # split the draw stream in two; the head carries across the boundary
     cut = 40
-    head, used = kernels.copier_chunk(
-        *tables, slot_codes, 0, kinds[:cut], cases[:cut],
-        out_kinds, out_flips, out_mut, log[:cut],
+    _, (head, used, first) = _both_walks(
+        Sparing.BOTH_SIDES, slot_codes, 0, kinds[:cut], cases[:cut]
     )
     assert 0 < head < n and used == cut
-    head, rest = kernels.copier_chunk(
-        *tables, slot_codes, head, kinds[cut:], cases[cut:],
-        out_kinds, out_flips, out_mut, log[cut:],
+    _, (head, rest, second) = _both_walks(
+        Sparing.BOTH_SIDES, slot_codes, head, kinds[cut:], cases[cut:]
     )
-    assert (head, cut + rest) == whole[:2]
-    for a, b in zip(outs, whole[2:]):
-        assert np.array_equal(a, b)
+    assert (head, cut + rest, first + [cut + p for p in second]) == whole
 
 
-def test_stick_log_matches_table_lookup():
-    tables, slot_codes, kinds, cases = _chunk_inputs(9, n_slots=6, m=500)
-    head, used, _, _, _, log = _run_chunk(
-        kernels.copier_chunk, tables, slot_codes, kinds, cases
+def _seeded_stream(seed, chunks):
+    """The draws `run_copy` takes from `seed`: kinds, then cases, per chunk."""
+    rng = np.random.default_rng(seed)
+    parts = [
+        (
+            rng.integers(0, 6, size=FEED_CHUNK, dtype=np.uint8),
+            rng.integers(0, 4, size=FEED_CHUNK, dtype=np.uint8),
+        )
+        for _ in range(chunks)
+    ]
+    return np.concatenate([k for k, _ in parts]), np.concatenate([c for _, c in parts])
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["seeded", "forced"])
+@pytest.mark.parametrize("sparing", list(Sparing), ids=lambda s: s.value)
+def test_stick_log_matches_table_lookup(sparing, forced):
+    """`run_copy`, over several chunks, against table lookups and step()."""
+    reg = default_registry()
+    rng = np.random.default_rng(21)
+    slot_codes = rng.integers(0, 12, size=600).tolist()
+    tape = tuple(_entries(reg)[c] for c in slot_codes)
+    kinds, cases = _seeded_stream(4, chunks=6)
+    feed = [(reg.kinds[k], PresentationCase(int(c))) for k, c in zip(kinds, cases)]
+    profile = SubunitProfile(sparing)
+    if forced:
+        run = run_copy(tape, profile, feed=feed)
+    else:
+        run = run_copy(tape, profile, seed=4)
+    assert run.cycles > FEED_CHUNK  # more than one seeded chunk
+    out_kinds, out_flips, out_mut, stick_log = _copy_py(
+        *_tables(sparing, reg), slot_codes, kinds, cases
     )
-    stick = tables[0]
-    # replay by hand
-    h = 0
-    for pos in range(used):
-        st = stick[slot_codes[h], kinds[pos], cases[pos]]
-        assert log[pos] == st
-        if st == 0:
-            h += 1
-    assert h == head
+    assert len(out_kinds) == len(tape)  # the replayed stream finishes the copy
+    assert [reg.kinds.index(e.kind) for e in run.output] == out_kinds
+    assert [int(e.flipped) for e in run.output] == out_flips
+    assert run.mutations == tuple(np.flatnonzero(out_mut).tolist())
+    assert run.mutations or sparing is Sparing.ONE_SIDE
+    assert run.stickout_log.dtype == np.uint8 and run.stickout_log.tolist() == stick_log
+    state = CopierState(tape=tape, profile=profile, registry=reg)
+    for kind, case in feed[: run.cycles]:
+        step(state, kind, case)
+    accepted = [o for o in state.cycle_log if o.accepted]
+    assert state.done and run.output == tuple(state.output)
+    assert run.mutations == tuple(i for i, o in enumerate(accepted) if o.mutation)
+    assert stick_log == [o.stickout for o in state.cycle_log]
 
 
 def test_tables_built_once_and_read_only():
@@ -189,16 +219,10 @@ def test_tables_built_once_and_read_only():
         # a mutation is always a glue, and only both-sides sparing has any
         assert not np.any(mut.astype(bool) & (stick != 0))
         assert mut.any() == (sparing is Sparing.BOTH_SIDES)
-
-
-def _both_chunks(sparing, slot_codes, head, kinds, cases):
-    """Run the kernel and the loop oracle on fresh outputs; both results."""
-    tables = _tables(sparing, default_registry())
-    runs = []
-    for chunk in (_copy_chunk_py, kernels.copier_chunk):
-        outs = _outputs(slot_codes.shape[0], kinds.shape[0])
-        runs.append((chunk(*tables, slot_codes, head, kinds, cases, *outs), outs))
-    return runs
+        # the kernel's acceptance rows are the zeros of the stick table
+        accept = _accept(sparing, reg)
+        assert _accept(sparing, reg) is accept
+        assert np.array_equal(np.array(accept), (stick == 0).reshape(len(stick), -1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -217,40 +241,38 @@ def _both_chunks(sparing, slot_codes, head, kinds, cases):
 @example(sparing=Sparing.ONE_SIDE, n=7, head_frac=0.3, m=80, reject_only=True, seed=3)
 def test_copier_chunk_matches_loop_oracle(sparing, n, head_frac, m, reject_only, seed):
     rng = np.random.default_rng(seed)
-    slot_codes = rng.integers(0, 12, size=n).astype(np.int64)
+    slot_codes = rng.integers(0, 12, size=n).tolist()
     head = round(head_frac * n)
     kinds = rng.integers(0, 6, size=m, dtype=np.uint8)
     # on its side or the wrong way round, a candidate never glues
     low = PresentationCase.ON_SIDE if reject_only else PresentationCase.UPRIGHT
     cases = rng.integers(low, 4, size=m, dtype=np.uint8)
-    (want, want_outs), (got, got_outs) = _both_chunks(sparing, slot_codes, head, kinds, cases)
+    want, got = _both_walks(sparing, slot_codes, head, kinds, cases)
     assert got == want
-    for a, b in zip(want_outs, got_outs):
-        assert np.array_equal(a, b)
 
 
 def test_copier_chunk_stops_where_the_tape_is_finished():
-    rng = np.random.default_rng(12)
-    slot_codes = rng.integers(0, 12, size=4).astype(np.int64)
-    kinds = rng.integers(0, 6, size=2_000, dtype=np.uint8)
-    cases = rng.integers(0, 4, size=2_000, dtype=np.uint8)
-    (want, _), (got, (_, _, _, log)) = _both_chunks(
-        Sparing.BOTH_SIDES, slot_codes, 1, kinds, cases
-    )
-    head, used = got
+    slot_codes, kinds, cases = _chunk_inputs(12, n_slots=4, m=2_000)
+    want, got = _both_walks(Sparing.BOTH_SIDES, slot_codes, 1, kinds, cases)
+    head, used, glued = got
     assert got == want and head == 4 and 3 <= used < 2_000
-    assert log[used - 1] == 0  # the finishing draw glued
-    assert (log[used:] == 255).all()  # draws after it are left alone
+    assert glued[-1] == used - 1 and len(glued) == 3  # the finishing draw glued
 
 
 def test_copier_chunk_without_a_glue_logs_every_draw():
     rng = np.random.default_rng(13)
-    slot_codes = rng.integers(0, 12, size=6).astype(np.int64)
+    slot_codes = rng.integers(0, 12, size=6).tolist()
     kinds = rng.integers(0, 6, size=300, dtype=np.uint8)
     cases = rng.integers(PresentationCase.ON_SIDE, 4, size=300, dtype=np.uint8)
-    (want, _), (got, (out_kinds, _, _, log)) = _both_chunks(
-        Sparing.ONE_SIDE, slot_codes, 2, kinds, cases
+    want, got = _both_walks(Sparing.ONE_SIDE, slot_codes, 2, kinds, cases)
+    assert got == want == (2, 300, [])
+    # a copy fed these rejects first logs each of them, then finishes
+    reg = default_registry()
+    tape = tuple(_entries(reg)[c] for c in slot_codes)
+    rejects = [(reg.kinds[k], PresentationCase(int(c))) for k, c in zip(kinds, cases)]
+    glues = [(e.kind, PresentationCase(int(e.flipped))) for e in negative_copy(tape)]
+    run = run_copy(tape, SubunitProfile(), feed=rejects + glues)
+    assert run.cycles == 300 + len(tape)
+    assert np.array_equal(
+        run.stickout_log[:300], np.where(cases == PresentationCase.ON_SIDE, 1, 2)
     )
-    assert got == want == (2, 300)
-    assert (out_kinds == -1).all()
-    assert np.array_equal(log, np.where(cases == PresentationCase.ON_SIDE, 1, 2))

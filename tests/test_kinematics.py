@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chainfold.corpus import load_fixture, load_manifest
 from chainfold.folding import CollisionError, fold
 from chainfold.geometry import bounding_box, sub
+from chainfold.mdl import parse_mdl, validate
 from chainfold.kinematics import (
     FACE_VECTORS,
     BlockInstance,
@@ -206,6 +207,20 @@ def test_mover_fields_rejected_on_plain_blocks():
         BlockInstance(id=0, kind="M", cell=(0, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "face, phase, message",
+    [(6, 0, "face index 6"), (-1, 0, "face index -1"), (0, 10, "phase 10"), (0, -1, "phase -1")],
+)
+def test_mover_face_and_phase_out_of_range_rejected(face, phase, message):
+    with pytest.raises(KinematicsError, match=f"^{message} out of range$"):
+        _mover(0, (0, 0, 0), face, phase)
+
+
+def test_absolute_face_refused_on_a_block_without_one():
+    with pytest.raises(KinematicsError, match="^b has no active face$"):
+        BlockInstance(id=0, kind="b", cell=(0, 0, 0)).absolute_face()
+
+
 def test_dissolve_due_rejected_on_non_dissolvables():
     with pytest.raises(KinematicsError):
         BlockInstance(id=0, kind="b", cell=(0, 0, 0), dissolve_due=5)
@@ -218,6 +233,8 @@ def test_world_rejects_shared_cells_and_bad_bonds():
     far = BlockInstance(id=1, kind="b", cell=(5, 0, 0))
     with pytest.raises(KinematicsError):
         _world([a, far], bonds=[(0, 1)])
+    with pytest.raises(KinematicsError, match="^bond 0-7 names a missing block$"):
+        _world([a], bonds=[(0, 7)])
 
 
 def test_face_vectors_are_axis_unit_pairs():
@@ -241,6 +258,14 @@ def test_mover_params_decode_face_and_phase():
     m = next(b for b in w.blocks.values() if b.kind == "M")
     assert m.mover_face == 2
     assert m.mover_phase == 4
+
+
+@pytest.mark.parametrize("mover", ["Mx3", "M__", "M63"])
+def test_mover_without_a_face_digit_is_refused(mover):
+    # the face rule is mdl.validate's: a digit 0-5, nothing read as face 0
+    assert [d.code for d in validate(parse_mdl(mover + "b__"))] == ["mover-params"]
+    with pytest.raises(KinematicsError, match=f"mover {mover} needs a face digit 0-5"):
+        world_from_chain(mover + "b__")
 
 
 def test_random_phase_drawn_once_per_seed():

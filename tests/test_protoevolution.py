@@ -43,7 +43,8 @@ def test_separator_needs_trailing_dissolvable():
     exp = StreamExperiment(
         alphabet=build_alphabet(7, include_separator=True), require_separator=True
     )
-    assert exp.target_length == 6
+    assert (exp.target, exp.target_length) == ("MHbbGd", 6)
+    assert (StreamExperiment().target, StreamExperiment().target_length) == ("MHbbG", 5)
     good = mhbbg_trial(exp, forced_stream=["M", "H", "b", "b", "G", "d"])
     bad = mhbbg_trial(exp, forced_stream=["M", "H", "b", "b", "G", "b"])
     assert good.self_copy
