@@ -214,7 +214,8 @@ def tape_to_json_dict(tape: Tape) -> dict:
 def tape_from_json_dict(raw: dict) -> Tape:
     """A tape from `{"entries": [{"kind": str, "flipped": bool}, ...]}`.
 
-    Raises ValueError when the document has another shape.
+    Raises ValueError when the document has another shape, including a
+    `flipped` that is present but not a JSON boolean.
     """
     entries = raw.get("entries") if isinstance(raw, dict) else None
     if not isinstance(entries, list):
@@ -222,7 +223,9 @@ def tape_from_json_dict(raw: dict) -> Tape:
     for i, e in enumerate(entries):
         if not (isinstance(e, dict) and isinstance(e.get("kind"), str)):
             raise ValueError(f'tape entry {i} must be an object with a string "kind"')
-    return tuple(TapeEntry(e["kind"], bool(e.get("flipped", False))) for e in entries)
+        if not isinstance(e.get("flipped", False), bool):
+            raise ValueError(f'tape entry {i} has a "flipped" that is not true or false')
+    return tuple(TapeEntry(e["kind"], e.get("flipped", False)) for e in entries)
 
 
 def load_tape(path: str | Path) -> Tape:

@@ -203,19 +203,28 @@ def structure_stats(structure: FoldedStructure) -> dict:
 
 
 def render_ascii(structure: FoldedStructure) -> str:
-    """One text grid per z slice; x grows right, y grows up, '.' is empty."""
+    """One text grid per z slice; x grows right, y grows up, '.' is empty.
+
+    Only the rows that hold blocks are filled in; every other row is the
+    same all-empty string, so the cost follows the block count and the
+    size of the output, not the volume of the bounding box.
+    """
     if not structure.occupancy:
         return "(empty)\n"
     (x0, y0, z0), (x1, y1, z1) = structure.bbox  # type: ignore[misc]
+    empty = "." * (x1 - x0 + 1)
+    filled: dict[tuple[int, int], list[str]] = {}
+    for (x, y, z), blk in structure.occupancy.items():
+        row = filled.get((y, z))
+        if row is None:
+            row = filled[y, z] = list(empty)
+        row[x - x0] = blk.token.kind
     out: list[str] = []
     for z in range(z0, z1 + 1):
         out.append(f"z={z}")
         for y in range(y1, y0 - 1, -1):
-            row = ""
-            for x in range(x0, x1 + 1):
-                blk = structure.occupancy.get((x, y, z))
-                row += blk.token.kind if blk else "."
-            out.append(row)
+            row = filled.get((y, z))
+            out.append(empty if row is None else "".join(row))
         out.append("")
     return "\n".join(out)
 

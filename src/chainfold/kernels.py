@@ -4,6 +4,8 @@ function of them, and both cost time linear in their input:
 
 - `count_matches` narrows the candidate rows one column at a time, so
   each later column is compared only on the rows still in the running.
+  It works through 2^16-row blocks, so its scratch arrays stay small
+  next to the draws it counts.
 - `copier_chunk` only walks: it reads each draw once against the
   acceptance row of the slot under the head and reports which draws
   glued. `copier.run_copy` gathers the copy from those positions once
@@ -23,19 +25,27 @@ def active_backend() -> str:
     return "numpy"
 
 
+# rows per block of `count_matches`: its scratch arrays are sized to this
+_BLOCK_ROWS = 1 << 16
+
+
 def count_matches(draws: np.ndarray, target: np.ndarray) -> int:
     """Rows of `draws` equal to `target`, counted.
 
-    Column 0 picks the candidate rows; every later column only filters
-    the rows that matched so far, which shrink by the alphabet size at
-    each step.
+    Block by block, column 0 picks the candidate rows; every later column
+    only filters the rows that matched so far, which shrink by the
+    alphabet size at each step.
     """
     if not len(target):
         return draws.shape[0]
-    rows = np.flatnonzero(draws[:, 0] == target[0])
-    for j in range(1, len(target)):
-        rows = rows[draws[rows, j] == target[j]]
-    return int(rows.size)
+    hits = 0
+    for start in range(0, draws.shape[0], _BLOCK_ROWS):
+        block = draws[start : start + _BLOCK_ROWS]
+        rows = np.flatnonzero(block[:, 0] == target[0])
+        for j in range(1, len(target)):
+            rows = rows[block[rows, j] == target[j]]
+        hits += rows.size
+    return hits
 
 
 def copier_chunk(accept, slot_codes, head, flat) -> tuple[int, int, list[int]]:

@@ -154,7 +154,8 @@ def mhbbg_probability(exp: StreamExperiment) -> ProbabilityReport:
     """Monte Carlo self-copy frequency next to the closed form.
 
     Draws come in fixed-size chunks from one seeded generator, so the
-    count is a pure function of the seed.
+    count is a pure function of the seed. No name holds a chunk while
+    the next is drawn, so one chunk of m x k bytes is live at a time.
     """
     import numpy as np
 
@@ -168,8 +169,9 @@ def mhbbg_probability(exp: StreamExperiment) -> ProbabilityReport:
     remaining = exp.trials
     while remaining > 0:
         m = min(remaining, _CHUNK_TRIALS)
-        draws = rng.integers(0, len(exp.alphabet), size=(m, k), dtype=np.uint8)
-        hits += kernels.count_matches(draws, target)
+        hits += kernels.count_matches(
+            rng.integers(0, len(exp.alphabet), size=(m, k), dtype=np.uint8), target
+        )
         remaining -= m
     p = float(analytic)
     stderr = math.sqrt(p * (1.0 - p) / exp.trials)

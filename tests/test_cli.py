@@ -180,6 +180,15 @@ def test_copy_rejects_tape_entries_that_are_not_objects(capsys, tmp_path):
     assert err == 'chainfold: tape entry 0 must be an object with a string "kind"\n'
 
 
+def test_copy_rejects_a_flip_that_is_not_a_boolean(capsys, tmp_path):
+    # "false" is truthy, so it used to copy a flipped slot
+    p = tmp_path / "string_flip.json"
+    p.write_text(json.dumps({"entries": [{"kind": "G0_", "flipped": "false"}]}))
+    code, out, err = run_cli(capsys, "copy", "--tape", str(p))
+    assert code == 1 and out == ""
+    assert err == 'chainfold: tape entry 0 has a "flipped" that is not true or false\n'
+
+
 def test_copy_unknown_kind_message_has_no_key_error_quotes(capsys, tmp_path):
     p = tmp_path / "unknown.json"
     p.write_text(json.dumps({"entries": [{"kind": "a"}]}))

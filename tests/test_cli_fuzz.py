@@ -34,6 +34,7 @@ def files(tmp_path_factory):
     written = {
         "bad_entries.json": json.dumps({"entries": [["zz", True]]}),
         "unknown_kind.json": json.dumps({"entries": [{"kind": "a"}]}),
+        "string_flip.json": json.dumps({"entries": [{"kind": "G0_", "flipped": "false"}]}),
         "empty_tape.json": json.dumps({"entries": []}),
         "list.json": "[]",
         "broken.json": "{",

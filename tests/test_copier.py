@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainfold.copier import (
@@ -28,6 +28,7 @@ from chainfold.encoding import (
     default_registry,
     flip_end_over_end,
     negative_copy,
+    reverse,
     tape_from_kinds,
 )
 
@@ -296,6 +297,35 @@ def test_registry_of_any_size_up_to_64_kinds_copies(reg):
     tape = tuple(TapeEntry(k, f) for k, f in zip(reg.kinds, itertools.cycle((False, True))))
     assert run_copy(tape, ONE, seed=4, registry=reg).output == negative_copy(tape, reg)
     assert copy_twice(tape, ONE, seed=4, registry=reg) == tape
+
+
+ZERO_LED_8 = [p for p in BALANCED_8 if p[0] == "0"]
+
+
+@st.composite
+def _registry_copies(draw):
+    """A registry of 2-64 kinds, a tape over it, a sparing and a seed."""
+    picks = draw(st.lists(st.sampled_from(ZERO_LED_8), min_size=1, max_size=16, unique=True))
+    # a kind whose pattern is a partner's reversed is what a mutation glues
+    reg = _registry(picks + [p[::-1] for p in picks if draw(st.booleans())])
+    entries = st.builds(TapeEntry, st.sampled_from(reg.kinds), st.booleans())
+    tape = tuple(draw(st.lists(entries, min_size=1, max_size=12)))
+    return reg, tape, draw(st.sampled_from([ONE, BOTH])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_registry_copies())
+@example((SIXTY_FOUR_KINDS, tuple(TapeEntry(k) for k in SIXTY_FOUR_KINDS.kinds), BOTH, 5))
+def test_mutations_confined_to_reversed_partners(case):
+    reg, tape, profile, seed = case
+    run = run_copy(tape, profile, seed=seed, registry=reg)
+    exact = negative_copy(tape, reg)
+    differs = [i for i, (got, want) in enumerate(zip(run.output, exact)) if got.kind != want.kind]
+    assert list(run.mutations) == differs
+    if profile is ONE:
+        assert run.mutations == ()
+    for i in run.mutations:
+        assert reg.pattern(run.output[i].kind) == reverse(reg.pattern(exact[i].kind))
 
 
 def test_registry_past_64_kinds_is_refused():

@@ -174,8 +174,15 @@ def test_tape_json_roundtrip():
         {"entries": [["zz", True]]},
         {"entries": [{"flipped": True}]},
         {"entries": [{"kind": 3}]},
+        # "false" is truthy, and a flip must be a JSON boolean
+        *({"entries": [{"kind": "G0_", "flipped": f}]} for f in ("false", "yes", [1], None, 0)),
     ],
 )
 def test_tape_json_of_another_shape_is_a_value_error(raw):
     with pytest.raises(ValueError):
         tape_from_json_dict(raw)
+
+
+def test_tape_json_flipped_defaults_to_upright():
+    raw = {"entries": [{"kind": "G0_"}, {"kind": "b__", "flipped": True}]}
+    assert tape_from_json_dict(raw) == tape_from_kinds(["G0_", "b__"], [False, True])

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fig6_reference import RefCollision, ref_fold
+from chainfold.corpus import load_manifest
 from chainfold.folding import (
     TOKEN_ROTATIONS,
     CollisionError,
@@ -258,6 +259,39 @@ def test_render_ascii_smoke():
     grid = [ln for ln in art.splitlines() if ln and not ln.startswith("z=")]
     joined = "".join(grid)
     assert joined.count("b") == 4 and joined.count("H") == 1
+
+
+def _render_ascii_cells(structure):
+    """The renderer as a walk over every cell of the bounding box."""
+    if not structure.occupancy:
+        return "(empty)\n"
+    (x0, y0, z0), (x1, y1, z1) = structure.bbox
+    out = []
+    for z in range(z0, z1 + 1):
+        out.append(f"z={z}")
+        for y in range(y1, y0 - 1, -1):
+            row = ""
+            for x in range(x0, x1 + 1):
+                blk = structure.occupancy.get((x, y, z))
+                row += blk.token.kind if blk else "."
+            out.append(row)
+        out.append("")
+    return "\n".join(out)
+
+
+def test_render_ascii_matches_cell_walk_on_every_fixture():
+    fixtures = load_manifest()
+    assert len(fixtures) == 48
+    for fx in fixtures.values():
+        structure = fold(fx.chain, permissive=True)
+        assert render_ascii(structure) == _render_ascii_cells(structure), fx.id
+
+
+@given(st.text(alphabet=ALL_KINDS, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_render_ascii_matches_cell_walk_on_random_chains(kinds):
+    structure = fold(chain_of(kinds), permissive=True)
+    assert render_ascii(structure) == _render_ascii_cells(structure)
 
 
 def test_json_export_is_deterministic():

@@ -116,6 +116,16 @@ def test_count_matches_full_alphabet():
         assert kernels.count_matches(draws, target) == _count_matches_py(draws, target)
 
 
+@pytest.mark.parametrize("m", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7])
+def test_count_matches_agrees_across_block_edges(m):
+    draws = _random_draws(m, m=m, k=3, high=3)
+    target = np.array([2, 0, 1], dtype=np.uint8)
+    # hits on both sides of every block edge, and on the first and last row
+    edges = [r for e in range(0, m + 1, 2**16) for r in (e - 1, e) if 0 <= r < m]
+    draws[edges] = target
+    assert kernels.count_matches(draws, target) == _count_matches_py(draws, target)
+
+
 def _chunk_inputs(seed, n_slots=40, m=1200):
     rng = np.random.default_rng(seed)
     slot_codes = rng.integers(0, 12, size=n_slots).tolist()

@@ -3,12 +3,12 @@ import json
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainfold.corpus import load_fixture, load_manifest
 from chainfold.folding import CollisionError, fold
-from chainfold.geometry import bounding_box, sub
+from chainfold.geometry import add, bounding_box, sub
 from chainfold.mdl import parse_mdl, validate
 from chainfold.kinematics import (
     FACE_VECTORS,
@@ -404,6 +404,54 @@ def test_bonds_join_adjacent_cells_every_tick(kinds, fold_delay):
         for pair in w.bonds:
             a, b = (w.blocks[i].cell for i in pair)
             assert sorted(abs(x - y) for x, y in zip(a, b)) == [0, 0, 1]
+
+
+# movers with a fixed or drawn phase, gluers, and dissolvables with a
+# timer digit or the default one, among the turning and straight tokens
+_INWORLD_TOKENS = [
+    "b__", "H__", "h__", "L__", "R__", "Z__", "G0_", "M0x", "M3x", "M24", "d3_", "d__"
+]
+
+
+@st.composite
+def inworld_runs(draw):
+    """A foldable chain, a fold delay, a seed and anchored strangers."""
+    tokens = draw(st.lists(st.sampled_from(_INWORLD_TOKENS), min_size=2, max_size=16))
+    text = "".join(tokens)
+    try:
+        fold(text)
+    except CollisionError:
+        assume(False)
+    # strangers sit beside the straight chain, where its movers face them
+    n = len(tokens)
+    beside = st.tuples(st.integers(0, n - 1), st.sampled_from(FACE_VECTORS[2:]))
+    strangers = [add((x, 0, 0), v) for x, v in draw(st.lists(beside, max_size=4, unique=True))]
+    return text, draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1)), strangers
+
+
+def _inworld(text, fold_delay, seed, strangers):
+    w = world_from_chain(text, fold_delay=fold_delay, seed=seed)
+    blocks = dict(w.blocks)
+    taken = {b.cell for b in blocks.values()}
+    for i, cell in enumerate(c for c in strangers if c not in taken):
+        blocks[1000 + i] = BlockInstance(id=1000 + i, kind="b", cell=cell, anchored=True)
+    return World(blocks=blocks, bonds=w.bonds, pending_folds=w.pending_folds)
+
+
+@given(inworld_runs())
+@settings(max_examples=80, deadline=None)
+def test_in_world_invariants_hold_every_tick(run):
+    w = _inworld(*run)
+    anchored = {i: b.cell for i, b in w.blocks.items() if b.anchored}
+    kept = {i for i, b in w.blocks.items() if b.kind != "d"}
+    due = {i: b.dissolve_due for i, b in w.blocks.items() if b.kind == "d"}
+    for _ in range(60):
+        w = step_world(w)  # raises KinematicsError on a broken world
+        assert {i: w.blocks[i].cell for i in anchored} == anchored
+        assert kept <= set(w.blocks)
+        # a dissolvable melts at its due tick, and not before
+        assert {i for i in due if i in w.blocks} == {i for i, t in due.items() if t >= w.time}
+    assert w == run_world(_inworld(*run), 60)
 
 
 # --- scenarios --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from chainfold.mdl import SIX_TYPE_PROFILE, AlphabetProfile, parse_mdl
 from chainfold.protoevolution import (
+    _CHUNK_TRIALS,
     JACOBSON_LIMIT_BITS,
     KindOutsideProfileError,
     StreamExperiment,
@@ -97,6 +99,21 @@ def test_monte_carlo_within_three_sigma_of_analytic():
     assert abs(report.monte_carlo - float(report.analytic)) <= 3 * sigma
     assert report.warning is None
     assert report.hits == round(report.monte_carlo * report.trials)
+
+
+def test_evolve_holds_one_chunk_at_a_time():
+    exp = StreamExperiment(trials=3 * _CHUNK_TRIALS, seed=1)
+    chunk_bytes = _CHUNK_TRIALS * exp.target_length  # one uint8 per draw
+    mhbbg_probability(StreamExperiment(trials=10, seed=1))  # imports outside the trace
+    tracemalloc.start()
+    try:
+        report = mhbbg_probability(exp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * chunk_bytes
+    # a count that moves means the draws moved, whatever the kernel
+    assert report.hits == 381
 
 
 def test_low_trial_count_warns():
