@@ -16,27 +16,9 @@ from pathlib import Path
 # Each command reads its input file, then imports the modules it runs, so
 # a usage error, --help or a missing file loads nothing of chainfold
 # beyond this module and errors.
-from .errors import (
-    CycleLimitExceededError,
-    FoldError,
-    KindOutsideProfileError,
-    KinematicsError,
-    TapeExhaustedError,
-    UnknownTapeKindError,
-)
+from .errors import DomainError
 
 DEFAULT_SEED = 7
-
-# MdlError and json.JSONDecodeError are ValueErrors
-_INPUT_ERRORS = (OSError, ValueError)
-_DOMAIN_ERRORS = (
-    FoldError,
-    CycleLimitExceededError,
-    TapeExhaustedError,
-    UnknownTapeKindError,
-    KinematicsError,
-    KindOutsideProfileError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -269,13 +251,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
-        if isinstance(exc, FoldError) and hasattr(exc, "chain_index"):
-            sys.stderr.write(f"chainfold: collision at index {exc.chain_index}\n")
-        else:
-            sys.stderr.write(f"chainfold: {exc}\n")
+    except DomainError as exc:
+        sys.stderr.write(f"chainfold: {exc}\n")
         return 2
-    except _INPUT_ERRORS as exc:
+    except (OSError, ValueError) as exc:  # MdlError and JSONDecodeError included
         sys.stderr.write(f"chainfold: {exc}\n")
         return 1
 

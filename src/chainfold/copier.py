@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,62 +147,59 @@ class CopyRun:
     backend: str
 
 
+class _Rules(NamedTuple):
+    """What the copier reads off one registry under one sparing.
+
+    Both tables are indexed (slot code, flat draw): a slot code is kind
+    index * 2 + flip, a flat draw is kind index * cases + case.
+    """
+
+    entries: tuple[TapeEntry, ...]  # the tape entry at each slot code
+    index: Mapping[str, int]  # kind -> kind index
+    stick: np.ndarray  # stick-out of each draw at each slot
+    mut: np.ndarray  # whether gluing that draw there is a mutation
+    accept: tuple[tuple[bool, ...], ...]  # the kernel's rows: stick-out 0
+
+
 @functools.cache
-def _entries(registry: TypeRegistry) -> tuple[TapeEntry, ...]:
-    """Every tape entry at its code (kind index * 2 + flip): slots, rows, glues."""
-    return tuple(
-        TapeEntry(kind, flipped) for kind in registry.kinds for flipped in (False, True)
+def _rules(sparing: Sparing, registry: TypeRegistry) -> _Rules:
+    """Built once per sparing and registry value, since only the sparing
+    enters the rule; the tables are read-only. A glue always takes the
+    drawn kind."""
+    profile = SubunitProfile(sparing=sparing)
+    kinds = registry.kinds
+    entries = tuple(TapeEntry(kind, flipped) for kind in kinds for flipped in (False, True))
+    draws = [(kind, case) for kind in kinds for case in PresentationCase]
+    stick = np.empty((len(entries), len(draws)), dtype=np.uint8)
+    mut = np.empty_like(stick)
+    for code, slot in enumerate(entries):
+        for f, (kind, case) in enumerate(draws):
+            stick[code, f], mut[code, f] = _classify(kind, case, slot, profile, registry)
+    stick.flags.writeable = False
+    mut.flags.writeable = False
+    return _Rules(
+        entries=entries,
+        index=MappingProxyType({kind: i for i, kind in enumerate(kinds)}),
+        stick=stick,
+        mut=mut,
+        accept=tuple(map(tuple, (stick == 0).tolist())),
     )
 
 
-@functools.cache
-def _upright_codes(registry: TypeRegistry) -> Mapping[str, int]:
-    """Slot code of each kind lying upright; a flipped slot adds 1."""
-    return MappingProxyType({kind: 2 * i for i, kind in enumerate(registry.kinds)})
-
-
-def _slot_codes(tape: Tape, registry: TypeRegistry) -> list[int]:
-    upright = _upright_codes(registry)
+def _slot_codes(tape: Tape, rules: _Rules) -> list[int]:
     try:
-        return [upright[e.kind] + int(e.flipped) for e in tape]
+        return [2 * rules.index[e.kind] + int(e.flipped) for e in tape]
     except KeyError as exc:
         raise UnknownTapeKindError(exc.args[0]) from None
 
 
-@functools.cache
-def _tables(sparing: Sparing, registry: TypeRegistry) -> tuple[np.ndarray, np.ndarray]:
-    """Stick-out and mutation flag per (slot code, kind index, case).
-
-    Only the sparing enters the rule, so one read-only pair serves every
-    profile that shares it. A glue always takes the drawn kind.
-    """
-    profile = SubunitProfile(sparing=sparing)
-    k = len(registry.kinds)
-    stick = np.empty((2 * k, k, len(PresentationCase)), dtype=np.uint8)
-    mut = np.empty_like(stick)
-    for sc, slot in enumerate(_entries(registry)):
-        for ki, kind in enumerate(registry.kinds):
-            for case in PresentationCase:
-                stick[sc, ki, case], mut[sc, ki, case] = _classify(
-                    kind, case, slot, profile, registry
-                )
-    stick.flags.writeable = False
-    mut.flags.writeable = False
-    return stick, mut
-
-
-@functools.cache
-def _accept(sparing: Sparing, registry: TypeRegistry) -> tuple[tuple[bool, ...], ...]:
-    """The kernel's acceptance rows: per slot code, whether each flat draw
-    index kind * cases + case glues (has stick-out 0)."""
-    stick, _ = _tables(sparing, registry)
-    return tuple(map(tuple, (stick == 0).reshape(len(stick), -1).tolist()))
-
-
 def _seeded_draws(seed: int | np.random.SeedSequence, n_kinds: int):
-    rng = np.random.default_rng(seed)
+    rng = None  # seeded at the first draw, so an empty tape builds none
 
     def draw(open_slots: int, budget: int):
+        nonlocal rng
+        if rng is None:
+            rng = np.random.default_rng(seed)
         # Draw a full chunk regardless of budget so the stream is a pure
         # function of the seed, then cap what the kernel may consume.
         kinds = rng.integers(0, n_kinds, size=FEED_CHUNK, dtype=np.uint8)
@@ -211,9 +209,8 @@ def _seeded_draws(seed: int | np.random.SeedSequence, n_kinds: int):
     return draw
 
 
-def _forced_draws(feed, registry: TypeRegistry):
+def _forced_draws(feed, rules: _Rules):
     items = iter(feed)
-    kind_index = {kind: i for i, kind in enumerate(registry.kinds)}
     case_values = frozenset(map(int, PresentationCase))
 
     def draw(open_slots: int, budget: int):
@@ -221,7 +218,7 @@ def _forced_draws(feed, registry: TypeRegistry):
         # size never reads past the draw that finishes the tape.
         batch = list(itertools.islice(items, min(open_slots, budget)))
         try:
-            kinds = [kind_index[kind] for kind, _ in batch]
+            kinds = [rules.index[kind] for kind, _ in batch]
         except KeyError as exc:
             raise UnknownTapeKindError(exc.args[0]) from None
         cases = [case for _, case in batch]
@@ -264,9 +261,9 @@ def run_copy(
         max_cycles = max(10_000, 2_000 * n)
     elif max_cycles < 0:
         raise ValueError(f"max_cycles must not be negative, got {max_cycles}")
-    draw = _seeded_draws(seed, n_kinds) if feed is None else _forced_draws(feed, reg)
-    accept = _accept(profile.sparing, reg)
-    codes = _slot_codes(tape, reg)
+    rules = _rules(profile.sparing, reg)
+    draw = _seeded_draws(seed, n_kinds) if feed is None else _forced_draws(feed, rules)
+    codes = _slot_codes(tape, rules)
     drawn = bytearray()  # each used draw as its flat index, kind * cases + case
     glue_cycles = [-1]  # the cycle that glued each slot, after -1 for the start
     head = 0
@@ -278,28 +275,26 @@ def run_copy(
         if not len(kinds):  # a forced feed ran dry
             raise CycleLimitExceededError(cycles, head, n)
         flat = (kinds * len(PresentationCase) + cases).tobytes()
-        head, used, glued = kernels.copier_chunk(accept, codes, head, flat)
+        head, used, glued = kernels.copier_chunk(rules.accept, codes, head, flat)
         glue_cycles += (cycles + p for p in glued)
         drawn += flat[:used]
         cycles += used
     # the copy is finished, so every slot has its glue: gather in one pass
-    stick_rows, mut_rows = (t.reshape(len(t), -1) for t in _tables(profile.sparing, reg))
     flat = np.frombuffer(drawn, dtype=np.uint8)
     ends = np.array(glue_cycles, dtype=np.intp)
     glues = flat[ends[1:]]
     slots = np.array(codes, dtype=np.uint8)  # codes < 2 * _MAX_KINDS fit a byte
-    mut = mut_rows[slots, glues]
+    mut = rules.mut[slots, glues]
     # a glue takes the drawn kind and lies in its slot's flip frame (bit 0
     # of the code), unless it is a mutation, which sits the other way up
     out_codes = glues // len(PresentationCase) * 2 + ((slots & 1) ^ mut)
     # each slot met the draws after the glue before it, up to its own glue
     met = np.repeat(slots, np.diff(ends))
-    entries = _entries(reg)
     return CopyRun(
-        output=tuple(map(entries.__getitem__, out_codes.tolist())),
+        output=tuple(map(rules.entries.__getitem__, out_codes.tolist())),
         cycles=cycles,
         mutations=tuple(np.flatnonzero(mut).tolist()),
-        stickout_log=stick_rows[met, flat],
+        stickout_log=rules.stick[met, flat],
         seed=seed if feed is None else None,
         sparing=profile.sparing,
         backend=kernels.active_backend(),
@@ -331,10 +326,10 @@ def analytic_cycle_stats(
     """
     profile = profile or SubunitProfile()
     reg = registry or default_registry()
-    stick, _ = _tables(profile.sparing, reg)
+    rules = _rules(profile.sparing, reg)
     per_slot = [
-        Fraction(int(np.count_nonzero(stick[code] == 0)), stick[code].size)
-        for code in _slot_codes(tape, reg)
+        Fraction(sum(rules.accept[code]), len(rules.accept[code]))
+        for code in _slot_codes(tape, rules)
     ]
     expected = sum((1 / p for p in per_slot), Fraction(0))
     variance = sum(((1 - p) / p**2 for p in per_slot), Fraction(0))

@@ -20,10 +20,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
-# the copier's two errors stay importable from here
-from .errors import CycleLimitExceededError, TapeExhaustedError, UnknownTapeKindError  # noqa: F401
+from .errors import UnknownTapeKindError
 
 
 def codon_count(n: int) -> int:
@@ -79,10 +77,16 @@ _DEFAULT_ASSIGNMENT = (
 
 
 class TypeRegistry:
-    """Kind -> (role letter, pattern), with complement-partner lookup."""
+    """Kind -> (role letter, pattern), with complement-partner lookup.
+
+    Two registries are equal when they assign the same roles and patterns
+    to the same kinds in the same order: kind order is part of the value,
+    since it numbers the kinds a copier draws.
+    """
 
     def __init__(self, assignment: dict[str, tuple[str, MarkingPattern]]):
         self._by_kind = dict(assignment)
+        self._key = tuple(self._by_kind.items())  # ordered, unlike dict equality
         self._by_role = {role: kind for kind, (role, _) in assignment.items()}
         self._partner: dict[str, str] = {}
         for kind, (_, pat) in self._by_kind.items():
@@ -96,6 +100,14 @@ class TypeRegistry:
                     f"found {partners}"
                 )
             self._partner[kind] = partners[0]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TypeRegistry):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @classmethod
     def default(cls) -> "TypeRegistry":
@@ -226,10 +238,6 @@ def tape_from_json_dict(raw: dict) -> Tape:
         if not isinstance(e.get("flipped", False), bool):
             raise ValueError(f'tape entry {i} has a "flipped" that is not true or false')
     return tuple(TapeEntry(e["kind"], e.get("flipped", False)) for e in entries)
-
-
-def load_tape(path: str | Path) -> Tape:
-    return tape_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 _DEFAULT_REGISTRY = TypeRegistry.default()

@@ -1,20 +1,24 @@
 """The domain exceptions the CLI maps to exit status 2.
 
-They live in this import-free module so that `chainfold.cli` can name
-them without loading the modules that raise them. Each is re-exported
-from its old home (`folding`, `encoding`, `mdl`, `kinematics`).
+Each subclasses `DomainError`, which is the one type `chainfold.cli`
+catches for exit 2. They live in this import-free module so that the CLI
+can name them without loading the modules that raise them.
 """
 
 
-class FoldError(Exception):
+class DomainError(Exception):
+    """A well-formed input the model cannot carry out."""
+
+
+class FoldError(DomainError):
     pass
 
 
-class TapeExhaustedError(Exception):
+class TapeExhaustedError(DomainError):
     pass
 
 
-class CycleLimitExceededError(Exception):
+class CycleLimitExceededError(DomainError):
     def __init__(self, cycles: int, head: int, tape_len: int):
         super().__init__(
             f"no finished copy after {cycles} cycles (head {head}/{tape_len})"
@@ -23,7 +27,7 @@ class CycleLimitExceededError(Exception):
         self.head = head
 
 
-class UnknownTapeKindError(KeyError):
+class UnknownTapeKindError(DomainError, KeyError):
     def __init__(self, kind: str):
         super().__init__(f"kind {kind!r} is not in the type registry")
         self.kind = kind
@@ -33,11 +37,11 @@ class UnknownTapeKindError(KeyError):
         return self.args[0]
 
 
-class KinematicsError(Exception):
+class KinematicsError(DomainError):
     pass
 
 
-class KindOutsideProfileError(ValueError):
+class KindOutsideProfileError(DomainError, ValueError):
     def __init__(self, token):
         super().__init__(f"{token.canonical} is outside the declared profile")
         self.token = token

@@ -5,8 +5,9 @@ stepped on a global tick. Per tick, in order: due dissolvables vanish,
 due chain folds rotate their upstream sub-chain, movers on their phase
 push or carry, gluers bond across their active face. Blocked actions are
 no-ops (folds retry next tick); there is no other failure mode. A fold is
-blocked by a block in its way and by a glue bond it would tear (one end
-turned, the other not, no longer adjacent).
+blocked by an anchored block among those it would turn, by a block in its
+way and by a glue bond it would tear (one end turned, the other not, no
+longer adjacent).
 
 Movers fire every ten ticks on their phase digit. A mover facing another
 group shoves that group one cell; a mover facing empty space carries its
@@ -225,7 +226,8 @@ def _try_fold(
     hinge: BlockInstance,
 ) -> bool:
     """Rotate chain ids below the hinge about its cell; False, changing
-    nothing, when a block is in the way or a bond would tear."""
+    nothing, when one of them is anchored, a block is in the way or a
+    bond would tear."""
     w = compose(
         compose(hinge.orientation, TOKEN_ROTATIONS[hinge.kind]),
         inverse(hinge.orientation),
@@ -240,6 +242,8 @@ def _try_fold(
         for b in blocks.values()
         if b.chain_index is not None and b.chain_index < hinge.chain_index
     ]
+    if any(b.anchored for b in turned):
+        return False
     cell = {b.id: b.cell for b in turned}
     for a, b in bonds:
         if (a in cell) != (b in cell) and not _adjacent(

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import KindOutsideProfileError  # noqa: F401  (re-exported)
-
 KIND_CHARS = "bdSGMHhRLZ12"
 PARAM_CHARS = "0123456789x_"
 # '_' between tokens is a separator; inside a token it is padding.
@@ -62,7 +60,6 @@ class Token:
 @dataclass(frozen=True)
 class Chain:
     tokens: tuple[Token, ...] = ()
-    source: str | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -117,7 +114,7 @@ def parse_mdl(text: str, strict: bool = False) -> Chain:
             tokens.append(Token(kind=c, params=params, offset=start))
         else:
             raise UnknownKindError(i, c)
-    return Chain(tokens=tuple(tokens), source=text)
+    return Chain(tokens=tuple(tokens))
 
 
 def write_canonical(chain: Chain) -> str:

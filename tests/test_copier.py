@@ -14,6 +14,7 @@ from chainfold.copier import (
     Sparing,
     SubunitProfile,
     TapeExhaustedError,
+    _rules,
     analytic_cycle_stats,
     copy_twice,
     run_copy,
@@ -257,6 +258,21 @@ def test_registry_in_another_kind_order_copies_alike():
         )
 
 
+def test_equal_registries_share_one_rule_table():
+    _rules.cache_clear()
+    loaded = [TypeRegistry.from_json(REG.to_json()) for _ in range(5)]
+    tape = tape_from_kinds(KINDS, [False, True] * 3)
+    for reg in loaded:
+        for profile in (ONE, BOTH):
+            run_copy(tape, profile, seed=2, registry=reg)
+    assert _rules.cache_info().currsize == 2  # one per sparing, not per registry
+    assert len(set(loaded)) == 1
+    # kind order numbers the draws, so the same kinds reordered are another value
+    assert loaded[0] != REG and loaded[0].kinds == tuple(sorted(KINDS))
+    reordered = TypeRegistry({k: (REG.role(k), REG.pattern(k)) for k in reversed(KINDS)})
+    assert reordered != REG and reordered != loaded[0]
+
+
 def _registry(patterns):
     """Each pattern and its complement, as kinds named by their bits."""
     bits = set(patterns) | {"".join("10"[int(c)] for c in p) for p in patterns}
@@ -324,6 +340,7 @@ def test_mutations_confined_to_reversed_partners(case):
     assert list(run.mutations) == differs
     if profile is ONE:
         assert run.mutations == ()
+        assert copy_twice(tape, ONE, seed=seed, registry=reg) == tape
     for i in run.mutations:
         assert reg.pattern(run.output[i].kind) == reverse(reg.pattern(exact[i].kind))
 
@@ -431,3 +448,21 @@ def test_negative_cycle_budget_is_refused():
 def test_empty_tape():
     run = run_copy((), ONE, seed=1)
     assert run.output == () and run.cycles == 0
+
+
+def test_generator_is_seeded_at_the_first_draw(monkeypatch):
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    assert run_copy(()).cycles == 0 and seeds == []
+    # the stream is the one a Generator built up front gives
+    tape = tape_from_kinds(KINDS * 3, [False, True] * 9)
+    run = run_copy(tape, BOTH, seed=3)
+    assert seeds == [3]
+    assert (run.cycles, run.mutations) == (105, (1, 6, 10, 12, 13, 17))
+    assert run.stickout_log[:12].tolist() == [1, 2, 2, 1, 1, 2, 2, 1, 0, 2, 1, 0]

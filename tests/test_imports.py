@@ -1,5 +1,6 @@
 """Every name a chainfold module imports is used (a stdlib stand-in for
-F401), and every module-level `_private` name it defines is read in it.
+F401), every module-level `_private` name it defines is read in it, and
+every exception it defines is one the CLI maps to an exit status.
 
 An import kept on purpose, such as a re-export, carries `# noqa: F401` on
 its statement. A private helper that no line of its own module reads is
@@ -7,11 +8,14 @@ left over from a change that stopped calling it.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import chainfold
+from chainfold.errors import DomainError
 
 MODULES = sorted(Path(chainfold.__file__).parent.glob("*.py"))
 
@@ -101,3 +105,21 @@ def test_the_check_sees_an_unread_private_name():
         "    return _used() + _local\n"
     )
     assert _unread_privates(src) == [(4, "_B"), (6, "_orphan"), (10, "_Gone")]
+
+
+def test_every_exception_reaches_the_cli_as_an_exit_status():
+    """`cli.main` exits 2 on a DomainError and 1 on an OSError or
+    ValueError; an exception class outside all three would escape as a
+    traceback."""
+    defined = []
+    for path in MODULES:
+        name = "chainfold" if path.stem == "__init__" else f"chainfold.{path.stem}"
+        module = importlib.import_module(name)
+        defined += [
+            cls
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+        ]
+    assert DomainError in defined and len(defined) > 1
+    mapped = (DomainError, ValueError, OSError)
+    assert [c.__qualname__ for c in defined if not issubclass(c, mapped)] == []

@@ -19,13 +19,11 @@ from chainfold.copier import (
     PresentationCase,
     Sparing,
     SubunitProfile,
-    _accept,
-    _entries,
-    _tables,
+    _rules,
     run_copy,
     step,
 )
-from chainfold.encoding import default_registry, negative_copy
+from chainfold.encoding import TapeEntry, default_registry, negative_copy
 
 
 def _count_matches_py(draws, target):
@@ -42,13 +40,18 @@ def _count_matches_py(draws, target):
     return hits
 
 
+def _flat(kinds, cases):
+    return kinds * len(PresentationCase) + cases
+
+
 def _walk_py(stick_tab, slot_codes, head, kinds, cases):
     """The copier walk read straight off the stick table: (head, used, glued)."""
     n = len(slot_codes)
+    flat = _flat(kinds, cases)
     glued = []
     pos = 0
-    while pos < len(kinds) and head < n:
-        if stick_tab[slot_codes[head], kinds[pos], cases[pos]] == 0:
+    while pos < len(flat) and head < n:
+        if stick_tab[slot_codes[head], flat[pos]] == 0:
             glued.append(pos)
             head += 1
         pos += 1
@@ -59,15 +62,15 @@ def _copy_py(stick_tab, mut_tab, slot_codes, kinds, cases):
     """A whole copy by table lookups: per slot the glued kind, flip and
     mutation flag, and the stick-out of every draw up to the last glue."""
     out_kinds, out_flips, out_mut, stick_log = [], [], [], []
-    for k, c in zip(kinds, cases):
+    for k, f in zip(kinds, _flat(kinds, cases)):
         if len(out_kinds) == len(slot_codes):
             break
         s = slot_codes[len(out_kinds)]
-        stick_log.append(int(stick_tab[s, k, c]))
-        if stick_tab[s, k, c] == 0:
+        stick_log.append(int(stick_tab[s, f]))
+        if stick_tab[s, f] == 0:
             out_kinds.append(int(k))
-            out_flips.append(int((s & 1) ^ mut_tab[s, k, c]))
-            out_mut.append(int(mut_tab[s, k, c]))
+            out_flips.append(int((s & 1) ^ mut_tab[s, f]))
+            out_mut.append(int(mut_tab[s, f]))
     return out_kinds, out_flips, out_mut, stick_log
 
 
@@ -136,10 +139,9 @@ def _chunk_inputs(seed, n_slots=40, m=1200):
 
 def _both_walks(sparing, slot_codes, head, kinds, cases):
     """The loop oracle's and the kernel's (head, used, glued)."""
-    reg = default_registry()
-    flat = (kinds * len(PresentationCase) + cases).tobytes()
-    got = kernels.copier_chunk(_accept(sparing, reg), slot_codes, head, flat)
-    return _walk_py(_tables(sparing, reg)[0], slot_codes, head, kinds, cases), got
+    rules = _rules(sparing, default_registry())
+    got = kernels.copier_chunk(rules.accept, slot_codes, head, _flat(kinds, cases).tobytes())
+    return _walk_py(rules.stick, slot_codes, head, kinds, cases), got
 
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
@@ -149,10 +151,9 @@ def test_copier_chunk_backends_agree(seed):
     assert got == want
     # slots glued, some of them as mutations
     head, _, glued = got
-    mut = _tables(Sparing.BOTH_SIDES, default_registry())[1]
-    assert head > 0 and any(
-        mut[slot_codes[i], kinds[p], cases[p]] for i, p in enumerate(glued)
-    )
+    mut = _rules(Sparing.BOTH_SIDES, default_registry()).mut
+    flat = _flat(kinds, cases)
+    assert head > 0 and any(mut[slot_codes[i], flat[p]] for i, p in enumerate(glued))
 
 
 def test_copier_chunk_resumes_mid_tape():
@@ -191,7 +192,8 @@ def test_stick_log_matches_table_lookup(sparing, forced):
     reg = default_registry()
     rng = np.random.default_rng(21)
     slot_codes = rng.integers(0, 12, size=600).tolist()
-    tape = tuple(_entries(reg)[c] for c in slot_codes)
+    rules = _rules(sparing, reg)
+    tape = tuple(rules.entries[c] for c in slot_codes)
     kinds, cases = _seeded_stream(4, chunks=6)
     feed = [(reg.kinds[k], PresentationCase(int(c))) for k, c in zip(kinds, cases)]
     profile = SubunitProfile(sparing)
@@ -201,7 +203,7 @@ def test_stick_log_matches_table_lookup(sparing, forced):
         run = run_copy(tape, profile, seed=4)
     assert run.cycles > FEED_CHUNK  # more than one seeded chunk
     out_kinds, out_flips, out_mut, stick_log = _copy_py(
-        *_tables(sparing, reg), slot_codes, kinds, cases
+        rules.stick, rules.mut, slot_codes, kinds, cases
     )
     assert len(out_kinds) == len(tape)  # the replayed stream finishes the copy
     assert [reg.kinds.index(e.kind) for e in run.output] == out_kinds
@@ -221,18 +223,22 @@ def test_stick_log_matches_table_lookup(sparing, forced):
 def test_tables_built_once_and_read_only():
     reg = default_registry()
     for sparing in Sparing:
-        stick, mut = _tables(sparing, reg)
-        assert _tables(sparing, reg)[0] is stick
+        rules = _rules(sparing, reg)
+        assert _rules(sparing, reg) is rules
+        stick, mut = rules.stick, rules.mut
+        # one row per slot code, one column per flat draw
+        assert stick.shape == mut.shape == (2 * len(reg.kinds), 4 * len(reg.kinds))
         for tab in (stick, mut):
             with pytest.raises(ValueError):
-                tab[0, 0, 0] = 1
+                tab[0, 0] = 1
         # a mutation is always a glue, and only both-sides sparing has any
         assert not np.any(mut.astype(bool) & (stick != 0))
         assert mut.any() == (sparing is Sparing.BOTH_SIDES)
         # the kernel's acceptance rows are the zeros of the stick table
-        accept = _accept(sparing, reg)
-        assert _accept(sparing, reg) is accept
-        assert np.array_equal(np.array(accept), (stick == 0).reshape(len(stick), -1))
+        assert np.array_equal(np.array(rules.accept), stick == 0)
+        assert [rules.entries[2 * rules.index[k]] for k in reg.kinds] == [
+            TapeEntry(k) for k in reg.kinds
+        ]
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,7 +284,7 @@ def test_copier_chunk_without_a_glue_logs_every_draw():
     assert got == want == (2, 300, [])
     # a copy fed these rejects first logs each of them, then finishes
     reg = default_registry()
-    tape = tuple(_entries(reg)[c] for c in slot_codes)
+    tape = tuple(_rules(Sparing.ONE_SIDE, reg).entries[c] for c in slot_codes)
     rejects = [(reg.kinds[k], PresentationCase(int(c))) for k, c in zip(kinds, cases)]
     glues = [(e.kind, PresentationCase(int(e.flipped))) for e in negative_copy(tape)]
     run = run_copy(tape, SubunitProfile(), feed=rejects + glues)

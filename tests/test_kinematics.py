@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,6 +14,7 @@ from chainfold.mdl import parse_mdl, validate
 from chainfold.kinematics import (
     FACE_VECTORS,
     BlockInstance,
+    FoldEvent,
     KinematicsError,
     UnknownScenarioError,
     World,
@@ -383,6 +385,15 @@ def test_blocked_fold_retries_until_clear():
     assert cells[0] == (1, 1, 0)
 
 
+def test_fold_that_would_turn_an_anchored_block_waits():
+    w = world_from_chain("b_H_b_", fold_delay=0)
+    blocks = dict(w.blocks)
+    blocks[0] = replace(blocks[0], anchored=True)
+    w = step_world(World(blocks=blocks, bonds=w.bonds, pending_folds=w.pending_folds))
+    assert w.blocks[0].cell == (2, 0, 0)
+    assert w.pending_folds == (FoldEvent(1, 1),)
+
+
 def test_fold_that_would_tear_a_glue_bond_waits():
     # at tick 52 gluer 0 bonds to block 7; the fold at hinge 6 would turn
     # block 0 away from block 7, so it stays pending instead
@@ -415,7 +426,8 @@ _INWORLD_TOKENS = [
 
 @st.composite
 def inworld_runs(draw):
-    """A foldable chain, a fold delay, a seed and anchored strangers."""
+    """A foldable chain, a fold delay, a seed, anchored strangers and the
+    chain indices of anchored chain blocks."""
     tokens = draw(st.lists(st.sampled_from(_INWORLD_TOKENS), min_size=2, max_size=16))
     text = "".join(tokens)
     try:
@@ -426,12 +438,18 @@ def inworld_runs(draw):
     n = len(tokens)
     beside = st.tuples(st.integers(0, n - 1), st.sampled_from(FACE_VECTORS[2:]))
     strangers = [add((x, 0, 0), v) for x, v in draw(st.lists(beside, max_size=4, unique=True))]
-    return text, draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1)), strangers
+    # a dissolvable melts, anchored or not, so only lasting blocks are pinned
+    lasting = [j for j, t in enumerate(tokens) if t[0] != "d"]
+    pinned = draw(st.sets(st.sampled_from(lasting), max_size=3)) if lasting else set()
+    return text, draw(st.integers(0, 3)), draw(st.integers(0, 2**32 - 1)), strangers, pinned
 
 
-def _inworld(text, fold_delay, seed, strangers):
+def _inworld(text, fold_delay, seed, strangers, pinned):
     w = world_from_chain(text, fold_delay=fold_delay, seed=seed)
-    blocks = dict(w.blocks)
+    blocks = {
+        i: replace(b, anchored=True) if b.chain_index in pinned else b
+        for i, b in w.blocks.items()
+    }
     taken = {b.cell for b in blocks.values()}
     for i, cell in enumerate(c for c in strangers if c not in taken):
         blocks[1000 + i] = BlockInstance(id=1000 + i, kind="b", cell=cell, anchored=True)
