@@ -194,12 +194,9 @@ def _slot_codes(tape: Tape, rules: _Rules) -> list[int]:
 
 
 def _seeded_draws(seed: int | np.random.SeedSequence, n_kinds: int):
-    rng = None  # seeded at the first draw, so an empty tape builds none
+    rng = np.random.default_rng(seed)
 
     def draw(open_slots: int, budget: int):
-        nonlocal rng
-        if rng is None:
-            rng = np.random.default_rng(seed)
         # Draw a full chunk regardless of budget so the stream is a pure
         # function of the seed, then cap what the kernel may consume.
         kinds = rng.integers(0, n_kinds, size=FEED_CHUNK, dtype=np.uint8)

@@ -87,6 +87,7 @@ class TypeRegistry:
     def __init__(self, assignment: dict[str, tuple[str, MarkingPattern]]):
         self._by_kind = dict(assignment)
         self._key = tuple(self._by_kind.items())  # ordered, unlike dict equality
+        self._hash = hash(self._key)
         self._by_role = {role: kind for kind, (role, _) in assignment.items()}
         self._partner: dict[str, str] = {}
         for kind, (_, pat) in self._by_kind.items():
@@ -107,7 +108,7 @@ class TypeRegistry:
         return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     @classmethod
     def default(cls) -> "TypeRegistry":
