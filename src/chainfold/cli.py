@@ -31,8 +31,9 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _seed(text: str) -> int:
-    # numpy would reject a negative seed, but only after its ~150 ms import
+def _non_negative(text: str) -> int:
+    # numpy would reject a negative seed, and `run_copy` a negative cycle
+    # budget, but only after numpy's ~150 ms import
     try:
         value = int(text)
     except ValueError:
@@ -217,14 +218,14 @@ def build_parser() -> _Parser:
     p_copy.add_argument(
         "--sparing", choices=("one_side", "both_sides"), default="one_side"
     )
-    p_copy.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    p_copy.add_argument("--max-cycles", type=int, default=None)
+    p_copy.add_argument("--seed", type=_non_negative, default=DEFAULT_SEED)
+    p_copy.add_argument("--max-cycles", type=_non_negative, default=None)
     p_copy.set_defaults(func=_cmd_copy)
 
     p_evolve = sub.add_parser("evolve", help="random-stream self-copy statistics")
     p_evolve.add_argument("--alphabet-size", type=int, default=6)
     p_evolve.add_argument("--trials", type=int, default=1_000_000)
-    p_evolve.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p_evolve.add_argument("--seed", type=_non_negative, default=DEFAULT_SEED)
     p_evolve.add_argument(
         "--separator", action="store_true", help="require a trailing dissolvable"
     )

@@ -143,13 +143,13 @@ class TypeRegistry:
         return self._by_kind[kind]
 
     def to_json(self) -> str:
+        # kinds in registry order, so that `from_json` gives back an equal registry
         return json.dumps(
             {
-                kind: {"role": role, "pattern": pat.as_string()}
-                for kind, (role, pat) in sorted(self._by_kind.items())
+                kind: {"pattern": pat.as_string(), "role": role}
+                for kind, (role, pat) in self._by_kind.items()
             },
             indent=2,
-            sort_keys=True,
         )
 
     @classmethod

@@ -160,9 +160,10 @@ def test_copy_cycle_budget_maps_to_exit_two(capsys):
 
 
 def test_copy_negative_cycle_budget_exits_one(capsys):
-    code, out, err = run_cli(capsys, "copy", "--tape", TAPE8, "--max-cycles", "-5")
+    # refused at parse time, before the copier loads numpy
+    code, out, err = usage_error(capsys, "copy", "--tape", TAPE8, "--max-cycles", "-5")
     assert code == 1 and out == ""
-    assert err == "chainfold: max_cycles must not be negative, got -5\n"
+    assert err == "chainfold copy: error: argument --max-cycles: must not be negative, got -5\n"
 
 
 def test_copy_rejects_a_json_file_that_is_not_a_tape(capsys):
@@ -375,6 +376,7 @@ def test_commands_that_draw_nothing_never_load_numpy(tmp_path):
             ["frobnicate"],
             ["copy", "--tape", {str(tmp_path / "no-such.json")!r}],
             ["copy", "--tape", {TAPE8!r}, "--seed", "-1"],
+            ["copy", "--tape", {TAPE8!r}, "--max-cycles", "-5"],
             ["evolve", "--trials", "0"],
             ["evolve", "--alphabet-size", "3"],
             ["evolve", "--alphabet-size", "300"],

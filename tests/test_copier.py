@@ -244,7 +244,7 @@ def test_analytic_cycle_stats_frozen_values():
 
 
 def test_registry_in_another_kind_order_copies_alike():
-    again = TypeRegistry.from_json(REG.to_json())
+    again = TypeRegistry({k: (REG.role(k), REG.pattern(k)) for k in sorted(KINDS)})
     assert again.kinds != KINDS  # sorted by kind, so M1x comes before R__
     tape = tape_from_kinds(
         ["G0_", "H__", "L__", "R__", "M1x", "b__"], [False, True] * 3
@@ -266,7 +266,11 @@ def test_equal_registries_share_one_rule_table():
         for profile in (ONE, BOTH):
             run_copy(tape, profile, seed=2, registry=reg)
     assert _rules.cache_info().currsize == 2  # one per sparing, not per registry
-    assert len(set(loaded)) == 1
+    assert len(set(loaded)) == 1 and loaded[0] == REG
+    # so a seeded copy under a loaded registry draws the same kinds
+    doubled = tape_from_kinds(KINDS * 2)
+    a, b = (run_copy(doubled, seed=9, registry=r) for r in (loaded[0], REG))
+    assert (a.cycles, a.output) == (b.cycles, b.output)
     # kind order numbers the draws, so the same kinds reordered are another value
     reordered = TypeRegistry({k: (REG.role(k), REG.pattern(k)) for k in reversed(KINDS)})
     assert reordered != REG and reordered != loaded[0]

@@ -77,6 +77,8 @@ def test_registry_roles_and_partners():
 
 def test_registry_json_roundtrip():
     again = TypeRegistry.from_json(REG.to_json())
+    # kind order numbers the copier's draws, so the file keeps it
+    assert again == REG and again.kinds == REG.kinds
     for k in KINDS:
         assert again.pattern(k) == REG.pattern(k)
         assert again.role(k) == REG.role(k)

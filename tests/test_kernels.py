@@ -7,6 +7,8 @@ flags, stick-out log) is checked at `run_copy` level against table
 lookups and the `step()` loop.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -127,6 +129,95 @@ def test_count_matches_agrees_across_block_edges(m):
     edges = [r for e in range(0, m + 1, 2**16) for r in (e - 1, e) if 0 <= r < m]
     draws[edges] = target
     assert kernels.count_matches(draws, target) == _count_matches_py(draws, target)
+
+
+def _planted(seed, m, k, high):
+    """Draws over `high` values with a target planted on every 7th row."""
+    draws = _random_draws(seed, m=m, k=k, high=high)
+    target = draws[0].copy()
+    draws[::7] = target
+    return draws, target
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_count_matches_every_target_length(k):
+    # k = 1..8 compares words of 1, 2 and 4 bytes, then 0 to 4 tail columns
+    draws, target = _planted(k, m=3_000, k=k, high=2)
+    assert kernels.count_matches(draws, target) == _count_matches_py(draws, target)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_count_matches_rejects_every_near_miss(k):
+    # one row per column that differs from the target there and nowhere else
+    target = np.arange(1, k + 1, dtype=np.uint8)
+    misses = np.tile(target, (k, 1))
+    misses[np.arange(k), np.arange(k)] += 1
+    draws = np.concatenate([misses, target[None], misses, target[None]])
+    assert _count_matches_py(draws, target) == 2
+    assert kernels.count_matches(draws, target) == 2
+
+
+def test_count_matches_all_hits():
+    target = np.array([3, 1, 5, 5, 0], dtype=np.uint8)
+    draws = np.tile(target, (2**16 + 3, 1))
+    assert kernels.count_matches(draws, target) == len(draws)
+
+
+def _wide_slice(draws):
+    """`draws` as a column slice of a wider array, starting off a word edge."""
+    wide = np.zeros((len(draws), draws.shape[1] + 4), dtype=np.uint8)
+    wide[:, 1 : 1 + draws.shape[1]] = draws
+    return wide[:, 1 : 1 + draws.shape[1]]
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [lambda d: d[::3], np.asfortranarray, _wide_slice],
+    ids=["row_strided", "fortran", "column_slice"],
+)
+@pytest.mark.parametrize("k", [2, 3, 5, 6])
+def test_count_matches_any_memory_layout(layout, k):
+    draws, _ = _planted(k + 20, m=4_000, k=k, high=3)
+    view = layout(draws)
+    target = view[0]  # the planted row, read through the view's own strides
+    want = _count_matches_py(view, target)
+    assert kernels.count_matches(view, target) == want >= len(view) // 7
+
+
+def test_count_matches_refuses_wider_integers():
+    draws = np.zeros((4, 5), dtype=np.int64)
+    with pytest.raises(TypeError, match="uint8"):
+        kernels.count_matches(draws, np.zeros(5, dtype=np.uint8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(0, 400),
+    k=st.integers(1, 8),
+    high=st.integers(1, 46),
+    planted=st.lists(st.integers(0, 399), max_size=20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_matches_matches_loop_oracle(m, k, high, planted, seed):
+    rng = np.random.default_rng(seed)
+    draws = rng.integers(0, high, size=(m, k), dtype=np.uint8)
+    target = rng.integers(0, high, size=k, dtype=np.uint8)
+    draws[[r for r in planted if r < m]] = target
+    assert kernels.count_matches(draws, target) == _count_matches_py(draws, target)
+
+
+def test_count_matches_copies_nothing_on_a_contiguous_chunk():
+    # one evolve chunk is 4.77 MiB; a copy or astype on the hot path shows
+    draws = _random_draws(5, m=1_000_000, k=5, high=6)
+    target = np.array([3, 1, 5, 5, 0], dtype=np.uint8)
+    kernels.count_matches(draws[:10], target)  # warm up outside the trace
+    tracemalloc.start()
+    try:
+        kernels.count_matches(draws, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def _chunk_inputs(seed, n_slots=40, m=1200):

@@ -116,6 +116,17 @@ def test_evolve_holds_one_chunk_at_a_time():
     assert report.hits == 381
 
 
+def test_separator_count_is_pinned():
+    # six target columns: one 4-byte word, then two tail columns, over two chunks
+    exp = StreamExperiment(
+        alphabet=build_alphabet(7, include_separator=True),
+        require_separator=True,
+        trials=2_000_000,
+        seed=3,
+    )
+    assert mhbbg_probability(exp).hits == 12
+
+
 def test_low_trial_count_warns():
     report = mhbbg_probability(StreamExperiment(trials=1000, seed=0))
     assert report.warning is not None
