@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Mapping
+import re
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -155,10 +154,12 @@ class _Rules(NamedTuple):
     """
 
     entries: tuple[TapeEntry, ...]  # the tape entry at each slot code
-    index: Mapping[str, int]  # kind -> kind index
+    index: dict[str, int]  # kind -> kind index; shared, so never written
     stick: np.ndarray  # stick-out of each draw at each slot
     mut: np.ndarray  # whether gluing that draw there is a mutation
-    accept: tuple[tuple[bool, ...], ...]  # the kernel's rows: stick-out 0
+    # per slot code, a byte class (never empty: every kind has a partner) of
+    # the draws with stick-out 0 there; \xNN escapes keep -, \, ] and ^ literal
+    seek: tuple[re.Pattern[bytes], ...]
 
 
 @functools.cache
@@ -177,18 +178,19 @@ def _rules(sparing: Sparing, registry: TypeRegistry) -> _Rules:
             stick[code, f], mut[code, f] = _classify(kind, case, slot, profile, registry)
     stick.flags.writeable = False
     mut.flags.writeable = False
+    glues = [np.flatnonzero(row == 0).tolist() for row in stick]
     return _Rules(
         entries=entries,
-        index=MappingProxyType({kind: i for i, kind in enumerate(kinds)}),
+        index={kind: i for i, kind in enumerate(kinds)},
         stick=stick,
         mut=mut,
-        accept=tuple(map(tuple, (stick == 0).tolist())),
+        seek=tuple(re.compile(b"[%s]" % b"".join(b"\\x%02x" % f for f in fs)) for fs in glues),
     )
 
 
 def _slot_codes(tape: Tape, rules: _Rules) -> list[int]:
-    try:
-        return [2 * rules.index[e.kind] + int(e.flipped) for e in tape]
+    try:  # a bool is an int, so the flip adds as is
+        return [2 * rules.index[e.kind] + e.flipped for e in tape]
     except KeyError as exc:
         raise UnknownTapeKindError(exc.args[0]) from None
 
@@ -272,7 +274,7 @@ def run_copy(
         if not len(kinds):  # a forced feed ran dry
             raise CycleLimitExceededError(cycles, head, n)
         flat = (kinds * len(PresentationCase) + cases).tobytes()
-        head, used, glued = kernels.copier_chunk(rules.accept, codes, head, flat)
+        head, used, glued = kernels.copier_chunk(rules.seek, codes, head, flat)
         glue_cycles += (cycles + p for p in glued)
         drawn += flat[:used]
         cycles += used
@@ -324,10 +326,8 @@ def analytic_cycle_stats(
     profile = profile or SubunitProfile()
     reg = registry or default_registry()
     rules = _rules(profile.sparing, reg)
-    per_slot = [
-        Fraction(sum(rules.accept[code]), len(rules.accept[code]))
-        for code in _slot_codes(tape, rules)
-    ]
+    n_glue = np.count_nonzero(rules.stick == 0, axis=1).tolist()
+    per_slot = [Fraction(n_glue[code], rules.stick.shape[1]) for code in _slot_codes(tape, rules)]
     expected = sum((1 / p for p in per_slot), Fraction(0))
     variance = sum(((1 - p) / p**2 for p in per_slot), Fraction(0))
     return {"per_slot": per_slot, "expected_cycles": expected, "variance": variance}

@@ -6,10 +6,10 @@ function of them, and both cost time linear in their input:
   word, then checks only the few rows that match on the later columns.
   It works through 2^16-row blocks, so its scratch arrays stay small
   next to the draws it counts.
-- `copier_chunk` only walks: it reads each draw once against the
-  acceptance row of the slot under the head and reports which draws
-  glued. `copier.run_copy` gathers the copy from those positions once
-  the tape is finished.
+- `copier_chunk` only walks: one C-level byte-class search per glue
+  skips the rejected draws between glues, which cost no Python step,
+  and it reports which draws glued. `copier.run_copy` gathers the copy
+  from those positions once the tape is finished.
 
 `tests/test_kernels.py` holds plain-Python loop versions of each as the
 reference they must match element for element.
@@ -57,27 +57,27 @@ def count_matches(draws: np.ndarray, target: np.ndarray) -> int:
     return hits
 
 
-def copier_chunk(accept, slot_codes, head, flat) -> tuple[int, int, list[int]]:
+def copier_chunk(seek, slot_codes, head, flat) -> tuple[int, int, list[int]]:
     """Walk one chunk of draws from slot `head`; returns (new_head,
     draws_used, glued), where `glued` lists the position in `flat` of
     each draw that glued.
 
-    A draw is one flat index, kind * cases + case, and `accept[code][f]`
-    says whether draw `f` has stick-out 0 at a slot of that code. Every
-    draw costs a cycle; a glue advances the head, and the walk stops at
-    the draw that finishes the tape. Each draw is read once, so a call
-    costs time linear in the draws it reads.
+    A draw is one flat byte, kind * cases + case, and `seek[code]` is a
+    compiled bytes pattern, one byte class, that matches exactly the
+    draws with stick-out 0 at a slot of that code. Every draw costs a
+    cycle; a glue advances the head, and the walk stops at the draw that
+    finishes the tape. Each glue costs one search, plus one that finds
+    none when the chunk ends first, and each search reads each byte it
+    passes once, so a call costs time linear in the draws it reads.
     """
     n = len(slot_codes)
     glued: list[int] = []
-    if head >= n:
-        return head, 0, glued
-    row = accept[slot_codes[head]]
-    for p, f in enumerate(flat):
-        if row[f]:
-            glued.append(p)
-            head += 1
-            if head == n:
-                return head, p + 1, glued
-            row = accept[slot_codes[head]]
-    return head, len(flat), glued
+    p = 0
+    while head < n:
+        m = seek[slot_codes[head]].search(flat, p)
+        if m is None:
+            return head, len(flat), glued
+        p = m.end()  # a match is one byte: go on from the next draw
+        glued.append(p - 1)
+        head += 1
+    return head, p, glued

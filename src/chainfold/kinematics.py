@@ -426,7 +426,8 @@ class ScenarioTrace:
 
 
 def _state_key(world: World) -> tuple:
-    """Full repeatable state: cells, tick phase, and countdowns made relative."""
+    """Full repeatable state: cells, bonds, tick phase, and countdowns made
+    relative."""
     cells = tuple(sorted((i, b.cell) for i, b in world.blocks.items()))
     dues = tuple(
         sorted(
@@ -438,7 +439,7 @@ def _state_key(world: World) -> tuple:
     folds = tuple(
         (e.chain_index, e.due_tick - world.time) for e in world.pending_folds
     )
-    return (cells, world.time % MOVER_PERIOD, dues, folds)
+    return (cells, world.bonds, world.time % MOVER_PERIOD, dues, folds)
 
 
 def run_scenario(

@@ -7,6 +7,7 @@ flags, stick-out log) is checked at `run_copy` level against table
 lookups and the `step()` loop.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,13 @@ from chainfold.copier import (
     run_copy,
     step,
 )
-from chainfold.encoding import TapeEntry, default_registry, negative_copy
+from chainfold.encoding import (
+    MarkingPattern,
+    TapeEntry,
+    TypeRegistry,
+    default_registry,
+    negative_copy,
+)
 
 
 def _count_matches_py(draws, target):
@@ -220,31 +227,59 @@ def test_count_matches_copies_nothing_on_a_contiguous_chunk():
     assert peak < 256 * 1024
 
 
-def _chunk_inputs(seed, n_slots=40, m=1200):
+ZERO_LED_8 = [  # 35 patterns; each complement leads with a 1, so no two collide
+    "".join(b) for b in itertools.product("01", repeat=8) if b.count("1") == 4 and b[0] == "0"
+]
+
+
+def _random_registry(seed, pairs):
+    """`pairs` zero-led patterns and their complements, in a shuffled kind order."""
     rng = np.random.default_rng(seed)
-    slot_codes = rng.integers(0, 12, size=n_slots).tolist()
-    kinds = rng.integers(0, 6, size=m, dtype=np.uint8)
+    picks = rng.choice(ZERO_LED_8, size=pairs, replace=False).tolist()
+    bits = picks + ["".join("10"[int(c)] for c in p) for p in picks]
+    rng.shuffle(bits)
+    return TypeRegistry({b: (b, MarkingPattern.from_string(b)) for b in bits})
+
+
+# the default and random registries of 2 to 64 kinds; with 12 or more kinds
+# the flat draws reach the class metacharacters - (0x2d), \ (0x5c), ] and ^
+REGISTRIES = [default_registry()] + [
+    _random_registry(seed, pairs) for seed, pairs in enumerate([1, 2, 3, 6, 12, 20, 31, 32, 32])
+]
+
+
+def _kinds_id(reg):
+    return f"{len(reg.kinds)}kinds"
+
+
+def _chunk_inputs(seed, n_slots=40, m=1200, reg=None):
+    n_kinds = len((reg or default_registry()).kinds)
+    rng = np.random.default_rng(seed)
+    slot_codes = rng.integers(0, 2 * n_kinds, size=n_slots).tolist()
+    kinds = rng.integers(0, n_kinds, size=m, dtype=np.uint8)
     cases = rng.integers(0, 4, size=m, dtype=np.uint8)
     return slot_codes, kinds, cases
 
 
-def _both_walks(sparing, slot_codes, head, kinds, cases):
+def _both_walks(sparing, slot_codes, head, kinds, cases, reg=None):
     """The loop oracle's and the kernel's (head, used, glued)."""
-    rules = _rules(sparing, default_registry())
-    got = kernels.copier_chunk(rules.accept, slot_codes, head, _flat(kinds, cases).tobytes())
+    rules = _rules(sparing, reg or default_registry())
+    got = kernels.copier_chunk(rules.seek, slot_codes, head, _flat(kinds, cases).tobytes())
     return _walk_py(rules.stick, slot_codes, head, kinds, cases), got
 
 
+@pytest.mark.parametrize("reg", REGISTRIES, ids=_kinds_id)
 @pytest.mark.parametrize("seed", [0, 3, 11])
-def test_copier_chunk_backends_agree(seed):
-    slot_codes, kinds, cases = _chunk_inputs(seed)
-    want, got = _both_walks(Sparing.BOTH_SIDES, slot_codes, 0, kinds, cases)
+def test_copier_chunk_backends_agree(seed, reg):
+    slot_codes, kinds, cases = _chunk_inputs(seed, reg=reg)
+    want, got = _both_walks(Sparing.BOTH_SIDES, slot_codes, 0, kinds, cases, reg)
     assert got == want
-    # slots glued, some of them as mutations
+    # slots glued, some of them as mutations wherever the registry has any
     head, _, glued = got
-    mut = _rules(Sparing.BOTH_SIDES, default_registry()).mut
+    mut = _rules(Sparing.BOTH_SIDES, reg).mut
     flat = _flat(kinds, cases)
-    assert head > 0 and any(mut[slot_codes[i], flat[p]] for i, p in enumerate(glued))
+    assert head > 0
+    assert any(mut[slot_codes[i], flat[p]] for i, p in enumerate(glued)) == mut.any()
 
 
 def test_copier_chunk_resumes_mid_tape():
@@ -325,37 +360,107 @@ def test_tables_built_once_and_read_only():
         # a mutation is always a glue, and only both-sides sparing has any
         assert not np.any(mut.astype(bool) & (stick != 0))
         assert mut.any() == (sparing is Sparing.BOTH_SIDES)
-        # the kernel's acceptance rows are the zeros of the stick table
-        assert np.array_equal(np.array(rules.accept), stick == 0)
+        assert len(rules.seek) == len(stick)  # one search pattern per slot code
         assert [rules.entries[2 * rules.index[k]] for k in reg.kinds] == [
             TapeEntry(k) for k in reg.kinds
         ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+@pytest.mark.parametrize("sparing", list(Sparing), ids=lambda s: s.value)
+@pytest.mark.parametrize("reg", REGISTRIES, ids=_kinds_id)
+def test_seek_matches_exactly_the_draws_that_glue(reg, sparing):
+    rules = _rules(sparing, reg)
+    width = 4 * len(reg.kinds)
+    assert rules.stick.shape == (2 * len(reg.kinds), width)
+    for code, pattern in enumerate(rules.seek):
+        # every byte value, one at a time and inside a run of other bytes;
+        # so no byte at or past the table's width matches either
+        hits = [b for b in range(256) if pattern.fullmatch(bytes([b]))]
+        assert hits == np.flatnonzero(rules.stick[code] == 0).tolist()
+        assert [m.start() for m in pattern.finditer(bytes(range(256)))] == hits
+    if len(reg.kinds) == 64:  # the metacharacters that a glue can be
+        glue_bytes = set(np.flatnonzero((rules.stick == 0).any(axis=0)).tolist())
+        assert {0x2D, 0x5C, 0x5D} <= glue_bytes
+
+
+def _oracle_inputs(rules, n, head_frac, m, mode, seed):
+    """Slot codes, a head and kinds/cases: uniform draws, rejects only (on
+    its side or the wrong way round, a candidate never glues), or half of
+    them drawn from the glues of the tape's own slots."""
+    rng = np.random.default_rng(seed)
+    n_codes, width = rules.stick.shape
+    slot_codes = rng.integers(0, n_codes, size=n).tolist()
+    flat = rng.integers(0, width, size=m)
+    if mode == "reject_only":
+        flat = flat // 4 * 4 + rng.integers(PresentationCase.ON_SIDE, 4, size=m)
+    elif mode == "dense" and n:
+        glues = np.flatnonzero((rules.stick[slot_codes] == 0).any(axis=0))
+        flat = np.where(rng.random(m) < 0.5, rng.choice(glues, size=m), flat)
+    flat = flat.astype(np.uint8)
+    return slot_codes, round(head_frac * n), flat // 4, flat % 4
+
+
+ORACLE_CASES = dict(
     sparing=st.sampled_from(list(Sparing)),
+    reg=st.sampled_from(REGISTRIES),
     n=st.integers(0, 24),
     head_frac=st.floats(0, 1),
-    m=st.integers(0, 200),
-    reject_only=st.booleans(),
+    m=st.integers(0, 300),
+    mode=st.sampled_from(["uniform", "reject_only", "dense"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(sparing=Sparing.ONE_SIDE, n=5, head_frac=0.0, m=0, reject_only=False, seed=0)
-@example(sparing=Sparing.BOTH_SIDES, n=5, head_frac=0.5, m=1, reject_only=False, seed=0)
-@example(sparing=Sparing.BOTH_SIDES, n=5, head_frac=1.0, m=50, reject_only=False, seed=1)
-@example(sparing=Sparing.ONE_SIDE, n=3, head_frac=0.0, m=200, reject_only=False, seed=2)
-@example(sparing=Sparing.ONE_SIDE, n=7, head_frac=0.3, m=80, reject_only=True, seed=3)
-def test_copier_chunk_matches_loop_oracle(sparing, n, head_frac, m, reject_only, seed):
-    rng = np.random.default_rng(seed)
-    slot_codes = rng.integers(0, 12, size=n).tolist()
-    head = round(head_frac * n)
-    kinds = rng.integers(0, 6, size=m, dtype=np.uint8)
-    # on its side or the wrong way round, a candidate never glues
-    low = PresentationCase.ON_SIDE if reject_only else PresentationCase.UPRIGHT
-    cases = rng.integers(low, 4, size=m, dtype=np.uint8)
-    want, got = _both_walks(sparing, slot_codes, head, kinds, cases)
+DEFAULT, WIDEST = REGISTRIES[0], REGISTRIES[-1]
+
+
+def _case(sparing, reg, **rest):
+    """One explicit case of `ORACLE_CASES`, as a hypothesis example."""
+    return example(sparing=sparing, reg=reg, **rest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**ORACLE_CASES)
+@_case(Sparing.ONE_SIDE, DEFAULT, n=5, head_frac=0.0, m=0, mode="uniform", seed=0)
+@_case(Sparing.BOTH_SIDES, DEFAULT, n=5, head_frac=0.5, m=1, mode="uniform", seed=0)
+@_case(Sparing.BOTH_SIDES, DEFAULT, n=5, head_frac=1.0, m=50, mode="uniform", seed=1)
+@_case(Sparing.ONE_SIDE, DEFAULT, n=3, head_frac=0.0, m=200, mode="uniform", seed=2)
+@_case(Sparing.ONE_SIDE, DEFAULT, n=7, head_frac=0.3, m=80, mode="reject_only", seed=3)
+@_case(Sparing.BOTH_SIDES, WIDEST, n=24, head_frac=0.0, m=300, mode="dense", seed=4)
+def test_copier_chunk_matches_loop_oracle(sparing, reg, n, head_frac, m, mode, seed):
+    rules = _rules(sparing, reg)
+    slot_codes, head, kinds, cases = _oracle_inputs(rules, n, head_frac, m, mode, seed)
+    want, got = _both_walks(sparing, slot_codes, head, kinds, cases, reg)
     assert got == want
+
+
+class _CountingSearch:
+    """A seek pattern that counts the searches made through it."""
+
+    def __init__(self, pattern, calls):
+        self.pattern, self.calls = pattern, calls
+
+    def search(self, flat, pos):
+        self.calls.append(pos)
+        return self.pattern.search(flat, pos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**ORACLE_CASES)
+@_case(Sparing.ONE_SIDE, DEFAULT, n=4, head_frac=1.0, m=30, mode="uniform", seed=0)
+@_case(Sparing.BOTH_SIDES, WIDEST, n=3, head_frac=0.0, m=300, mode="dense", seed=5)
+def test_copier_chunk_searches_once_per_glue(sparing, reg, n, head_frac, m, mode, seed):
+    rules = _rules(sparing, reg)
+    slot_codes, head, kinds, cases = _oracle_inputs(rules, n, head_frac, m, mode, seed)
+    calls = []
+    seek = [_CountingSearch(p, calls) for p in rules.seek]
+    flat = _flat(kinds, cases).tobytes()
+    new_head, used, glued = kernels.copier_chunk(seek, slot_codes, head, flat)
+    if head >= n:
+        assert calls == [] and (new_head, used, glued) == (head, 0, [])
+    else:
+        # one search per glue, plus the one that finds none when the chunk
+        # ends before the tape is finished
+        assert len(calls) == len(glued) + (new_head < n)
+        assert calls == [0] + [p + 1 for p in glued][: len(calls) - 1]
 
 
 def test_copier_chunk_stops_where_the_tape_is_finished():

@@ -18,6 +18,7 @@ from chainfold.kinematics import (
     KinematicsError,
     UnknownScenarioError,
     World,
+    _state_key,
     build_scenario,
     folding_complete,
     run_scenario,
@@ -546,6 +547,14 @@ def test_shuttle_period_recorded_not_assumed():
         trace = run_scenario("shuttle", length=length)
         assert trace.period is not None and trace.period > 0
         assert trace.period % 10 == 0
+
+
+def test_period_key_tells_apart_worlds_that_differ_by_one_bond():
+    # a bond decides which blocks a push carries, so it is part of the state
+    blocks = [BlockInstance(id=i, kind="b", cell=(i, 0, 0)) for i in range(3)]
+    loose, bonded = _world(blocks), _world(blocks, bonds=[(0, 1)])
+    assert _state_key(loose) != _state_key(bonded)
+    assert _state_key(bonded) == _state_key(_world(blocks, bonds=[(1, 0)]))
 
 
 def test_scenario_determinism():
