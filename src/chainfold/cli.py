@@ -79,7 +79,7 @@ def _cmd_corpus_verify(args) -> int:
             }
         )
     else:
-        width = max(len(fid) for fid in reports)
+        width = max(map(len, reports), default=0)
         for fid in sorted(reports):
             r = reports[fid]
             mark = "PASS" if r.ok else "FAIL"

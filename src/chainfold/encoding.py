@@ -187,7 +187,8 @@ def fit(
     rel = candidate_flipped != slot_flipped
     pc = reg.pattern(candidate_kind)
     presented = reverse(pc) if rel else pc
-    if presented != complement(reg.pattern(slot_kind)):
+    # the partner's pattern is the slot's complement: the registry checks it
+    if presented != reg.pattern(reg.partner(slot_kind)):
         return FitResult.NO_FIT
     if not rel or pc.palindromic:
         return FitResult.EXACT

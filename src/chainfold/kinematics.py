@@ -53,7 +53,7 @@ class UnknownScenarioError(KinematicsError):
 
 
 def _adjacent(a: Cell, b: Cell) -> bool:
-    return sorted(map(abs, sub(a, b))) == [0, 0, 1]
+    return sub(a, b) in FACE_VECTORS
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,14 @@ class World:
             if b.cell in cells:
                 raise KinematicsError(f"two blocks share cell {b.cell}")
             cells.add(b.cell)
-        for pair in self.bonds:
-            a, b = sorted(pair)
+        for a, b in self.bonds:
             if a not in self.blocks or b not in self.blocks:
-                raise KinematicsError(f"bond {a}-{b} names a missing block")
-            if not _adjacent(self.blocks[a].cell, self.blocks[b].cell):
-                raise KinematicsError(f"bond {a}-{b} joins non-adjacent cells")
+                problem = "names a missing block"
+            elif not _adjacent(self.blocks[a].cell, self.blocks[b].cell):
+                problem = "joins non-adjacent cells"
+            else:
+                continue
+            raise KinematicsError(f"bond {min(a, b)}-{max(a, b)} {problem}")
 
 
 def _phase_drawer(seed: int) -> Callable[[], int]:
@@ -426,9 +428,12 @@ class ScenarioTrace:
 
 
 def _state_key(world: World) -> tuple:
-    """Full repeatable state: cells, bonds, tick phase, and countdowns made
-    relative."""
-    cells = tuple(sorted((i, b.cell) for i, b in world.blocks.items()))
+    """Repeatable state: cells of the blocks that can move, bonds, tick
+    phase, and countdowns made relative. An anchored block never changes
+    cell, so it shows only through its dissolve countdown, if it has one."""
+    cells = tuple(
+        sorted((i, b.cell) for i, b in world.blocks.items() if not b.anchored)
+    )
     dues = tuple(
         sorted(
             (i, b.dissolve_due - world.time)
@@ -451,7 +456,7 @@ def run_scenario(
     """Simulate a named template and summarize what the tests assert on.
 
     The trace records mobile-block cells per tick. Periodicity is detected
-    on the full world state (cells plus tick phase), never assumed.
+    on the repeatable world state (`_state_key`), never assumed.
     """
     if ticks is not None and ticks < 0:
         raise ValueError(f"ticks must not be negative, got {ticks}")
@@ -467,8 +472,8 @@ def run_scenario(
         frames.append(
             Frame(tick=world.time, cells={i: world.blocks[i].cell for i in mobile if i in world.blocks})
         )
-        key = _state_key(world)
         if period is None:
+            key = _state_key(world)
             if key in seen:
                 period = world.time - seen[key]
                 events.append(f"period {period} detected at tick {world.time}")

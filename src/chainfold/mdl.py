@@ -10,6 +10,7 @@ lenient scanner accepts all of that. Strict mode insists on canonical
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +19,13 @@ PARAM_CHARS = "0123456789x_"
 # '_' between tokens is a separator; inside a token it is padding.
 SEPARATOR_CHARS = " \t\r\n_"
 FACE_DIGITS = "012345"
+
+# One lexeme: a comment, a run of separators, a kind with up to two
+# parameters, or (group 3) the foreign character that ends the scan.
+_SEPS, _KINDS, _PARAMS = map(re.escape, (SEPARATOR_CHARS, KIND_CHARS, PARAM_CHARS))
+_LEXEME = re.compile(
+    f"#[^\\n]*|[{_SEPS}]+|([{_KINDS}])([{_PARAMS}]{{0,2}})|(.)", re.DOTALL
+)
 
 
 class MdlError(ValueError):
@@ -37,6 +45,10 @@ class TruncatedTokenError(MdlError):
         self.position = position
 
 
+def _params_ok(params: str) -> bool:
+    return len(params) == 2 and params[0] in PARAM_CHARS and params[1] in PARAM_CHARS
+
+
 @dataclass(frozen=True)
 class Token:
     kind: str
@@ -44,9 +56,9 @@ class Token:
     offset: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in KIND_CHARS:
+        if len(self.kind) != 1 or self.kind not in KIND_CHARS:
             raise UnknownKindError(self.offset, self.kind)
-        if len(self.params) != 2 or any(c not in PARAM_CHARS for c in self.params):
+        if not _params_ok(self.params):
             raise MdlError(f"bad params {self.params!r} for kind {self.kind!r}")
 
     @property
@@ -88,32 +100,14 @@ def parse_mdl(text: str, strict: bool = False) -> Chain:
     characters; separators and comments are still allowed between tokens.
     """
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in SEPARATOR_CHARS:
-            i += 1
-        elif c in KIND_CHARS:
-            start = i
-            i += 1
-            if strict:
-                params = text[i : i + 2]
-                if len(params) < 2 or any(p not in PARAM_CHARS for p in params):
-                    raise TruncatedTokenError(start)
-                i += 2
-            else:
-                params = ""
-                while i < n and len(params) < 2 and text[i] in PARAM_CHARS:
-                    params += text[i]
-                    i += 1
-                params = params.ljust(2, "_")
-            tokens.append(Token(kind=c, params=params, offset=start))
-        else:
-            raise UnknownKindError(i, c)
+    for m in _LEXEME.finditer(text):
+        kind, params, foreign = m.groups()
+        if kind:
+            if strict and len(params) < 2:
+                raise TruncatedTokenError(m.start())
+            tokens.append(Token(kind, params.ljust(2, "_"), m.start()))
+        elif foreign:
+            raise UnknownKindError(m.start(), foreign)
     return Chain(tokens=tuple(tokens))
 
 
@@ -133,7 +127,7 @@ class AlphabetProfile:
 
     def __post_init__(self) -> None:
         for e in self.entries:
-            if len(e) != 3 or e[0] not in KIND_CHARS:
+            if not (len(e) == 3 and e[0] in KIND_CHARS and _params_ok(e[1:])):
                 raise MdlError(f"bad profile entry {e!r}")
 
     @property

@@ -123,6 +123,14 @@ def test_corpus_verify_flags_damage(capsys, tmp_path):
     assert "FAIL" in out
 
 
+def test_corpus_verify_of_an_empty_corpus(capsys, tmp_path):
+    (tmp_path / "manifest.json").write_text(json.dumps({"fixtures": []}))
+    code, out, err = run_cli(capsys, "corpus", "verify", "--fixtures", str(tmp_path))
+    assert (code, out, err) == (0, "0/0 fixtures pass\n", "")
+    code, out, _ = run_cli(capsys, "corpus", "verify", "--json", "--fixtures", str(tmp_path))
+    assert (code, json.loads(out)) == (0, {"fixtures": {}})
+
+
 def test_corpus_stats_builder_ratio(capsys):
     code, out, _ = run_cli(capsys, "corpus", "stats")
     assert code == 0

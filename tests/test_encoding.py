@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainfold.encoding import (
     FitResult,
@@ -127,6 +129,38 @@ def test_exact_fit_is_exactly_the_partner():
     for ck, sk in itertools.product(KINDS, KINDS):
         upright = fit(ck, False, sk)
         assert (upright is FitResult.EXACT) == (REG.partner(sk) == ck)
+
+
+def _complement_fit(ck, cf, sk, sf, reg):
+    """`fit` as the rule states it: the presented pattern against the
+    slot pattern's complement."""
+    pc = reg.pattern(ck)
+    presented = reverse(pc) if cf != sf else pc
+    if presented != complement(reg.pattern(sk)):
+        return FitResult.NO_FIT
+    return FitResult.EXACT if cf == sf or pc.palindromic else FitResult.REVERSED
+
+
+@st.composite
+def _registries(draw):
+    """Random balanced patterns of one width, each with its complement, in a
+    drawn kind order."""
+    width = draw(st.sampled_from([2, 4, 6, 8]))
+    codons = [
+        "".join(b) for b in itertools.product("01", repeat=width) if b.count("1") == width // 2
+    ]
+    picks = draw(st.lists(st.sampled_from(codons), min_size=1, unique=True))
+    bits = set(picks) | {"".join("10"[int(c)] for c in p) for p in picks}
+    kinds = draw(st.permutations(sorted(bits)))
+    return TypeRegistry({f"k{p}": (p, P(p)) for p in kinds})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_registries())
+def test_fit_agrees_with_complement_rule_on_random_registries(reg):
+    for ck, sk in itertools.product(reg.kinds, reg.kinds):
+        for cf, sf in itertools.product([False, True], repeat=2):
+            assert fit(ck, cf, sk, sf, reg) is _complement_fit(ck, cf, sk, sf, reg)
 
 
 def test_palindromic_pair_flips_are_exact_not_reversed():

@@ -557,6 +557,51 @@ def test_period_key_tells_apart_worlds_that_differ_by_one_bond():
     assert _state_key(bonded) == _state_key(_world(blocks, bonds=[(1, 0)]))
 
 
+def _full_state_key(world):
+    """The period key with every block's cell, anchored blocks included."""
+    cells = tuple(sorted((i, b.cell) for i, b in world.blocks.items()))
+    dues = tuple(
+        sorted(
+            (i, b.dissolve_due - world.time)
+            for i, b in world.blocks.items()
+            if b.dissolve_due is not None
+        )
+    )
+    folds = tuple((e.chain_index, e.due_tick - world.time) for e in world.pending_folds)
+    return (cells, world.bonds, world.time % 10, dues, folds)
+
+
+def _full_key_trace(name, length):
+    """Frames, events and period of a default-length run, with the period
+    found on the full state key at every tick."""
+    world, meta = build_scenario(name, length=length)
+    mobile = [i for i, b in world.blocks.items() if not b.anchored]
+    frames, events, seen, period = [], [], {}, None
+    for t in range(meta["default_ticks"] + 1):
+        frames.append((world.time, {i: world.blocks[i].cell for i in mobile if i in world.blocks}))
+        key = _full_state_key(world)
+        if period is None and key in seen:
+            period = world.time - seen[key]
+            events.append(f"period {period} detected at tick {world.time}")
+        seen.setdefault(key, world.time)
+        if t == meta["default_ticks"]:
+            break
+        before, world = set(world.blocks), step_world(world)
+        for i in sorted(before - set(world.blocks)):
+            events.append(f"block {i} dissolved at tick {world.time - 1}")
+    return frames, events, period
+
+
+@pytest.mark.parametrize("name", ["walker", "retainer", "shuttle"])
+def test_period_key_of_movable_blocks_matches_full_key(name):
+    # anchored blocks never change cell, so leaving them out of the key
+    # must find the same period at the same tick
+    for length in sorted({MIN_LENGTH[name], 6, 8, 11, 16, 23, 32, 47, 64}):
+        trace = run_scenario(name, length=length)
+        frames = [(f.tick, f.cells) for f in trace.frames]
+        assert (frames, list(trace.events), trace.period) == _full_key_trace(name, length)
+
+
 def test_scenario_determinism():
     a = run_scenario("walker", length=8, seed=4)
     b = run_scenario("walker", length=8, seed=4)

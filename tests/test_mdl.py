@@ -1,12 +1,16 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mdl_reference import ref_scan
 
 from chainfold.mdl import (
     KIND_CHARS,
+    PARAM_CHARS,
+    SEPARATOR_CHARS,
     SIX_TYPE_PROFILE,
     AlphabetProfile,
     Chain,
+    MdlError,
     Token,
     TruncatedTokenError,
     UnknownKindError,
@@ -130,6 +134,43 @@ def test_validate_diagnostics():
 def test_bad_profile_entry_rejected():
     with pytest.raises(Exception):
         AlphabetProfile(("Q__",))
+
+
+@pytest.mark.parametrize("entry", ["bQQ", "b_Q", "b_", "b___", ""])
+def test_profile_entry_needs_two_parameter_characters(entry):
+    # an entry outside the token grammar could never match a token
+    with pytest.raises(MdlError, match="bad profile entry"):
+        AlphabetProfile(("b__", entry))
+
+
+@pytest.mark.parametrize("kind", ["bd", "", "Q", "b "])
+def test_token_kind_is_exactly_one_kind_character(kind):
+    # Token("bd", "__") would write "bd__", which parses back as b__, d__
+    with pytest.raises(UnknownKindError):
+        Token(kind, "__")
+
+
+# kind, parameter, separator, comment, newline and foreign characters
+_SCANNER_CHARS = sorted(set(KIND_CHARS + PARAM_CHARS + SEPARATOR_CHARS + "#\n"))
+_SCANNER_TEXT = st.text(st.sampled_from(_SCANNER_CHARS + ["Q", "é", "-", "\x00"]), max_size=40)
+
+
+@given(_SCANNER_TEXT, st.booleans())
+@example("b#\nH", False)
+@example("b__#x\nb", True)
+@example("b\r\nx", False)
+@example("M2", True)
+@settings(max_examples=600)
+def test_lexeme_pattern_matches_reference_scanner(text, strict):
+    try:
+        expected = ref_scan(text, strict=strict)
+    except MdlError as e:
+        with pytest.raises(type(e)) as got:
+            parse_mdl(text, strict=strict)
+        assert (got.value.position, str(got.value)) == (e.position, str(e))
+    else:
+        chain = parse_mdl(text, strict=strict)
+        assert [(t.kind, t.params, t.offset) for t in chain] == expected
 
 
 def test_load_mdl(tmp_path):
