@@ -278,7 +278,8 @@ def _group(bonded: dict[int, list[int]], block_id: int) -> set[int]:
 
 
 def step_world(world: World) -> World:
-    """One tick: dissolve, fold, move, glue. Always returns a fresh world."""
+    """One tick: dissolve, fold, move, glue. Always returns a fresh world;
+    its bonds are `world.bonds` itself when the tick changed none."""
     now = world.time
     blocks = dict(world.blocks)
     bonds = set(world.bonds)
@@ -322,7 +323,8 @@ def step_world(world: World) -> World:
 
     return World(
         blocks=blocks,
-        bonds=frozenset(bonds),
+        # run_scenario's period keys hold every tick's bonds: share, not copy
+        bonds=world.bonds if bonds == world.bonds else frozenset(bonds),
         time=now + 1,
         pending_folds=tuple(still_pending),
     )

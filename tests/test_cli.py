@@ -404,6 +404,35 @@ def test_commands_that_draw_nothing_never_load_numpy(tmp_path):
     _run_fresh(script)
 
 
+# argv[1] is the caller's OPENBLAS_NUM_THREADS, "" for none; prints its value
+# after `cli.main(["copy", ...])` and the process's thread count (0 off Linux)
+_BLAS_THREADS = textwrap.dedent(
+    f"""
+    import contextlib, io, os, sys
+    os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    if sys.argv[1]:
+        os.environ["OPENBLAS_NUM_THREADS"] = sys.argv[1]
+    before = dict(os.environ)
+    from chainfold import cli
+    assert dict(os.environ) == before, "import chainfold.cli changed os.environ"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["copy", "--tape", {TAPE8!r}]) == 0
+    assert "numpy" in sys.modules
+    tasks = "/proc/self/task"
+    print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir(tasks)) if os.path.isdir(tasks) else 0)
+    """
+)
+
+
+@pytest.mark.parametrize("preset,expected", [("", "1"), ("2", "2")])
+def test_cli_runs_numpy_with_one_blas_thread_unless_the_caller_sets_one(preset, expected):
+    # pytest's own earlier main() calls set the variable in this process
+    value, threads = _run_fresh(_BLAS_THREADS, preset).split()
+    assert value == expected
+    if preset == "" and threads != "0" and (os.cpu_count() or 1) >= 2:
+        assert threads == "1"
+
+
 # prints the chainfold modules loaded after `cli.main(argv)`; no argv, no call
 _LOADED_BY = textwrap.dedent(
     """
@@ -437,6 +466,7 @@ def test_importing_the_cli_loads_no_other_chainfold_module():
         ("frobnicate",),
         ("copy", "--help"),
         ("evolve", "--seed", "-3"),
+        ("evolve", "--trials", "0"),
         ("fold", "no-such-chain.mdl"),
         ("copy", "--tape", "no-such-tape.json"),
     ],
@@ -473,6 +503,12 @@ def test_negative_seed_is_a_usage_error(capsys, command):
     code, out, err = usage_error(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"chainfold {command}: error: argument --seed: must not be negative, got -1\n"
+
+
+def test_evolve_trial_count_below_one_is_a_usage_error(capsys):
+    code, out, err = usage_error(capsys, "evolve", "--trials", "0")
+    assert code == 1 and out == ""
+    assert err == "chainfold evolve: error: argument --trials: must be positive, got 0\n"
 
 
 def test_non_integer_seed_keeps_the_argparse_message(capsys):

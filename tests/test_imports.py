@@ -1,6 +1,7 @@
 """Every name a chainfold module imports is used (a stdlib stand-in for
 F401), every module-level `_private` name it defines is read in it, and
-every exception it defines is one the CLI maps to an exit status.
+every exception it defines is one the CLI maps to an exit status, and no
+module calls a BLAS-backed numpy routine.
 
 An import kept on purpose, such as a re-export, carries `# noqa: F401` on
 its statement. A private helper that no line of its own module reads is
@@ -123,3 +124,48 @@ def test_every_exception_reaches_the_cli_as_an_exit_status():
     assert DomainError in defined and len(defined) > 1
     mapped = (DomainError, ValueError, OSError)
     assert [c.__qualname__ for c in defined if not issubclass(c, mapped)] == []
+
+
+# numpy routines that hand work to BLAS; `cli.main` starts numpy with one
+# OpenBLAS thread because chainfold calls none of them
+_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def _blas_uses(source: str) -> list[tuple[int, str]]:
+    """`@`, `.dot`-style attributes and numpy imports that reach BLAS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name == "numpy.linalg"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            names = [node.module] + [a.name for a in node.names]
+            found += [(node.lineno, n) for n in names if n.split(".")[-1] in _BLAS_NAMES]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_calls_a_blas_routine(path):
+    assert _blas_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_blas_routines():
+    src = (
+        "import numpy as np\n"
+        "from numpy import einsum, flatnonzero\n"
+        "from .geometry import dot\n"
+        "import numpy.linalg\n"
+        "from numpy.linalg import norm\n"
+        "a = np.ones((2, 2))\n"
+        "b = a @ a\n"
+        "b @= a\n"
+        "c = a.dot(b) + np.linalg.norm(a)\n"
+        "d = dot((1, 0, 0), (0, 1, 0)) + flatnonzero(a).sum()\n"
+    )
+    assert _blas_uses(src) == [
+        (2, "einsum"), (4, "numpy.linalg"), (5, "numpy.linalg"),
+        (7, "@"), (8, "@"), (9, "dot"), (9, "linalg"),
+    ]

@@ -138,6 +138,44 @@ def test_gluer_bonds_across_active_face():
     assert frozenset((0, 1)) in w.bonds
 
 
+def test_a_tick_keeps_the_bond_set_object_unless_a_bond_changed():
+    # run_scenario keeps every tick's bonds in its period keys
+    held = _world(
+        [
+            BlockInstance(id=0, kind="d", cell=(0, 0, 0), dissolve_due=1),
+            BlockInstance(id=1, kind="b", cell=(1, 0, 0)),
+        ],
+        bonds=[(0, 1)],
+    )
+    quiet = step_world(held)
+    assert quiet.bonds is held.bonds
+    assert step_world(quiet).bonds == frozenset()
+    glued = step_world(
+        _world(
+            [
+                BlockInstance(id=0, kind="G", cell=(0, 0, 0)),
+                BlockInstance(id=1, kind="b", cell=(1, 0, 0)),
+            ]
+        )
+    )
+    assert glued.bonds == {frozenset((0, 1))}
+    assert step_world(glued).bonds is glued.bonds
+    # one bond dissolves and another glues: same size, different set
+    swapped = step_world(
+        _world(
+            [
+                BlockInstance(id=0, kind="d", cell=(0, 0, 0), dissolve_due=0),
+                BlockInstance(id=1, kind="b", cell=(1, 0, 0)),
+                BlockInstance(id=2, kind="G", cell=(0, 0, 5)),
+                BlockInstance(id=3, kind="b", cell=(1, 0, 6)),
+                _mover(4, (1, 0, 7), face=5, phase=0),
+            ],
+            bonds=[(0, 1)],
+        )
+    )
+    assert swapped.bonds == {frozenset((2, 3))}
+
+
 def test_block_pushed_into_gluer_face_bonds_same_tick():
     # the glue phase reads the cells as the move phase left them
     w = _world(
