@@ -45,9 +45,10 @@ def _int_at_least(low: int, rule: str):
     return check
 
 
-# numpy would reject a negative seed, `run_copy` a negative cycle budget and
-# `StreamExperiment` a trial count below 1, but only after numpy loads: a
-# fresh `python -c "import numpy"` takes about 150 ms on a 2-vCPU x86_64 host
+# numpy would reject a negative seed, `run_copy` a negative cycle budget,
+# `StreamExperiment` a trial count below 1 and `run_scenario` a negative
+# length or tick count, but only after numpy or the command's modules load:
+# a fresh `python -c "import numpy"` takes about 150 ms on a 2-vCPU x86_64 host
 _non_negative = _int_at_least(0, "must not be negative")
 _positive = _int_at_least(1, "must be positive")
 
@@ -242,8 +243,8 @@ def build_parser() -> _Parser:
 
     p_scn = sub.add_parser("scenario", help="simulate a track-machine template")
     p_scn.add_argument("--name", required=True, help="walker, retainer, or shuttle")
-    p_scn.add_argument("--length", type=int, default=8)
-    p_scn.add_argument("--ticks", type=int, default=None)
+    p_scn.add_argument("--length", type=_non_negative, default=8)
+    p_scn.add_argument("--ticks", type=_non_negative, default=None)
     p_scn.add_argument(
         "--seed",
         type=int,

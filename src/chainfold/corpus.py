@@ -161,6 +161,8 @@ def _coplanar(cells) -> bool:
 
 def _mirrored_cells(structure: FoldedStructure) -> dict[int, tuple]:
     raw = {i: apply(MIRROR_Z, c) for i, c in structure.cells_by_index().items()}
+    if not raw:
+        return raw
     lo = bounding_box(raw.values())[0]
     return {i: sub(c, lo) for i, c in raw.items()}
 
@@ -213,7 +215,7 @@ def verify_fixture(
             other = fold(others[other_id].chain)
             ok = _mirrored_cells(other) == structure.cells_by_index()
             detail = f"z-mirror of {other_id}" if ok else f"differs from mirrored {other_id}"
-        except (KeyError, CollisionError) as exc:
+        except (KeyError, MdlError, CollisionError) as exc:
             ok, detail = False, f"cannot mirror against {other_id}: {exc}"
         checks.append(Check("mirror_of", ok, detail))
     return VerifyReport(fixture.id, tuple(checks))
@@ -247,7 +249,7 @@ def corpus_stats(directory: str | Path | None = None) -> dict:
         entry["fixtures"].sort()
 
     builder_ratio = (
-        BUILD_VOLUME_BLOCKS / counts["fig11a"] if "fig11a" in counts else None
+        BUILD_VOLUME_BLOCKS / counts["fig11a"] if counts.get("fig11a") else None
     )
     genome = sum(
         per_machine.get(role, {"blocks": 0})["blocks"] for role in GENOME_ROLES

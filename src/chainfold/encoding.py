@@ -205,8 +205,12 @@ Tape = tuple[TapeEntry, ...]
 
 
 def tape_from_kinds(kinds, flips=None) -> Tape:
+    """A tape of upright entries, or flipped where `flips` says so; flips,
+    when given, must pair up one to one with the kinds."""
     kinds = list(kinds)
-    flips = flips or [False] * len(kinds)
+    flips = [False] * len(kinds) if flips is None else list(flips)
+    if len(flips) != len(kinds):
+        raise ValueError(f"{len(kinds)} kind(s) but {len(flips)} flip(s)")
     return tuple(TapeEntry(k, bool(f)) for k, f in zip(kinds, flips))
 
 

@@ -22,13 +22,12 @@ as the actions before them left them. Folds and pushes share one rule,
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .errors import KinematicsError
 from .folding import TOKEN_ROTATIONS
 from .geometry import IDENTITY, Cell, Rot, add, apply, compose, inverse, sub
-from .mdl import FACE_DIGITS, Chain, Token, parse_mdl
+from .mdl import FACE_DIGITS, Chain, parse_mdl
 
 FACE_VECTORS: tuple[Cell, ...] = (
     (1, 0, 0),
@@ -114,29 +113,6 @@ class World:
             raise KinematicsError(f"bond {min(a, b)}-{max(a, b)} {problem}")
 
 
-def _phase_drawer(seed: int) -> Callable[[], int]:
-    """Draws mover phases from one Generator, seeded at the first draw so
-    that chains with no drawn phase (and the CLI) never load numpy."""
-    rng = None
-
-    def draw() -> int:
-        nonlocal rng
-        if rng is None:
-            import numpy as np
-
-            rng = np.random.default_rng(seed)
-        return int(rng.integers(0, MOVER_PERIOD))
-
-    return draw
-
-
-def _mover_fields(token: Token, draw_phase: Callable[[], int]) -> tuple[int, int]:
-    face, phase = token.params
-    if face not in FACE_DIGITS:
-        raise KinematicsError(f"mover {token.canonical} needs a face digit 0-5")
-    return int(face), (int(phase) if phase.isdigit() else draw_phase())
-
-
 def world_from_chain(
     chain: Chain | str,
     fold_delay: int = DEFAULT_FOLD_DELAY,
@@ -147,11 +123,13 @@ def world_from_chain(
     Block j starts at (n-1-j, 0, 0), matching the unfolded frame of the
     static folder; neighbours are bonded. Rotating tokens fold one per
     tick starting at fold_delay; each dissolvable's timer starts at fold
-    completion and runs for its first parameter digit.
+    completion and runs for its first parameter digit. Mover phases that
+    are not digits are drawn in chain order from one Generator, seeded at
+    the first draw so that chains with no drawn phase never load numpy.
     """
     chain = parse_mdl(chain) if isinstance(chain, str) else chain
     n = len(chain)
-    draw_phase = _phase_drawer(seed)
+    rng = None
     folds = []
     hinge_no = 0
     for j, t in enumerate(chain):
@@ -163,7 +141,18 @@ def world_from_chain(
     for j, t in enumerate(chain):
         face = phase = due = None
         if t.kind == "M":
-            face, phase = _mover_fields(t, draw_phase)
+            face_digit, phase_char = t.params
+            if face_digit not in FACE_DIGITS:
+                raise KinematicsError(f"mover {t.canonical} needs a face digit 0-5")
+            face = int(face_digit)
+            if phase_char.isdigit():
+                phase = int(phase_char)
+            else:
+                if rng is None:
+                    import numpy as np
+
+                    rng = np.random.default_rng(seed)
+                phase = int(rng.integers(0, MOVER_PERIOD))
         if t.kind == "d":
             digit = (
                 int(t.params[0]) if t.params[0].isdigit() else DEFAULT_DISSOLVE_DIGIT
@@ -255,14 +244,14 @@ def _try_fold(
     return _move(blocks, occupancy, turned)
 
 
-def _due_movers(blocks: dict[int, BlockInstance], now: int) -> list[BlockInstance]:
-    due = [
-        b
+def _due_movers(blocks: dict[int, BlockInstance], now: int) -> list[tuple[int, int]]:
+    """(face index, id) of the movers on this tick's phase, in firing order.
+    Pushes only translate, so no face changes while the movers fire."""
+    return sorted(
+        (FACE_VECTORS.index(b.absolute_face()), b.id)
         for b in blocks.values()
         if b.kind == "M" and b.mover_phase == now % MOVER_PERIOD
-    ]
-    face_of = {b.id: FACE_VECTORS.index(b.absolute_face()) for b in due}
-    return sorted(due, key=lambda b: (face_of[b.id], b.id))
+    )
 
 
 def _group(bonded: dict[int, list[int]], block_id: int) -> set[int]:
@@ -303,11 +292,10 @@ def step_world(world: World) -> World:
         for a, b in bonds:
             bonded.setdefault(a, []).append(b)
             bonded.setdefault(b, []).append(a)
-    for mover in due:
-        cur = blocks[mover.id]
-        delta = cur.absolute_face()
-        tid = occupancy.get(add(cur.cell, delta))
-        own = _group(bonded, cur.id)
+    for face, mover in due:
+        delta = FACE_VECTORS[face]
+        tid = occupancy.get(add(blocks[mover].cell, delta))
+        own = _group(bonded, mover)
         if tid in own:
             continue  # a mover cannot shove its own group
         group = own if tid is None else _group(bonded, tid)
@@ -429,13 +417,10 @@ class ScenarioTrace:
     result: dict
 
 
-def _state_key(world: World) -> tuple:
-    """Repeatable state: cells of the blocks that can move, bonds, tick
-    phase, and countdowns made relative. An anchored block never changes
+def _state_key(world: World, cells: dict[int, Cell]) -> tuple:
+    """Repeatable state: the frame's cells (the blocks that can move), bonds,
+    tick phase, and countdowns made relative. An anchored block never changes
     cell, so it shows only through its dissolve countdown, if it has one."""
-    cells = tuple(
-        sorted((i, b.cell) for i, b in world.blocks.items() if not b.anchored)
-    )
     dues = tuple(
         sorted(
             (i, b.dissolve_due - world.time)
@@ -446,7 +431,7 @@ def _state_key(world: World) -> tuple:
     folds = tuple(
         (e.chain_index, e.due_tick - world.time) for e in world.pending_folds
     )
-    return (cells, world.bonds, world.time % MOVER_PERIOD, dues, folds)
+    return (tuple(cells.items()), world.bonds, world.time % MOVER_PERIOD, dues, folds)
 
 
 def run_scenario(
@@ -469,13 +454,11 @@ def run_scenario(
     events = []
     seen: dict[tuple, int] = {}
     period = None
-    alive = set(world.blocks)
     for t in range(total + 1):
-        frames.append(
-            Frame(tick=world.time, cells={i: world.blocks[i].cell for i in mobile if i in world.blocks})
-        )
+        cells = {i: world.blocks[i].cell for i in mobile if i in world.blocks}
+        frames.append(Frame(tick=world.time, cells=cells))
         if period is None:
-            key = _state_key(world)
+            key = _state_key(world, cells)
             if key in seen:
                 period = world.time - seen[key]
                 events.append(f"period {period} detected at tick {world.time}")
@@ -483,11 +466,9 @@ def run_scenario(
                 seen[key] = world.time
         if t == total:
             break
-        world = step_world(world)
-        vanished = alive - set(world.blocks)
-        for i in sorted(vanished):
-            events.append(f"block {i} dissolved at tick {world.time - 1}")
-        alive = set(world.blocks)
+        before, world = world, step_world(world)
+        for i in sorted(before.blocks.keys() - world.blocks.keys()):
+            events.append(f"block {i} dissolved at tick {before.time}")
 
     result: dict = {"name": name, "length": length}
     if name == "walker":
@@ -549,8 +530,6 @@ def trace_to_json_dict(trace: ScenarioTrace) -> dict:
             for f in trace.frames
         ],
         "result": {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in trace.result.items()
-            if k not in ("positions", "rises", "spans")
+            k: v for k, v in trace.result.items() if k not in ("positions", "rises", "spans")
         },
     }

@@ -131,6 +131,48 @@ def test_corpus_verify_of_an_empty_corpus(capsys, tmp_path):
     assert (code, json.loads(out)) == (0, {"fixtures": {}})
 
 
+@pytest.mark.parametrize(
+    "partner,report",
+    [
+        (
+            "",
+            "ok       FAIL  mirror_of: differs from mirrored partner\n"
+            "partner  PASS\n"
+            "1/2 fixtures pass\n",
+        ),
+        (
+            "b_Q",
+            "ok       FAIL  mirror_of: cannot mirror against partner:"
+            " unknown kind 'Q' at position 2\n"
+            "partner  FAIL  parses: unknown kind 'Q' at position 2\n"
+            "0/2 fixtures pass\n",
+        ),
+    ],
+    ids=["empty", "unparsable"],
+)
+def test_corpus_verify_reports_a_broken_mirror_partner_and_exits_two(
+    capsys, tmp_path, partner, report
+):
+    (tmp_path / "ok.mdl").write_text("b_H_b_\n")
+    (tmp_path / "partner.mdl").write_text(partner)
+    entries = [
+        {"id": "ok", "file": "ok.mdl", "expected": {"tags": {"mirror_of": "partner"}}},
+        {"id": "partner", "file": "partner.mdl"},
+    ]
+    (tmp_path / "manifest.json").write_text(json.dumps({"fixtures": entries}))
+    code, out, err = run_cli(capsys, "corpus", "verify", "--fixtures", str(tmp_path))
+    assert (code, out, err) == (2, report, "")
+
+
+def test_corpus_stats_with_an_empty_fig11a_has_no_builder_ratio(capsys, tmp_path):
+    (tmp_path / "empty.mdl").write_text("")
+    entries = [{"id": "fig11a", "file": "empty.mdl"}]
+    (tmp_path / "manifest.json").write_text(json.dumps({"fixtures": entries}))
+    code, out, err = run_cli(capsys, "corpus", "stats", "--fixtures", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["builder_ratio"] is None
+
+
 def test_corpus_stats_builder_ratio(capsys):
     code, out, _ = run_cli(capsys, "corpus", "stats")
     assert code == 0
@@ -321,9 +363,9 @@ def test_scenario_unknown_name_exits_two(capsys):
 
 
 def test_scenario_negative_ticks_exits_one(capsys):
-    code, out, err = run_cli(capsys, "scenario", "--name", "walker", "--ticks", "-3")
+    code, out, err = usage_error(capsys, "scenario", "--name", "walker", "--ticks", "-3")
     assert code == 1 and out == ""
-    assert err == "chainfold: ticks must not be negative, got -3\n"
+    assert err == "chainfold scenario: error: argument --ticks: must not be negative, got -3\n"
 
 
 @pytest.mark.parametrize(
@@ -469,6 +511,8 @@ def test_importing_the_cli_loads_no_other_chainfold_module():
         ("evolve", "--trials", "0"),
         ("fold", "no-such-chain.mdl"),
         ("copy", "--tape", "no-such-tape.json"),
+        ("scenario", "--name", "walker", "--ticks", "-3"),
+        ("scenario", "--name", "walker", "--length", "-5"),
     ],
 )
 def test_usage_errors_and_missing_files_load_no_command_module(argv):
@@ -518,9 +562,9 @@ def test_non_integer_seed_keeps_the_argparse_message(capsys):
 
 
 def test_scenario_negative_length_exits_one(capsys):
-    code, out, err = run_cli(capsys, "scenario", "--name", "walker", "--length", "-5")
+    code, out, err = usage_error(capsys, "scenario", "--name", "walker", "--length", "-5")
     assert code == 1 and out == ""
-    assert err == "chainfold: length must not be negative, got -5\n"
+    assert err == "chainfold scenario: error: argument --length: must not be negative, got -5\n"
 
 
 def test_scenario_short_length_stays_a_domain_error(capsys):

@@ -151,6 +151,28 @@ def test_verify_reports_unparsable_text_and_unknown_mirror(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "partner,detail",
+    [
+        ("", "differs from mirrored partner"),
+        ("b_Q", "cannot mirror against partner: unknown kind 'Q' at position 2"),
+    ],
+    ids=["empty", "unparsable"],
+)
+def test_verify_fails_mirror_of_against_an_empty_or_unparsable_partner(tmp_path, partner, detail):
+    (tmp_path / "ok.mdl").write_text("b_H_b_\n")
+    (tmp_path / "partner.mdl").write_text(partner)
+    _write_manifest(
+        tmp_path,
+        [
+            {"id": "ok", "file": "ok.mdl", "expected": {"tags": {"mirror_of": "partner"}}},
+            {"id": "partner", "file": "partner.mdl"},
+        ],
+    )
+    failed = [c for c in verify_corpus(tmp_path)["ok"].checks if not c.ok]
+    assert [(c.name, c.detail) for c in failed] == [("mirror_of", detail)]
+
+
 def test_verify_reads_collisions_from_one_permissive_fold(tmp_path):
     # no bundled fixture collides, so a two-entry manifest supplies one
     (tmp_path / "loop.mdl").write_text("b_H_H_H_b_\n")
@@ -188,6 +210,12 @@ def test_builder_ratio_beats_five(corpus):
     stats = corpus_stats()
     assert stats["builder_ratio"] == pytest.approx(140 / 27)
     assert stats["builder_ratio"] >= 5.0
+
+
+def test_builder_ratio_is_none_when_fig11a_has_no_tokens(tmp_path):
+    (tmp_path / "empty.mdl").write_text("")
+    _write_manifest(tmp_path, [{"id": "fig11a", "file": "empty.mdl"}])
+    assert corpus_stats(tmp_path)["builder_ratio"] is None
 
 
 def test_genome_estimate_in_band(corpus):

@@ -194,6 +194,21 @@ def test_flip_end_over_end():
     assert flip_end_over_end(flipped) == tape
 
 
+@pytest.mark.parametrize(
+    "kinds,flips,message",
+    [
+        (["b__", "H__"], [True], "2 kind(s) but 1 flip(s)"),
+        (["b__"], [True, False], "1 kind(s) but 2 flip(s)"),
+        (["b__"], [], "1 kind(s) but 0 flip(s)"),
+    ],
+)
+def test_tape_from_kinds_refuses_flips_that_do_not_pair_up(kinds, flips, message):
+    with pytest.raises(ValueError) as e:
+        tape_from_kinds(kinds, flips)
+    assert str(e.value) == message
+    assert tape_from_kinds(kinds) == tuple(TapeEntry(k) for k in kinds)
+
+
 def test_tape_json_roundtrip():
     tape = tape_from_kinds(["G0_", "b__"], [True, False])
     assert tape_from_json_dict(tape_to_json_dict(tape)) == tape

@@ -4,16 +4,18 @@ import time
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
+import kinematics_reference as reference
 from chainfold.corpus import load_fixture, load_manifest
 from chainfold.folding import CollisionError, fold
-from chainfold.geometry import add, bounding_box, sub
+from chainfold.geometry import add, apply, bounding_box, rotation_group, sub
 from chainfold.mdl import parse_mdl, validate
 from chainfold.kinematics import (
     FACE_VECTORS,
     BlockInstance,
+    SCENARIO_NAMES,
     FoldEvent,
     KinematicsError,
     UnknownScenarioError,
@@ -590,9 +592,10 @@ def test_shuttle_period_recorded_not_assumed():
 def test_period_key_tells_apart_worlds_that_differ_by_one_bond():
     # a bond decides which blocks a push carries, so it is part of the state
     blocks = [BlockInstance(id=i, kind="b", cell=(i, 0, 0)) for i in range(3)]
+    cells = {b.id: b.cell for b in blocks}
     loose, bonded = _world(blocks), _world(blocks, bonds=[(0, 1)])
-    assert _state_key(loose) != _state_key(bonded)
-    assert _state_key(bonded) == _state_key(_world(blocks, bonds=[(1, 0)]))
+    assert _state_key(loose, cells) != _state_key(bonded, cells)
+    assert _state_key(bonded, cells) == _state_key(_world(blocks, bonds=[(1, 0)]), cells)
 
 
 def _full_state_key(world):
@@ -653,6 +656,130 @@ def test_trace_json_round_shape():
     assert len(d["frames"]) == 31
     assert all(len(c) == 3 for f in d["frames"] for c in f["cells"].values())
     assert "spans" not in d["result"]
+
+
+# --- parity with the frozen reference tick ---------------------------------
+
+_ROTATIONS = sorted(rotation_group())
+_CASES = {"fold retried", "push blocked", "carry", "bonded group shoved", "bond formed"}
+
+
+def _one_in(k):
+    return st.sampled_from([True] + [False] * (k - 1))
+
+
+@st.composite
+def drawn_worlds(draw):
+    """A world built block by block, and a tick count.
+
+    The cells grow as a cluster of straight rods, each of one to three
+    cells and starting next to an earlier cell or a gap of one or two away,
+    so that blocks touch and line up often. On them: free blocks and bonded
+    groups, anchored blocks, movers with every face and phase and gluers,
+    both mostly facing a neighbour, dissolvables, and chain blocks whose
+    hinges hold folds that are due, past due (retrying) or still waiting;
+    one fold may name a hinge that is gone.
+    """
+    cells, label = [(0, 0, 0)], [0]
+    while len(cells) < 14 and not draw(_one_in(8)):
+        cell = draw(st.sampled_from(cells))
+        step = draw(st.sampled_from(FACE_VECTORS))
+        stride = draw(st.sampled_from([1, 1, 2, 3]))
+        rod = draw(st.integers(0, 3))
+        for _ in range(draw(st.integers(1, 3))):
+            cell = add(cell, tuple(stride * c for c in step))
+            stride = 1
+            if cell not in cells:
+                cells.append(cell)
+                label.append(rod)
+    rod_of = dict(zip(cells, label))
+    now = draw(st.integers(0, 30))
+    blocks, folds = {}, []
+    for i, cell in enumerate(cells):
+        kind = draw(st.sampled_from("bbbMMMGGdHhLRZ"))
+        fields = {"orientation": draw(st.sampled_from(_ROTATIONS))}
+        face = 0
+        if kind == "M":
+            face = draw(st.integers(0, 5))
+            # half of them fire on the first tick
+            phase = draw(st.just(now % 10) | st.integers(0, 9))
+            fields.update(mover_face=face, mover_phase=phase)
+        if kind in "MG":
+            # a neighbour it is not bonded to
+            ahead = [add(cell, apply(r, FACE_VECTORS[face])) for r in _ROTATIONS]
+            facing = [r for r, c in zip(_ROTATIONS, ahead) if rod_of.get(c, label[i]) != label[i]]
+            if facing and not draw(_one_in(4)):
+                fields["orientation"] = draw(st.sampled_from(facing))
+        elif kind == "d":
+            fields["dissolve_due"] = draw(st.none() | st.integers(now - 2, now + 15))
+        if not draw(_one_in(3)):
+            fields["chain_index"] = i
+            if kind in "HhLRZ" and not draw(_one_in(4)):
+                folds.append(FoldEvent(i, draw(st.integers(now - 3, now + 8))))
+        blocks[i] = BlockInstance(id=i, kind=kind, cell=cell, anchored=draw(_one_in(8)), **fields)
+    if draw(_one_in(5)):
+        folds.append(FoldEvent(len(cells), now))
+    # neighbours in one rod, or in rods that drew the same label, are bonded
+    bonds = [
+        (i, j) for i in blocks for j in blocks
+        if i < j and label[i] == label[j] and sub(cells[i], cells[j]) in FACE_VECTORS
+    ]
+    world = World(
+        blocks=blocks,
+        bonds=frozenset(frozenset(p) for p in bonds),
+        time=now,
+        pending_folds=tuple(draw(st.permutations(folds))),
+    )
+    return world, draw(st.integers(1, 30))
+
+
+def _pinned(mdl):
+    # the 150-tick runs that INWORLD_DIGESTS and the glue-tear test use
+    return world_from_chain(mdl), 150
+
+
+@given(drawn_worlds())
+@example(_pinned(load_fixture("fig15d").mdl))
+@example(_pinned(load_fixture("fig16a").mdl))
+@example(_pinned("G0_H_b_H_G0_H_h_b_b_H_"))
+@settings(max_examples=250, deadline=None)
+def test_run_world_matches_the_reference_tick_by_tick(run):
+    start, ticks = run
+    ours = ref = start
+    hits = []
+    for _ in range(ticks):
+        ours, ref = run_world(ours, 1), reference.step_world(ref, hits)
+        assert ours.time == ref.time
+        assert ours.blocks == ref.blocks
+        assert ours.bonds == ref.bonds
+        assert ours.pending_folds == ref.pending_folds
+    assert run_world(start, ticks) == ref
+    for case in sorted(set(hits)):
+        event(case)
+
+
+def test_drawn_worlds_reach_every_action_the_tick_takes_or_refuses():
+    # a fixed set of draws, so that the count does not vary run to run
+    hits = []
+
+    @given(drawn_worlds())
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    def step_through(run):
+        world, ticks = run
+        for _ in range(ticks):
+            world = reference.step_world(world, hits)
+
+    step_through()
+    assert set(hits) == _CASES
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_run_scenario_matches_the_reference_loop(name):
+    for length in sorted({MIN_LENGTH[name], 8, 13, 32, 128}):
+        assert run_scenario(name, length) == reference.run_scenario(name, length)
+    for ticks in (0, 1, 9):
+        ours = run_scenario(name, 8, ticks=ticks, seed=3)
+        assert ours == reference.run_scenario(name, 8, ticks=ticks, seed=3)
 
 
 # --- pinned outputs -----------------------------------------------------------
