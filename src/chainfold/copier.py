@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
@@ -153,7 +154,7 @@ class _Rules(NamedTuple):
     index * 2 + flip, a flat draw is kind index * cases + case.
     """
 
-    entries: tuple[TapeEntry, ...]  # the tape entry at each slot code
+    entries: np.ndarray  # the tape entry at each slot code, as objects
     index: dict[str, int]  # kind -> kind index; shared, so never written
     stick: np.ndarray  # stick-out of each draw at each slot
     mut: np.ndarray  # whether gluing that draw there is a mutation
@@ -176,11 +177,12 @@ def _rules(sparing: Sparing, registry: TypeRegistry) -> _Rules:
     for code, slot in enumerate(entries):
         for f, (kind, case) in enumerate(draws):
             stick[code, f], mut[code, f] = _classify(kind, case, slot, profile, registry)
-    stick.flags.writeable = False
-    mut.flags.writeable = False
+    entry_table = np.array(entries, dtype=object)
+    for table in (stick, mut, entry_table):
+        table.flags.writeable = False
     glues = [np.flatnonzero(row == 0).tolist() for row in stick]
     return _Rules(
-        entries=entries,
+        entries=entry_table,
         index={kind: i for i, kind in enumerate(kinds)},
         stick=stick,
         mut=mut,
@@ -188,9 +190,11 @@ def _rules(sparing: Sparing, registry: TypeRegistry) -> _Rules:
     )
 
 
-def _slot_codes(tape: Tape, rules: _Rules) -> list[int]:
-    try:  # a bool is an int, so the flip adds as is
-        return [2 * rules.index[e.kind] + e.flipped for e in tape]
+def _slot_codes(tape: Tape, rules: _Rules) -> bytes:
+    """One byte per slot, kind index * 2 + flip: codes < 2 * _MAX_KINDS."""
+    index = rules.index
+    try:  # a flip is a bool, and a bool is an int, so it adds as is
+        return bytes([2 * index[e.kind] + e.flipped for e in tape])
     except KeyError as exc:
         raise UnknownTapeKindError(exc.args[0]) from None
 
@@ -263,8 +267,8 @@ def run_copy(
     rules = _rules(profile.sparing, reg)
     draw = _seeded_draws(seed, n_kinds) if feed is None else _forced_draws(feed, rules)
     codes = _slot_codes(tape, rules)
-    drawn = bytearray()  # each used draw as its flat index, kind * cases + case
-    glue_cycles = [-1]  # the cycle that glued each slot, after -1 for the start
+    drawn = bytearray()  # each draw as its flat index, kind * cases + case
+    glue_cycles = array("q", [-1])  # the cycle that glued each slot, after -1 for the start
     head = 0
     cycles = 0
     while head < n:
@@ -274,26 +278,29 @@ def run_copy(
         if not len(kinds):  # a forced feed ran dry
             raise CycleLimitExceededError(cycles, head, n)
         flat = (kinds * len(PresentationCase) + cases).tobytes()
-        head, used, glued = kernels.copier_chunk(rules.seek, codes, head, flat)
-        glue_cycles += (cycles + p for p in glued)
-        drawn += flat[:used]
+        head, used = kernels.copier_chunk(rules.seek, codes, head, flat, cycles, glue_cycles)
+        drawn += flat  # only the last chunk can end unused, and `count` drops that
         cycles += used
     # the copy is finished, so every slot has its glue: gather in one pass
-    flat = np.frombuffer(drawn, dtype=np.uint8)
-    ends = np.array(glue_cycles, dtype=np.intp)
+    flat = np.frombuffer(drawn, dtype=np.uint8, count=cycles)
+    ends = np.frombuffer(glue_cycles, dtype=np.int64)
     glues = flat[ends[1:]]
-    slots = np.array(codes, dtype=np.uint8)  # codes < 2 * _MAX_KINDS fit a byte
-    mut = rules.mut[slots, glues]
+    slots = np.frombuffer(codes, dtype=np.uint8)
+    # both tables are read flat at slot code * width + draw, which stays
+    # below 2 * _MAX_KINDS * 256 and so fits a uint16 index
+    rows = slots.astype(np.uint16) * rules.stick.shape[1]
+    mut = rules.mut.ravel()[rows + glues]
     # a glue takes the drawn kind and lies in its slot's flip frame (bit 0
     # of the code), unless it is a mutation, which sits the other way up
     out_codes = glues // len(PresentationCase) * 2 + ((slots & 1) ^ mut)
     # each slot met the draws after the glue before it, up to its own glue
-    met = np.repeat(slots, np.diff(ends))
+    met = np.repeat(rows, np.diff(ends))
+    met += flat
     return CopyRun(
-        output=tuple(map(rules.entries.__getitem__, out_codes.tolist())),
+        output=tuple(rules.entries.take(out_codes).tolist()),
         cycles=cycles,
         mutations=tuple(np.flatnonzero(mut).tolist()),
-        stickout_log=rules.stick[met, flat],
+        stickout_log=rules.stick.ravel()[met],
         seed=seed if feed is None else None,
         sparing=profile.sparing,
         backend=kernels.active_backend(),

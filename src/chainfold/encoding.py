@@ -200,6 +200,12 @@ class TapeEntry:
     kind: str
     flipped: bool = False
 
+    def __post_init__(self) -> None:
+        # the copier adds the flip to a slot code, so 2 or None would copy
+        # another kind or fail late; a flip is exactly True or False
+        if self.flipped is not True and self.flipped is not False:
+            raise ValueError(f"a tape entry's flip must be True or False, got {self.flipped!r}")
+
 
 Tape = tuple[TapeEntry, ...]
 

@@ -8,8 +8,9 @@ function of them, and both cost time linear in their input:
   next to the draws it counts.
 - `copier_chunk` only walks: one C-level byte-class search per glue
   skips the rejected draws between glues, which cost no Python step,
-  and it reports which draws glued. `copier.run_copy` gathers the copy
-  from those positions once the tape is finished.
+  and it records the run-wide cycle of each glue into the caller's
+  `array('q')`. `copier.run_copy` gathers the copy from those cycles
+  once the tape is finished.
 
 `tests/test_kernels.py` holds plain-Python loop versions of each as the
 reference they must match element for element.
@@ -57,27 +58,29 @@ def count_matches(draws: np.ndarray, target: np.ndarray) -> int:
     return hits
 
 
-def copier_chunk(seek, slot_codes, head, flat) -> tuple[int, int, list[int]]:
+def copier_chunk(seek, slot_codes, head, flat, cycles, glued) -> tuple[int, int]:
     """Walk one chunk of draws from slot `head`; returns (new_head,
-    draws_used, glued), where `glued` lists the position in `flat` of
-    each draw that glued.
+    draws_used) and appends to `glued` the run-wide cycle of each draw
+    that glued, where `cycles` is the run's cycle count before `flat`.
 
-    A draw is one flat byte, kind * cases + case, and `seek[code]` is a
-    compiled bytes pattern, one byte class, that matches exactly the
-    draws with stick-out 0 at a slot of that code. Every draw costs a
-    cycle; a glue advances the head, and the walk stops at the draw that
-    finishes the tape. Each glue costs one search, plus one that finds
-    none when the chunk ends first, and each search reads each byte it
-    passes once, so a call costs time linear in the draws it reads.
+    A draw is one flat byte, kind * cases + case, `slot_codes` holds one
+    byte per slot, kind index * 2 + flip, and `seek[code]` is a compiled
+    bytes pattern, one byte class, that matches exactly the draws with
+    stick-out 0 at a slot of that code. Every draw costs a cycle; a glue
+    advances the head, and the walk stops at the draw that finishes the
+    tape. Each glue costs one search, plus one that finds none when the
+    chunk ends first, and each search reads each byte it passes once, so
+    a call costs time linear in the draws it reads. `flat` is `bytes`:
+    `re` searches a `bytearray` about twice as slowly.
     """
     n = len(slot_codes)
-    glued: list[int] = []
+    base = cycles - 1  # a match ends one past its draw
     p = 0
     while head < n:
         m = seek[slot_codes[head]].search(flat, p)
         if m is None:
-            return head, len(flat), glued
+            return head, len(flat)
         p = m.end()  # a match is one byte: go on from the next draw
-        glued.append(p - 1)
+        glued.append(base + p)
         head += 1
-    return head, p, glued
+    return head, p

@@ -452,3 +452,15 @@ def test_empty_tape():
     run = run_copy((), ONE, seed=1)
     assert run.output == () and run.cycles == 0
 
+
+@pytest.mark.parametrize("flip", [2, None, "yes", 1, np.True_], ids=repr)
+def test_a_flip_that_is_not_a_bool_is_refused(flip):
+    """A flip of 2 once made slot code 2 * 0 + 2, `H__`'s, so `G0_` copied
+    as `M1x`; now no entry can carry one, so no copier path sees it."""
+    refused = pytest.raises(ValueError, match=f"flip must be True or False, got {flip!r}")
+    with refused:
+        run_copy((TapeEntry("G0_", flip),))
+    with refused:
+        step(CopierState(tape=(TapeEntry("H__", flip),), profile=ONE, registry=REG), "H__", U)
+    with refused:
+        negative_copy((TapeEntry("H__", flip),))

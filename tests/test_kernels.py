@@ -9,6 +9,7 @@ lookups and the `step()` loop.
 
 import itertools
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -53,15 +54,17 @@ def _flat(kinds, cases):
     return kinds * len(PresentationCase) + cases
 
 
-def _walk_py(stick_tab, slot_codes, head, kinds, cases):
-    """The copier walk read straight off the stick table: (head, used, glued)."""
+def _walk_py(stick_tab, slot_codes, head, kinds, cases, cycles=0):
+    """The copier walk read straight off the stick table: (head, used,
+    glued), where `glued` holds the run-wide cycle of each glue and the
+    run had taken `cycles` draws before these."""
     n = len(slot_codes)
     flat = _flat(kinds, cases)
     glued = []
     pos = 0
     while pos < len(flat) and head < n:
         if stick_tab[slot_codes[head], flat[pos]] == 0:
-            glued.append(pos)
+            glued.append(cycles + pos)
             head += 1
         pos += 1
     return head, pos, glued
@@ -261,11 +264,21 @@ def _chunk_inputs(seed, n_slots=40, m=1200, reg=None):
     return slot_codes, kinds, cases
 
 
-def _both_walks(sparing, slot_codes, head, kinds, cases, reg=None):
+def _kernel_walk(seek, slot_codes, head, kinds, cases, cycles=0):
+    """The kernel's (head, used, glued), `glued` read back from the array
+    it appends to after a glue recorded before this chunk."""
+    glued = array("q", [-1])
+    flat = _flat(kinds, cases).tobytes()
+    new_head, used = kernels.copier_chunk(seek, bytes(slot_codes), head, flat, cycles, glued)
+    assert glued[0] == -1  # the earlier glue stays
+    return new_head, used, glued[1:].tolist()
+
+
+def _both_walks(sparing, slot_codes, head, kinds, cases, reg=None, cycles=0):
     """The loop oracle's and the kernel's (head, used, glued)."""
     rules = _rules(sparing, reg or default_registry())
-    got = kernels.copier_chunk(rules.seek, slot_codes, head, _flat(kinds, cases).tobytes())
-    return _walk_py(rules.stick, slot_codes, head, kinds, cases), got
+    got = _kernel_walk(rules.seek, slot_codes, head, kinds, cases, cycles)
+    return _walk_py(rules.stick, slot_codes, head, kinds, cases, cycles), got
 
 
 @pytest.mark.parametrize("reg", REGISTRIES, ids=_kinds_id)
@@ -288,14 +301,13 @@ def test_copier_chunk_resumes_mid_tape():
     whole, _ = _both_walks(Sparing.BOTH_SIDES, slot_codes, 0, kinds, cases)
     # split the draw stream in two; the head carries across the boundary
     cut = 40
-    _, (head, used, first) = _both_walks(
-        Sparing.BOTH_SIDES, slot_codes, 0, kinds[:cut], cases[:cut]
-    )
+    seek = _rules(Sparing.BOTH_SIDES, default_registry()).seek
+    codes, flat = bytes(slot_codes), _flat(kinds, cases).tobytes()
+    glued = array("q")  # one array across both calls, as `run_copy` keeps it
+    head, used = kernels.copier_chunk(seek, codes, 0, flat[:cut], 0, glued)
     assert 0 < head < n and used == cut
-    _, (head, rest, second) = _both_walks(
-        Sparing.BOTH_SIDES, slot_codes, head, kinds[cut:], cases[cut:]
-    )
-    assert (head, cut + rest, first + [cut + p for p in second]) == whole
+    head, rest = kernels.copier_chunk(seek, codes, head, flat[cut:], cut, glued)
+    assert (head, cut + rest, glued.tolist()) == whole
 
 
 def _seeded_stream(seed, chunks):
@@ -344,6 +356,58 @@ def test_stick_log_matches_table_lookup(sparing, forced):
     assert state.done and run.output == tuple(state.output)
     assert run.mutations == tuple(i for i, o in enumerate(accepted) if o.mutation)
     assert stick_log == [o.stickout for o in state.cycle_log]
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["seeded", "forced"])
+@pytest.mark.parametrize("sparing", list(Sparing), ids=lambda s: s.value)
+def test_kernel_calls_account_for_every_cycle_of_a_copy(monkeypatch, sparing, forced):
+    """What a tracer reads off the kernel: the second items of its returns
+    sum to the copy's cycles, and each glue cycle it records is a draw
+    with stick-out 0."""
+    reg = default_registry()
+    slot_codes = np.random.default_rng(8).integers(0, 12, size=600).tolist()
+    tape = tuple(_rules(sparing, reg).entries[c] for c in slot_codes)
+    calls = []
+    walk = kernels.copier_chunk
+
+    def recorded(seek, codes, head, flat, cycles, glued):
+        calls.append((cycles, walk(seek, codes, head, flat, cycles, glued), glued))
+        return calls[-1][1]
+
+    monkeypatch.setattr(kernels, "copier_chunk", recorded)
+    if forced:
+        kinds, cases = _seeded_stream(4, chunks=6)
+        feed = [(reg.kinds[k], PresentationCase(int(c))) for k, c in zip(kinds, cases)]
+        run = run_copy(tape, SubunitProfile(sparing), feed=feed)
+    else:
+        run = run_copy(tape, SubunitProfile(sparing), seed=4)
+    used = [r[1] for _, r, _ in calls]
+    assert len(calls) > 1 and sum(used) == run.cycles
+    # each call starts its cycles where the calls before it ended
+    assert [c for c, _, _ in calls] == list(itertools.accumulate(used[:-1], initial=0))
+    glued = calls[-1][2]  # one array, shared by every call
+    assert all(g is glued for _, _, g in calls)
+    ends = np.array(glued.tolist()[1:])
+    assert len(ends) == len(tape) and ends[-1] == run.cycles - 1
+    assert np.all(np.diff(ends) > 0) and not run.stickout_log[ends].any()
+
+
+def test_long_copy_peak_memory():
+    """A 4096-slot copy's scratch stays small next to its draws: the flat
+    uint16 stick-out index and the bytes of slot codes and glue cycles
+    keep the tracemalloc peak well under the 663 KiB of a 2-D gather."""
+    rng = np.random.default_rng(17)
+    reg = default_registry()
+    tape = tuple(_rules(Sparing.ONE_SIDE, reg).entries[rng.integers(0, 12, size=4096)])
+    run_copy(tape[:8], seed=1)  # rule tables and lazy numpy state, outside the peak
+    tracemalloc.start()
+    try:
+        run = run_copy(tape, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.cycles > 16 * FEED_CHUNK  # about 80k draws
+    assert peak < 560 * 1024
 
 
 def test_tables_built_once_and_read_only():
@@ -408,13 +472,14 @@ ORACLE_CASES = dict(
     m=st.integers(0, 300),
     mode=st.sampled_from(["uniform", "reject_only", "dense"]),
     seed=st.integers(0, 2**32 - 1),
+    cycles=st.integers(0, 2**40),  # the draws the run took before this chunk
 )
 DEFAULT, WIDEST = REGISTRIES[0], REGISTRIES[-1]
 
 
-def _case(sparing, reg, **rest):
+def _case(sparing, reg, cycles=0, **rest):
     """One explicit case of `ORACLE_CASES`, as a hypothesis example."""
-    return example(sparing=sparing, reg=reg, **rest)
+    return example(sparing=sparing, reg=reg, cycles=cycles, **rest)
 
 
 @settings(max_examples=300, deadline=None)
@@ -425,10 +490,11 @@ def _case(sparing, reg, **rest):
 @_case(Sparing.ONE_SIDE, DEFAULT, n=3, head_frac=0.0, m=200, mode="uniform", seed=2)
 @_case(Sparing.ONE_SIDE, DEFAULT, n=7, head_frac=0.3, m=80, mode="reject_only", seed=3)
 @_case(Sparing.BOTH_SIDES, WIDEST, n=24, head_frac=0.0, m=300, mode="dense", seed=4)
-def test_copier_chunk_matches_loop_oracle(sparing, reg, n, head_frac, m, mode, seed):
+@_case(Sparing.BOTH_SIDES, DEFAULT, 81_927, n=9, head_frac=0.2, m=120, mode="dense", seed=6)
+def test_copier_chunk_matches_loop_oracle(sparing, reg, n, head_frac, m, mode, seed, cycles):
     rules = _rules(sparing, reg)
     slot_codes, head, kinds, cases = _oracle_inputs(rules, n, head_frac, m, mode, seed)
-    want, got = _both_walks(sparing, slot_codes, head, kinds, cases, reg)
+    want, got = _both_walks(sparing, slot_codes, head, kinds, cases, reg, cycles)
     assert got == want
 
 
@@ -447,20 +513,19 @@ class _CountingSearch:
 @given(**ORACLE_CASES)
 @_case(Sparing.ONE_SIDE, DEFAULT, n=4, head_frac=1.0, m=30, mode="uniform", seed=0)
 @_case(Sparing.BOTH_SIDES, WIDEST, n=3, head_frac=0.0, m=300, mode="dense", seed=5)
-def test_copier_chunk_searches_once_per_glue(sparing, reg, n, head_frac, m, mode, seed):
+def test_copier_chunk_searches_once_per_glue(sparing, reg, n, head_frac, m, mode, seed, cycles):
     rules = _rules(sparing, reg)
     slot_codes, head, kinds, cases = _oracle_inputs(rules, n, head_frac, m, mode, seed)
     calls = []
     seek = [_CountingSearch(p, calls) for p in rules.seek]
-    flat = _flat(kinds, cases).tobytes()
-    new_head, used, glued = kernels.copier_chunk(seek, slot_codes, head, flat)
+    new_head, used, glued = _kernel_walk(seek, slot_codes, head, kinds, cases, cycles)
     if head >= n:
         assert calls == [] and (new_head, used, glued) == (head, 0, [])
     else:
         # one search per glue, plus the one that finds none when the chunk
         # ends before the tape is finished
         assert len(calls) == len(glued) + (new_head < n)
-        assert calls == [0] + [p + 1 for p in glued][: len(calls) - 1]
+        assert calls == [0] + [p - cycles + 1 for p in glued][: len(calls) - 1]
 
 
 def test_copier_chunk_stops_where_the_tape_is_finished():
