@@ -116,7 +116,11 @@ def _load_tape_file(path: str):
     from .encoding import tape_from_json_dict, tape_from_kinds
 
     if p.suffix == ".json":
-        return tape_from_json_dict(json.loads(text))
+        try:
+            raw = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"{path} nests JSON too deeply to read") from None
+        return tape_from_json_dict(raw)
     from .mdl import parse_mdl
 
     return tape_from_kinds(t.canonical for t in parse_mdl(text))
@@ -184,18 +188,18 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    import dataclasses
+
     from .kinematics import run_scenario, trace_to_json_dict
 
-    trace = run_scenario(
-        args.name, length=args.length, ticks=args.ticks, seed=args.seed
-    )
-    full = trace_to_json_dict(trace)
+    trace = run_scenario(args.name, length=args.length, ticks=args.ticks, seed=args.seed)
     if args.trace_out:
-        Path(args.trace_out).write_text(
-            json.dumps(full, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    summary = {k: v for k, v in full.items() if k != "frames"}
-    summary["frame_count"] = len(full["frames"])
+        with Path(args.trace_out).open("w", encoding="utf-8") as fh:
+            json.dump(trace_to_json_dict(trace), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    summary = trace_to_json_dict(dataclasses.replace(trace, frames=()))
+    del summary["frames"]
+    summary["frame_count"] = len(trace.frames)
     _emit(summary)
     return 0
 

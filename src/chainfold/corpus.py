@@ -53,7 +53,11 @@ class Fixture:
 def load_manifest(directory: str | Path | None = None) -> dict[str, Fixture]:
     """The fixtures of `directory/manifest.json`; ValueError on another shape."""
     d = Path(directory) if directory is not None else fixtures_dir()
-    raw = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
+    manifest = d / "manifest.json"
+    try:
+        raw = json.loads(manifest.read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{manifest} nests JSON too deeply to read") from None
     items = raw.get("fixtures") if isinstance(raw, dict) else None
     if not isinstance(items, list):
         raise ValueError('a fixture manifest must be a JSON object with a "fixtures" list')
@@ -64,15 +68,13 @@ def load_manifest(directory: str | Path | None = None) -> dict[str, Fixture]:
             raise ValueError(
                 f'manifest entry {i} must be an object with a string "id" and "file"'
             )
-        if not isinstance(item.get("expected", {}), dict):
-            raise ValueError(f'manifest entry {i} has an "expected" that is not an object')
-        _check_tags(i, item.get("expected", {}).get("tags", {}))
+        _check_expectations(i, item)
         path = d / item["file"]
         fx = Fixture(
             id=item["id"],
             path=path,
             mdl=path.read_text(encoding="utf-8"),
-            curated=bool(item.get("curated", False)),
+            curated=item.get("curated", False),
             note=item.get("note"),
             expected=item.get("expected", {}),
         )
@@ -82,6 +84,22 @@ def load_manifest(directory: str | Path | None = None) -> dict[str, Fixture]:
             raise ValueError(f"curated fixture {fx.id!r} has no correction note")
         out[fx.id] = fx
     return out
+
+
+def _check_expectations(i: int, item: dict) -> None:
+    """The types of the flags and expectations that loading and verification
+    read: a string "false" would count as curated, a string "5" as a wrong
+    token count."""
+    expected = item.get("expected", {})
+    if not isinstance(expected, dict):
+        raise ValueError(f'manifest entry {i} has an "expected" that is not an object')
+    for fields, key in ((item, "curated"), (expected, "collision_free")):
+        if not isinstance(fields.get(key, False), bool):
+            raise ValueError(f'manifest entry {i} has a "{key}" that is not true or false')
+    count = expected.get("token_count", 0)
+    if type(count) is not int or count < 0:
+        raise ValueError(f'manifest entry {i} has a "token_count" that is not an int >= 0')
+    _check_tags(i, expected.get("tags", {}))
 
 
 def _check_tags(i: int, tags) -> None:

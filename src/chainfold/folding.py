@@ -148,21 +148,23 @@ def fold(chain: Chain | str, permissive: bool = False) -> FoldedStructure:
     )
 
 
+_LR_SWAP = {"L": "R", "R": "L"}
+_HINGE_AND_LR_SWAP = {**_LR_SWAP, "H": "h", "h": "H"}
+
+
+def _swap_kinds(chain: Chain | str, swap: dict[str, str]) -> Chain:
+    return Chain(
+        tuple(Token(swap.get(t.kind, t.kind), t.params, t.offset) for t in _as_chain(chain))
+    )
+
+
 def swap_lr(chain: Chain | str) -> Chain:
     """Mirror a chain's handedness: every L becomes R and vice versa."""
-    chain = _as_chain(chain)
-    flip = {"L": "R", "R": "L"}
-    return Chain(
-        tuple(Token(flip.get(t.kind, t.kind), t.params, t.offset) for t in chain)
-    )
+    return _swap_kinds(chain, _LR_SWAP)
 
 
 def swap_hinges_and_lr(chain: Chain | str) -> Chain:
-    chain = _as_chain(chain)
-    flip = {"L": "R", "R": "L", "H": "h", "h": "H"}
-    return Chain(
-        tuple(Token(flip.get(t.kind, t.kind), t.params, t.offset) for t in chain)
-    )
+    return _swap_kinds(chain, _HINGE_AND_LR_SWAP)
 
 
 def bend_axis(structure: FoldedStructure, at_index: int) -> Cell:

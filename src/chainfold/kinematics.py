@@ -443,7 +443,9 @@ def run_scenario(
     """Simulate a named template and summarize what the tests assert on.
 
     The trace records mobile-block cells per tick. Periodicity is detected
-    on the repeatable world state (`_state_key`), never assumed.
+    on the repeatable world state (`_state_key`), never assumed. Stepping
+    stops at the first repeat; each later frame shares the cells of the
+    frame one period before it, and no event follows.
     """
     if ticks is not None and ticks < 0:
         raise ValueError(f"ticks must not be negative, got {ticks}")
@@ -457,18 +459,19 @@ def run_scenario(
     for t in range(total + 1):
         cells = {i: world.blocks[i].cell for i in mobile if i in world.blocks}
         frames.append(Frame(tick=world.time, cells=cells))
-        if period is None:
-            key = _state_key(world, cells)
-            if key in seen:
-                period = world.time - seen[key]
-                events.append(f"period {period} detected at tick {world.time}")
-            else:
-                seen[key] = world.time
+        key = _state_key(world, cells)
+        if key in seen:
+            period = world.time - seen[key]
+            events.append(f"period {period} detected at tick {world.time}")
+            break
+        seen[key] = world.time
         if t == total:
             break
         before, world = world, step_world(world)
         for i in sorted(before.blocks.keys() - world.blocks.keys()):
             events.append(f"block {i} dissolved at tick {before.time}")
+    for t in range(len(frames), total + 1):
+        frames.append(Frame(tick=t, cells=frames[t - period].cells))
 
     result: dict = {"name": name, "length": length}
     if name == "walker":

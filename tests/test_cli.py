@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import chainfold
+import kinematics_reference as reference
+from chainfold import kinematics
 from chainfold.cli import DEFAULT_SEED, main
 from chainfold.corpus import fixtures_dir
 
@@ -240,6 +242,15 @@ def test_copy_rejects_a_flip_that_is_not_a_boolean(capsys, tmp_path):
     assert err == 'chainfold: tape entry 0 has a "flipped" that is not true or false\n'
 
 
+def test_copy_of_a_deeply_nested_json_tape_exits_one(capsys, tmp_path):
+    # the JSON decoder raises RecursionError, which used to escape as a traceback
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "copy", "--tape", str(p))
+    assert code == 1 and out == ""
+    assert err == f"chainfold: {p} nests JSON too deeply to read\n"
+
+
 def test_copy_unknown_kind_message_has_no_key_error_quotes(capsys, tmp_path):
     p = tmp_path / "unknown.json"
     p.write_text(json.dumps({"entries": [{"kind": "a"}]}))
@@ -268,6 +279,31 @@ def test_corpus_fixtures_that_are_a_file_exit_one(capsys):
             {"fixtures": [{"id": "x", "file": "x.mdl", "expected": 5}]},
             'manifest entry 0 has an "expected" that is not an object',
         ),
+        # "false" is truthy, so it used to count as curated
+        (
+            {"fixtures": [{"id": "x", "file": "x.mdl", "curated": "false"}]},
+            'manifest entry 0 has a "curated" that is not true or false',
+        ),
+        (
+            {"fixtures": [{"id": "x", "file": "x.mdl", "expected": {"collision_free": "true"}}]},
+            'manifest entry 0 has a "collision_free" that is not true or false',
+        ),
+        (
+            {"fixtures": [{"id": "x", "file": "x.mdl", "expected": {"collision_free": 1}}]},
+            'manifest entry 0 has a "collision_free" that is not true or false',
+        ),
+        (
+            {"fixtures": [{"id": "x", "file": "x.mdl", "expected": {"token_count": "5"}}]},
+            'manifest entry 0 has a "token_count" that is not an int >= 0',
+        ),
+        (
+            {"fixtures": [{"id": "x", "file": "x.mdl", "expected": {"token_count": -1}}]},
+            'manifest entry 0 has a "token_count" that is not an int >= 0',
+        ),
+        (
+            {"fixtures": [{"id": "x", "file": "x.mdl", "expected": {"token_count": True}}]},
+            'manifest entry 0 has a "token_count" that is not an int >= 0',
+        ),
     ],
 )
 def test_corpus_malformed_manifest_exits_one(capsys, tmp_path, command, manifest, message):
@@ -275,6 +311,14 @@ def test_corpus_malformed_manifest_exits_one(capsys, tmp_path, command, manifest
     code, out, err = run_cli(capsys, "corpus", command, "--fixtures", str(tmp_path))
     assert code == 1 and out == ""
     assert err == f"chainfold: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_corpus_deeply_nested_manifest_exits_one(capsys, tmp_path, command):
+    (tmp_path / "manifest.json").write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "corpus", command, "--fixtures", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"chainfold: {tmp_path / 'manifest.json'} nests JSON too deeply to read\n"
 
 
 HELIX_MESSAGE = (
@@ -354,6 +398,45 @@ def test_scenario_summary_and_trace_file(capsys, tmp_path):
     assert summary["period"] == 10
     full = json.loads(trace_path.read_text())
     assert len(full["frames"]) == 41
+
+
+@pytest.mark.parametrize("ticks", [None, 0, 9])
+@pytest.mark.parametrize("length", [8, 32])
+@pytest.mark.parametrize("name", kinematics.SCENARIO_NAMES)
+def test_scenario_output_matches_the_reference_loop(capsys, tmp_path, name, length, ticks):
+    trace_path = tmp_path / "trace.json"
+    argv = ["scenario", "--name", name, "--length", str(length), "--trace-out", str(trace_path)]
+    if ticks is not None:
+        argv += ["--ticks", str(ticks)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    full = kinematics.trace_to_json_dict(
+        reference.run_scenario(name, length, ticks=ticks, seed=DEFAULT_SEED)
+    )
+    written = trace_path.read_text(encoding="utf-8")
+    assert written == json.dumps(full, indent=2, sort_keys=True) + "\n"
+    summary = {k: v for k, v in full.items() if k != "frames"}
+    summary["frame_count"] = len(full["frames"])
+    assert out == json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("trace_out", [False, True])
+def test_scenario_builds_frame_dicts_only_for_a_trace_file(
+    capsys, tmp_path, monkeypatch, trace_out
+):
+    seen, real = [], kinematics.trace_to_json_dict
+
+    def spy(trace):
+        seen.append(len(trace.frames))
+        return real(trace)
+
+    monkeypatch.setattr(kinematics, "trace_to_json_dict", spy)
+    argv = ["scenario", "--name", "shuttle", "--length", "16"]
+    if trace_out:
+        argv += ["--trace-out", str(tmp_path / "trace.json")]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["frame_count"] == 221
+    assert sorted(seen) == ([0, 221] if trace_out else [0])
 
 
 def test_scenario_unknown_name_exits_two(capsys):
@@ -499,6 +582,12 @@ def _chainfold_modules_after(*argv: str) -> set[str]:
 
 def test_importing_the_cli_loads_no_other_chainfold_module():
     assert _chainfold_modules_after() == CLI_ONLY
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    # `scenario` imports it when it runs; every other command's start-up skips it
+    script = "import sys, chainfold.cli; print('dataclasses' in sys.modules)"
+    assert _run_fresh(script) == "False\n"
 
 
 @pytest.mark.parametrize(

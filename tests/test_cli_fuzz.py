@@ -31,6 +31,8 @@ def files(tmp_path_factory):
     (d / "bad_tags" / "x.mdl").write_text("b_H_b_b_b_")
     helix = {"id": "x", "file": "x.mdl", "expected": {"tags": {"helix": 1}}}
     (d / "bad_tags" / "manifest.json").write_text(json.dumps({"fixtures": [helix]}))
+    (d / "deep_manifest").mkdir()
+    (d / "deep_manifest" / "manifest.json").write_text("[" * 100_000)
     written = {
         "bad_entries.json": json.dumps({"entries": [["zz", True]]}),
         "unknown_kind.json": json.dumps({"entries": [{"kind": "a"}]}),
@@ -38,6 +40,7 @@ def files(tmp_path_factory):
         "empty_tape.json": json.dumps({"entries": []}),
         "list.json": "[]",
         "broken.json": "{",
+        "deep.json": "[" * 100_000,
         "tape.mdl": "G0_H__L__b__",
         "loop9.mdl": "b_H_b_H_b_H_b_H_b_",
         "bad.mdl": "b_Q_b_",
@@ -57,6 +60,7 @@ def files(tmp_path_factory):
             d / "empty",
             d / "bad_manifest",
             d / "bad_tags",
+            d / "deep_manifest",
             d / "missing.json",
             d / "missing.mdl",
         )

@@ -8,6 +8,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import kinematics_reference as reference
+from chainfold import kinematics
 from chainfold.corpus import load_fixture, load_manifest
 from chainfold.folding import CollisionError, fold
 from chainfold.geometry import add, apply, bounding_box, rotation_group, sub
@@ -773,13 +774,38 @@ def test_drawn_worlds_reach_every_action_the_tick_takes_or_refuses():
     assert set(hits) == _CASES
 
 
+# the tick at which each template finds its period at length 8; the
+# retainer's payload keeps rising once the carriage parks, so it never repeats
+PERIOD_FOUND_AT = {"walker": 56, "shuttle": 10, "retainer": None}
+
+
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_run_scenario_matches_the_reference_loop(name):
     for length in sorted({MIN_LENGTH[name], 8, 13, 32, 128}):
         assert run_scenario(name, length) == reference.run_scenario(name, length)
-    for ticks in (0, 1, 9):
+    found = PERIOD_FOUND_AT[name]
+    around = () if found is None else (found - 1, found, found + 1)
+    past_default = build_scenario(name, 8)[1]["default_ticks"] + 50
+    for ticks in (0, 1, 9, *around, past_default):
         ours = run_scenario(name, 8, ticks=ticks, seed=3)
         assert ours == reference.run_scenario(name, 8, ticks=ticks, seed=3)
+    events = reference.run_scenario(name, 8, ticks=past_default).events
+    detected = [int(e.rsplit(" ", 1)[1]) for e in events if e.startswith("period")]
+    assert detected == ([] if found is None else [found])
+
+
+@pytest.mark.parametrize("name,steps", [("shuttle", 10), ("walker", 56), ("retainer", 120)])
+def test_run_scenario_steps_only_up_to_its_first_repeated_state(monkeypatch, name, steps):
+    calls = []
+
+    def counted(world):
+        calls.append(world.time)
+        return step_world(world)
+
+    monkeypatch.setattr(kinematics, "step_world", counted)
+    trace = run_scenario(name, 8)
+    assert len(calls) == steps
+    assert len(trace.frames) == build_scenario(name, 8)[1]["default_ticks"] + 1
 
 
 # --- pinned outputs -----------------------------------------------------------
