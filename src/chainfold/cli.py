@@ -188,19 +188,13 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    import dataclasses
-
-    from .kinematics import run_scenario, trace_to_json_dict
+    from .kinematics import run_scenario, trace_summary, write_trace
 
     trace = run_scenario(args.name, length=args.length, ticks=args.ticks, seed=args.seed)
     if args.trace_out:
         with Path(args.trace_out).open("w", encoding="utf-8") as fh:
-            json.dump(trace_to_json_dict(trace), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    summary = trace_to_json_dict(dataclasses.replace(trace, frames=()))
-    del summary["frames"]
-    summary["frame_count"] = len(trace.frames)
-    _emit(summary)
+            write_trace(trace, fh)
+    _emit(trace_summary(trace))
     return 0
 
 

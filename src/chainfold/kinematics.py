@@ -22,6 +22,7 @@ as the actions before them left them. Folds and pushes share one rule,
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 from .errors import KinematicsError
@@ -496,11 +497,10 @@ def run_scenario(
             positions=xs,
         )
     else:
-        spans = [
-            (min(c[0] for i, c in f.cells.items() if i in meta["car_ids"]),
-             max(c[0] for i, c in f.cells.items() if i in meta["car_ids"]))
-            for f in frames
-        ]
+        maps = {id(f.cells): f.cells for f in frames}  # replayed frames share theirs
+        xs = {k: [c[0] for i, c in m.items() if i in meta["car_ids"]] for k, m in maps.items()}
+        span = {k: (min(v), max(v)) for k, v in xs.items()}
+        spans = [span[id(f.cells)] for f in frames]
         result.update(
             left_end=meta["left_end"],
             right_end=meta["right_end"],
@@ -520,7 +520,8 @@ def run_scenario(
     )
 
 
-def trace_to_json_dict(trace: ScenarioTrace) -> dict:
+def _trace_json(trace: ScenarioTrace, **frames) -> dict:
+    """A trace's JSON fields, `frames` standing for the frames, minus the per-tick results."""
     return {
         "name": trace.name,
         "length": trace.length,
@@ -528,11 +529,26 @@ def trace_to_json_dict(trace: ScenarioTrace) -> dict:
         "ticks": trace.ticks,
         "period": trace.period,
         "events": list(trace.events),
-        "frames": [
-            {"tick": f.tick, "cells": {str(i): list(c) for i, c in f.cells.items()}}
-            for f in trace.frames
-        ],
+        **frames,
         "result": {
             k: v for k, v in trace.result.items() if k not in ("positions", "rises", "spans")
         },
     }
+
+
+def trace_to_json_dict(trace: ScenarioTrace) -> dict:
+    frames = [
+        {"tick": f.tick, "cells": {str(i): list(c) for i, c in f.cells.items()}}
+        for f in trace.frames
+    ]
+    return _trace_json(trace, frames=frames)
+
+
+def trace_summary(trace: ScenarioTrace) -> dict:
+    return _trace_json(trace, frame_count=len(trace.frames))
+
+
+def write_trace(trace: ScenarioTrace, fh) -> None:
+    """Write `trace_to_json_dict(trace)` into `fh` as sorted 2-space JSON and a newline."""
+    json.dump(trace_to_json_dict(trace), fh, indent=2, sort_keys=True)
+    fh.write("\n")

@@ -133,6 +133,44 @@ def test_corpus_verify_of_an_empty_corpus(capsys, tmp_path):
     assert (code, json.loads(out)) == (0, {"fixtures": {}})
 
 
+@pytest.fixture()
+def three_fixtures(tmp_path):
+    """A fixture directory whose manifest lists the first three bundled fixtures."""
+    bundled = Path(chainfold.__file__).parent / "fixtures"
+    entries = json.loads((bundled / "manifest.json").read_text())["fixtures"][:3]
+    for e in entries:
+        shutil.copy(bundled / e["file"], tmp_path / e["file"])
+    (tmp_path / "manifest.json").write_text(json.dumps({"fixtures": entries}))
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "env,flag,last_line",
+    [
+        ("three", None, "3/3 fixtures pass"),
+        ("missing", "three", "3/3 fixtures pass"),  # --fixtures wins
+        ("", None, "48/48 fixtures pass"),  # an empty value keeps the bundled ones
+    ],
+)
+def test_corpus_fixtures_environment_knob(
+    capsys, monkeypatch, tmp_path, three_fixtures, env, flag, last_line
+):
+    dirs = {"three": three_fixtures, "missing": str(tmp_path / "missing"), "": ""}
+    monkeypatch.setenv("CHAINFOLD_FIXTURES", dirs[env])
+    argv = ["corpus", "verify"] + (["--fixtures", dirs[flag]] if flag else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out.splitlines()[-1], err) == (0, last_line, "")
+
+
+def test_corpus_fixtures_environment_knob_naming_a_missing_directory_exits_one(
+    capsys, monkeypatch, tmp_path
+):
+    monkeypatch.setenv("CHAINFOLD_FIXTURES", str(tmp_path / "missing"))
+    code, out, err = run_cli(capsys, "corpus", "verify")
+    assert (code, out) == (1, "")
+    assert err.startswith("chainfold: ") and err.count("\n") == 1 and "missing" in err
+
+
 @pytest.mark.parametrize(
     "partner,report",
     [
@@ -400,10 +438,22 @@ def test_scenario_summary_and_trace_file(capsys, tmp_path):
     assert len(full["frames"]) == 41
 
 
-@pytest.mark.parametrize("ticks", [None, 0, 9])
-@pytest.mark.parametrize("length", [8, 32])
-@pytest.mark.parametrize("name", kinematics.SCENARIO_NAMES)
+@pytest.mark.parametrize(
+    "name,length,ticks",
+    [
+        (name, length, ticks)
+        for name in kinematics.SCENARIO_NAMES
+        for length, ticks in [
+            (kinematics._MIN_LENGTH[name], None),
+            (8, None), (8, 0), (8, 1), (8, 9), (8, "default+50"),
+            (32, None), (32, 0), (32, 9),
+            (128, None),
+        ]
+    ],
+)
 def test_scenario_output_matches_the_reference_loop(capsys, tmp_path, name, length, ticks):
+    if ticks == "default+50":
+        ticks = kinematics.build_scenario(name, length)[1]["default_ticks"] + 50
     trace_path = tmp_path / "trace.json"
     argv = ["scenario", "--name", name, "--length", str(length), "--trace-out", str(trace_path)]
     if ticks is not None:
@@ -424,6 +474,7 @@ def test_scenario_output_matches_the_reference_loop(capsys, tmp_path, name, leng
 def test_scenario_builds_frame_dicts_only_for_a_trace_file(
     capsys, tmp_path, monkeypatch, trace_out
 ):
+    # the summary counts the frames; `write_trace` builds the one full dict
     seen, real = [], kinematics.trace_to_json_dict
 
     def spy(trace):
@@ -436,7 +487,7 @@ def test_scenario_builds_frame_dicts_only_for_a_trace_file(
         argv += ["--trace-out", str(tmp_path / "trace.json")]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and json.loads(out)["frame_count"] == 221
-    assert sorted(seen) == ([0, 221] if trace_out else [0])
+    assert seen == ([221] if trace_out else [])
 
 
 def test_scenario_unknown_name_exits_two(capsys):
@@ -585,7 +636,7 @@ def test_importing_the_cli_loads_no_other_chainfold_module():
 
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():
-    # `scenario` imports it when it runs; every other command's start-up skips it
+    # `scenario` loads it with kinematics; every other command's start-up skips it
     script = "import sys, chainfold.cli; print('dataclasses' in sys.modules)"
     assert _run_fresh(script) == "False\n"
 

@@ -1,7 +1,8 @@
 """Every name a chainfold module imports is used (a stdlib stand-in for
 F401), every module-level `_private` name it defines is read in it, and
-every exception it defines is one the CLI maps to an exit status, and no
-module calls a BLAS-backed numpy routine.
+every exception it defines is one the CLI maps to an exit status, no
+module calls a BLAS-backed numpy routine, and the CLI leaves the trace's
+JSON layout to kinematics.
 
 An import kept on purpose, such as a re-export, carries `# noqa: F401` on
 its statement. A private helper that no line of its own module reads is
@@ -169,3 +170,33 @@ def test_the_check_sees_blas_routines():
         (2, "einsum"), (4, "numpy.linalg"), (5, "numpy.linalg"),
         (7, "@"), (8, "@"), (9, "dot"), (9, "linalg"),
     ]
+
+
+def _imported(source: str) -> set[str]:
+    """Top-level modules and names that any import statement binds, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add((node.module or "").split(".")[0])
+            found.update(a.name for a in node.names)
+    return found
+
+
+def test_the_cli_leaves_the_trace_layout_to_kinematics():
+    """Kinematics builds the summary and writes the trace file, so the CLI
+    needs neither `dataclasses` to blank a trace's frames nor the dict."""
+    source = (Path(chainfold.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    assert _imported(source) & {"dataclasses", "trace_to_json_dict"} == set()
+
+
+def test_the_check_sees_imports_inside_functions():
+    src = (
+        "import json\n"
+        "def run(trace):\n"
+        "    import dataclasses.x as dc\n"
+        "    from .kinematics import trace_to_json_dict\n"
+        "    from dataclasses import replace\n"
+    )
+    assert _imported(src) == {"json", "dataclasses", "kinematics", "trace_to_json_dict", "replace"}

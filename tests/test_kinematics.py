@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import time
 from dataclasses import replace
@@ -29,6 +30,7 @@ from chainfold.kinematics import (
     step_world,
     trace_to_json_dict,
     world_from_chain,
+    write_trace,
 )
 
 
@@ -810,8 +812,9 @@ def test_run_scenario_steps_only_up_to_its_first_repeated_state(monkeypatch, nam
 
 # --- pinned outputs -----------------------------------------------------------
 
-# SHA-256 of `scenario --trace-out` files: each template at its minimum
-# length and at 8, 13 and 32, run for its default number of ticks.
+# SHA-256 of `scenario --trace-out` files less their closing newline: each
+# template at its minimum length and at 8, 13 and 32, run for its default
+# number of ticks.
 TRACE_DIGESTS = {
     ("walker", 5): "5820058a031dbd165ad7ae28294ef2d18861e60a3e48c05aa7543d25eecd0288",
     ("walker", 8): "1da139dc32d651f8710d96af23c5d3ef056138214eb646a464b3ab02dbea1a15",
@@ -879,9 +882,9 @@ def test_scenario_template_matches_pinned_digest(name, length):
 
 @pytest.mark.parametrize("name,length", sorted(TRACE_DIGESTS))
 def test_scenario_trace_matches_pinned_digest(name, length):
-    text = json.dumps(
-        trace_to_json_dict(run_scenario(name, length=length)), indent=2, sort_keys=True
-    )
+    out = io.StringIO()
+    write_trace(run_scenario(name, length=length), out)
+    text = out.getvalue().removesuffix("\n")
     assert hashlib.sha256(text.encode()).hexdigest() == TRACE_DIGESTS[name, length]
 
 
