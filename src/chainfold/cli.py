@@ -2,8 +2,8 @@
 
 One executable, five subcommands, three exit codes: 0 success, 1 bad
 arguments or unreadable input, 2 domain errors (fold collisions, copy
-failures, unknown scenarios). JSON output is sorted and seeded so the
-same invocation is byte-identical run to run.
+failures, unknown scenarios); an interrupt exits 130. JSON output is
+sorted and seeded so the same invocation is byte-identical run to run.
 """
 
 from __future__ import annotations
@@ -214,11 +214,11 @@ def build_parser() -> _Parser:
     p_corpus = sub.add_parser("corpus", help="fixture corpus tools")
     corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
     p_verify = corpus_sub.add_parser("verify", help="re-check every fixture")
-    p_verify.add_argument("--fixtures", default=None, help="fixture directory override")
+    p_verify.add_argument("--fixtures", help="fixture directory (default: the bundled corpus)")
     p_verify.add_argument("--json", action="store_true", help="machine-readable report")
     p_verify.set_defaults(func=_cmd_corpus_verify)
     p_stats = corpus_sub.add_parser("stats", help="cross-machine statistics")
-    p_stats.add_argument("--fixtures", default=None)
+    p_stats.add_argument("--fixtures", help="fixture directory (default: the bundled corpus)")
     p_stats.set_defaults(func=_cmd_corpus_stats)
 
     p_copy = sub.add_parser("copy", help="run the randomized tape copier")
@@ -268,6 +268,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # MdlError and JSONDecodeError included
         sys.stderr.write(f"chainfold: {exc}\n")
         return 1
+    except KeyboardInterrupt:
+        sys.stderr.write("chainfold: interrupted\n")
+        return 130
 
 
 if __name__ == "__main__":

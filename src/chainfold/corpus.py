@@ -8,15 +8,12 @@ recorded expectations instead of trusting the manifest.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .folding import CollisionError, FoldedStructure, fold
 from .geometry import MIRROR_Z, apply, bounding_box, cross, dot, sub
 from .mdl import Chain, MdlError, parse_mdl
-
-ENV_FIXTURES = "CHAINFOLD_FIXTURES"
 
 # the builder's hand-made counterpart fills a 4 x 5 x 7 scaffold
 BUILD_VOLUME_BLOCKS = 140
@@ -26,9 +23,7 @@ GENOME_ROLES = ("copier", "decoder", "recycler", "sorter")
 
 
 def fixtures_dir() -> Path:
-    override = os.environ.get(ENV_FIXTURES)
-    if override:
-        return Path(override)
+    """The bundled corpus, which `directory=` and `--fixtures` replace."""
     return Path(__file__).parent / "fixtures"
 
 
@@ -185,10 +180,9 @@ def _mirrored_cells(structure: FoldedStructure) -> dict[int, tuple]:
     return {i: sub(c, lo) for i, c in raw.items()}
 
 
-def verify_fixture(
-    fixture: Fixture, corpus: dict[str, Fixture] | None = None
-) -> VerifyReport:
-    """Re-derive every recorded expectation; failures are reported, not raised."""
+def verify_fixture(fixture: Fixture, corpus: dict[str, Fixture]) -> VerifyReport:
+    """Re-derive every recorded expectation, reading a `mirror_of` partner
+    from `corpus`; failures are reported, not raised."""
     checks: list[Check] = []
     try:
         chain = parse_mdl(fixture.mdl)
@@ -228,9 +222,8 @@ def verify_fixture(
         checks.append(Check("sheet", ok, "coplanar" if ok else "not coplanar"))
     if "mirror_of" in tags:
         other_id = tags["mirror_of"]
-        others = corpus if corpus is not None else load_manifest(fixture.path.parent)
         try:
-            other = fold(others[other_id].chain)
+            other = fold(corpus[other_id].chain)
             ok = _mirrored_cells(other) == structure.cells_by_index()
             detail = f"z-mirror of {other_id}" if ok else f"differs from mirrored {other_id}"
         except (KeyError, MdlError, CollisionError) as exc:

@@ -100,10 +100,18 @@ class World:
 
     def __post_init__(self) -> None:
         cells: set[Cell] = set()
-        for b in self.blocks.values():
+        for key, b in self.blocks.items():
+            if key != b.id:
+                raise KinematicsError(f"block {b.id} is filed under key {key}")
             if b.cell in cells:
                 raise KinematicsError(f"two blocks share cell {b.cell}")
             cells.add(b.cell)
+        # the tick skips a fold that names no block, but has no turn for a non-hinge kind
+        kinds = {b.chain_index: b.kind for b in self.blocks.values()} if self.pending_folds else {}
+        for ev in self.pending_folds:
+            kind = kinds.get(ev.chain_index)
+            if kind is not None and kind not in TOKEN_ROTATIONS:
+                raise KinematicsError(f"fold at chain index {ev.chain_index} names a {kind} block")
         for a, b in self.bonds:
             if a not in self.blocks or b not in self.blocks:
                 problem = "names a missing block"
@@ -281,7 +289,7 @@ def step_world(world: World) -> World:
     still_pending: list[FoldEvent] = []
     for ev in sorted(world.pending_folds, key=lambda e: (e.due_tick, e.chain_index)):
         if ev.chain_index not in hinge_id:
-            continue  # hinge dissolved before it could fire
+            continue  # no block has this chain index
         if ev.due_tick > now:
             still_pending.append(ev)
         elif not _try_fold(blocks, occupancy, bonds, blocks[hinge_id[ev.chain_index]]):

@@ -144,29 +144,13 @@ def three_fixtures(tmp_path):
     return str(tmp_path)
 
 
-@pytest.mark.parametrize(
-    "env,flag,last_line",
-    [
-        ("three", None, "3/3 fixtures pass"),
-        ("missing", "three", "3/3 fixtures pass"),  # --fixtures wins
-        ("", None, "48/48 fixtures pass"),  # an empty value keeps the bundled ones
-    ],
-)
-def test_corpus_fixtures_environment_knob(
-    capsys, monkeypatch, tmp_path, three_fixtures, env, flag, last_line
-):
-    dirs = {"three": three_fixtures, "missing": str(tmp_path / "missing"), "": ""}
-    monkeypatch.setenv("CHAINFOLD_FIXTURES", dirs[env])
-    argv = ["corpus", "verify"] + (["--fixtures", dirs[flag]] if flag else [])
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, out.splitlines()[-1], err) == (0, last_line, "")
+def test_corpus_verify_reads_the_fixtures_directory(capsys, three_fixtures):
+    code, out, err = run_cli(capsys, "corpus", "verify", "--fixtures", three_fixtures)
+    assert (code, out.splitlines()[-1], err) == (0, "3/3 fixtures pass", "")
 
 
-def test_corpus_fixtures_environment_knob_naming_a_missing_directory_exits_one(
-    capsys, monkeypatch, tmp_path
-):
-    monkeypatch.setenv("CHAINFOLD_FIXTURES", str(tmp_path / "missing"))
-    code, out, err = run_cli(capsys, "corpus", "verify")
+def test_corpus_fixtures_naming_a_missing_directory_exits_one(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "corpus", "verify", "--fixtures", str(tmp_path / "missing"))
     assert (code, out) == (1, "")
     assert err.startswith("chainfold: ") and err.count("\n") == 1 and "missing" in err
 
@@ -420,6 +404,18 @@ def test_evolve_rejects_alphabet_beyond_three_character_fillers(capsys):
         "chainfold: alphabet of 300 entries needs fillers longer than 3 characters; "
         "at most 46 fit\n"
     )
+
+
+def test_an_interrupt_exits_130_with_one_line(capsys, monkeypatch):
+    # the interrupt arrives mid-command, as a SIGINT during the draws would
+    from chainfold import protoevolution
+
+    def interrupted(exp):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(protoevolution, "mhbbg_probability", interrupted)
+    code, out, err = run_cli(capsys, "evolve", "--trials", "100")
+    assert (code, out, err) == (130, "", "chainfold: interrupted\n")
 
 
 def test_scenario_summary_and_trace_file(capsys, tmp_path):

@@ -4,7 +4,6 @@ import shutil
 import pytest
 
 from chainfold.corpus import (
-    ENV_FIXTURES,
     GENOME_ROLES,
     corpus_stats,
     fixtures_dir,
@@ -192,12 +191,10 @@ def test_verify_reads_collisions_from_one_permissive_fold(tmp_path):
     assert reports["loop_False"].ok and not reports["loop_True"].ok
 
 
-def test_env_var_overrides_fixture_directory(tmp_path, monkeypatch):
+def test_load_fixture_reads_the_named_directory(tmp_path):
     shutil.copytree(fixtures_dir(), tmp_path / "alt")
     (tmp_path / "alt" / "fig4a.mdl").write_text("b_b_\n")
-    monkeypatch.setenv(ENV_FIXTURES, str(tmp_path / "alt"))
-    assert len(load_fixture("fig4a").chain) == 2
-    monkeypatch.delenv(ENV_FIXTURES)
+    assert len(load_fixture("fig4a", directory=tmp_path / "alt").chain) == 2
     assert len(load_fixture("fig4a").chain) == 5
 
 

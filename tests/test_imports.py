@@ -1,8 +1,8 @@
 """Every name a chainfold module imports is used (a stdlib stand-in for
 F401), every module-level `_private` name it defines is read in it, and
 every exception it defines is one the CLI maps to an exit status, no
-module calls a BLAS-backed numpy routine, and the CLI leaves the trace's
-JSON layout to kinematics.
+module calls a BLAS-backed numpy routine, the CLI leaves the trace's
+JSON layout to kinematics, and only the CLI reads the environment.
 
 An import kept on purpose, such as a re-export, carries `# noqa: F401` on
 its statement. A private helper that no line of its own module reads is
@@ -200,3 +200,34 @@ def test_the_check_sees_imports_inside_functions():
         "    from dataclasses import replace\n"
     )
     assert _imported(src) == {"json", "dataclasses", "kinematics", "trace_to_json_dict", "replace"}
+
+
+def _environment_reads(source: str) -> list[tuple[int, str]]:
+    """`os.environ`, `os.getenv` and `from os import environ` or `getenv`, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, a.name) for a in node.names if a.name in ("environ", "getenv")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name
+)
+def test_only_the_cli_reads_the_environment(path):
+    """A library call's result depends only on its arguments; the fixture
+    directory, for one, is `directory=` or the bundled corpus."""
+    assert _environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_environment_reads():
+    src = (
+        "import os\n"
+        "from os import environ\n"
+        "def run():\n"
+        "    return os.environ.get('X'), os.getenv('Y'), os.path.sep\n"
+    )
+    assert _environment_reads(src) == [(2, "environ"), (4, "os.environ"), (4, "os.getenv")]

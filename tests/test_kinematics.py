@@ -281,6 +281,17 @@ def test_world_rejects_shared_cells_and_bad_bonds():
         _world([a, far], bonds=[(0, 1)])
     with pytest.raises(KinematicsError, match="^bond 0-7 names a missing block$"):
         _world([a], bonds=[(0, 7)])
+    one = BlockInstance(id=1, kind="b", cell=(1, 0, 0))
+    with pytest.raises(KinematicsError, match="^block 5 is filed under key 0$"):
+        World(blocks={0: _mover(5, (0, 0, 0), face=0), 1: one}, bonds=frozenset())
+    with pytest.raises(KinematicsError, match="^block 3 is filed under key 7$"):
+        three = BlockInstance(id=3, kind="b", cell=(0, 0, 0))
+        World(blocks={7: three, 3: replace(three, cell=(1, 0, 0))}, bonds=frozenset())
+    stiff = BlockInstance(id=1, kind="b", cell=(1, 0, 0), chain_index=1)
+    with pytest.raises(KinematicsError, match="^fold at chain index 1 names a b block$"):
+        World(blocks={0: a, 1: stiff}, bonds=frozenset(), pending_folds=(FoldEvent(1, 0),))
+    # a fold that names no block stays legal: the tick skips it
+    World(blocks={0: a, 1: stiff}, bonds=frozenset(), pending_folds=(FoldEvent(2, 0),))
 
 
 def test_face_vectors_are_axis_unit_pairs():
@@ -640,7 +651,7 @@ def _full_key_trace(name, length):
 def test_period_key_of_movable_blocks_matches_full_key(name):
     # anchored blocks never change cell, so leaving them out of the key
     # must find the same period at the same tick
-    for length in sorted({MIN_LENGTH[name], 6, 8, 11, 16, 23, 32, 47, 64}):
+    for length in sorted({kinematics._MIN_LENGTH[name], 6, 8, 11, 16, 23, 32, 47, 64}):
         trace = run_scenario(name, length=length)
         frames = [(f.tick, f.cells) for f in trace.frames]
         assert (frames, list(trace.events), trace.period) == _full_key_trace(name, length)
@@ -783,7 +794,7 @@ PERIOD_FOUND_AT = {"walker": 56, "shuttle": 10, "retainer": None}
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_run_scenario_matches_the_reference_loop(name):
-    for length in sorted({MIN_LENGTH[name], 8, 13, 32, 128}):
+    for length in sorted({kinematics._MIN_LENGTH[name], 8, 13, 32, 128}):
         assert run_scenario(name, length) == reference.run_scenario(name, length)
     found = PERIOD_FOUND_AT[name]
     around = () if found is None else (found - 1, found, found + 1)
@@ -794,20 +805,6 @@ def test_run_scenario_matches_the_reference_loop(name):
     events = reference.run_scenario(name, 8, ticks=past_default).events
     detected = [int(e.rsplit(" ", 1)[1]) for e in events if e.startswith("period")]
     assert detected == ([] if found is None else [found])
-
-
-@pytest.mark.parametrize("name,steps", [("shuttle", 10), ("walker", 56), ("retainer", 120)])
-def test_run_scenario_steps_only_up_to_its_first_repeated_state(monkeypatch, name, steps):
-    calls = []
-
-    def counted(world):
-        calls.append(world.time)
-        return step_world(world)
-
-    monkeypatch.setattr(kinematics, "step_world", counted)
-    trace = run_scenario(name, 8)
-    assert len(calls) == steps
-    assert len(trace.frames) == build_scenario(name, 8)[1]["default_ticks"] + 1
 
 
 # --- pinned outputs -----------------------------------------------------------
@@ -862,7 +859,6 @@ TEMPLATE_DIGESTS = {
     ("retainer", 13): "f5c42f25a0423b38435e82edfdf34e2cd72699940b2115a21349db627b86f2bd",
     ("retainer", 32): "8cfbef9473e4ea708f3ce2007a120f0ef47e0691be26b17f05615e2b6ad84934",
 }
-MIN_LENGTH = {"walker": 5, "shuttle": 3, "retainer": 4}
 
 
 @pytest.mark.parametrize("name,length", sorted(TEMPLATE_DIGESTS))
@@ -875,7 +871,7 @@ def test_scenario_template_matches_pinned_digest(name, length):
     ]
     bonds = sorted(sorted(p) for p in world.bonds)
     with pytest.raises(KinematicsError) as too_short:
-        build_scenario(name, length=MIN_LENGTH[name] - 1)
+        build_scenario(name, length=kinematics._MIN_LENGTH[name] - 1)
     text = json.dumps([blocks, bonds, str(too_short.value)])
     assert hashlib.sha256(text.encode()).hexdigest() == TEMPLATE_DIGESTS[name, length]
 
