@@ -142,7 +142,6 @@ class CopyRun:
     cycles: int
     mutations: tuple[int, ...]
     stickout_log: np.ndarray
-    seed: object
     sparing: Sparing
     backend: str
 
@@ -301,7 +300,6 @@ def run_copy(
         cycles=cycles,
         mutations=tuple(np.flatnonzero(mut).tolist()),
         stickout_log=rules.stick.ravel()[met],
-        seed=seed if feed is None else None,
         sparing=profile.sparing,
         backend=kernels.active_backend(),
     )

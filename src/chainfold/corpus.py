@@ -30,7 +30,6 @@ def fixtures_dir() -> Path:
 @dataclass(frozen=True)
 class Fixture:
     id: str
-    path: Path
     mdl: str
     curated: bool
     note: str | None
@@ -64,11 +63,9 @@ def load_manifest(directory: str | Path | None = None) -> dict[str, Fixture]:
                 f'manifest entry {i} must be an object with a string "id" and "file"'
             )
         _check_expectations(i, item)
-        path = d / item["file"]
         fx = Fixture(
             id=item["id"],
-            path=path,
-            mdl=path.read_text(encoding="utf-8"),
+            mdl=(d / item["file"]).read_text(encoding="utf-8"),
             curated=item.get("curated", False),
             note=item.get("note"),
             expected=item.get("expected", {}),

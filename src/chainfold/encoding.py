@@ -154,13 +154,20 @@ class TypeRegistry:
 
     @classmethod
     def from_json(cls, text: str) -> "TypeRegistry":
-        raw = json.loads(text)
-        return cls(
-            {
-                kind: (entry["role"], MarkingPattern.from_string(entry["pattern"]))
-                for kind, entry in raw.items()
-            }
-        )
+        """A registry in `to_json`'s layout; ValueError on another shape."""
+        try:
+            raw = json.loads(text)
+        except RecursionError:
+            raise ValueError("a type registry nests JSON too deeply to read") from None
+        if not isinstance(raw, dict):
+            raise ValueError("a type registry must be a JSON object keyed by kind")
+        assignment = {}
+        for kind, entry in raw.items():
+            fields = entry if isinstance(entry, dict) else {}
+            if not all(isinstance(fields.get(k), str) for k in ("role", "pattern")):
+                raise ValueError(f'registry kind {kind!r} needs a string "role" and "pattern"')
+            assignment[kind] = (entry["role"], MarkingPattern.from_string(entry["pattern"]))
+        return cls(assignment)
 
 
 class FitResult(Enum):

@@ -153,9 +153,7 @@ _HINGE_AND_LR_SWAP = {**_LR_SWAP, "H": "h", "h": "H"}
 
 
 def _swap_kinds(chain: Chain | str, swap: dict[str, str]) -> Chain:
-    return Chain(
-        tuple(Token(swap.get(t.kind, t.kind), t.params, t.offset) for t in _as_chain(chain))
-    )
+    return tuple(Token(swap.get(t.kind, t.kind), t.params, t.offset) for t in _as_chain(chain))
 
 
 def swap_lr(chain: Chain | str) -> Chain:
@@ -232,6 +230,7 @@ def render_ascii(structure: FoldedStructure) -> str:
 
 
 def to_json_dict(structure: FoldedStructure) -> dict:
+    bbox = structure.bbox
     return {
         "blocks": [
             {
@@ -243,9 +242,7 @@ def to_json_dict(structure: FoldedStructure) -> dict:
             for b in structure.blocks
         ],
         "offset": list(structure.offset),
-        "bbox": None
-        if structure.bbox is None
-        else [list(structure.bbox[0]), list(structure.bbox[1])],
+        "bbox": None if bbox is None else [list(bbox[0]), list(bbox[1])],
         "collisions": [
             {"chain_index": c.chain_index, "occupied_by": c.occupied_by}
             for c in structure.collisions

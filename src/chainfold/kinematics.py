@@ -112,7 +112,10 @@ class World:
             kind = kinds.get(ev.chain_index)
             if kind is not None and kind not in TOKEN_ROTATIONS:
                 raise KinematicsError(f"fold at chain index {ev.chain_index} names a {kind} block")
-        for a, b in self.bonds:
+        for bond in self.bonds:
+            if not (isinstance(bond, frozenset) and len(bond) == 2):
+                raise KinematicsError(f"bond {bond!r} is not a frozenset of two block ids")
+            a, b = bond
             if a not in self.blocks or b not in self.blocks:
                 problem = "names a missing block"
             elif not _adjacent(self.blocks[a].cell, self.blocks[b].cell):
@@ -285,7 +288,8 @@ def step_world(world: World) -> World:
     _apply_dissolves(blocks, bonds, now)
     occupancy = {b.cell: i for i, b in blocks.items()}
 
-    hinge_id = {b.chain_index: i for i, b in blocks.items() if b.chain_index is not None}
+    indexed = blocks.items() if world.pending_folds else ()
+    hinge_id = {b.chain_index: i for i, b in indexed if b.chain_index is not None}
     still_pending: list[FoldEvent] = []
     for ev in sorted(world.pending_folds, key=lambda e: (e.due_tick, e.chain_index)):
         if ev.chain_index not in hinge_id:

@@ -69,21 +69,7 @@ class Token:
         return self.canonical
 
 
-@dataclass(frozen=True)
-class Chain:
-    tokens: tuple[Token, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __getitem__(self, i):
-        return self.tokens[i]
-
-    def kinds(self) -> str:
-        return "".join(t.kind for t in self.tokens)
+Chain = tuple[Token, ...]
 
 
 def parse_mdl(text: str, strict: bool = False) -> Chain:
@@ -108,7 +94,7 @@ def parse_mdl(text: str, strict: bool = False) -> Chain:
             tokens.append(Token(kind, params.ljust(2, "_"), m.start()))
         elif foreign:
             raise UnknownKindError(m.start(), foreign)
-    return Chain(tokens=tuple(tokens))
+    return tuple(tokens)
 
 
 def write_canonical(chain: Chain) -> str:
@@ -156,7 +142,7 @@ class Diagnostic:
 def validate(chain: Chain, profile: AlphabetProfile | None = None) -> list[Diagnostic]:
     """Non-fatal lint over a parsed chain."""
     out: list[Diagnostic] = []
-    if not chain.tokens:
+    if not chain:
         out.append(Diagnostic("empty-chain", -1, "chain has no tokens"))
     for i, t in enumerate(chain):
         if t.kind == "M":

@@ -127,7 +127,7 @@ def mhbbg_trial(
     if copied and exp.strict_params:
         by_kind = {e[0]: e for e in exp.alphabet}
         copied = all(t.canonical == by_kind[t.kind] for t in tokens[:k])
-    return TrialResult(self_copy=copied, blob=Chain(tokens))
+    return TrialResult(self_copy=copied, blob=tokens)
 
 
 def analytic_self_copy_probability(alphabet_size: int, stream_length: int = 5) -> Fraction:

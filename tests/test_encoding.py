@@ -87,6 +87,25 @@ def test_registry_json_roundtrip():
         assert again.partner(k) == REG.partner(k)
 
 
+NO_ROLE_AND_PATTERN = "registry kind 'a' needs a string \"role\" and \"pattern\""
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[1]", "a type registry must be a JSON object keyed by kind"),
+        ('{"a": {"role": "a"}}', NO_ROLE_AND_PATTERN),
+        ('{"a": 5}', NO_ROLE_AND_PATTERN),
+        ("[" * 100_000, "a type registry nests JSON too deeply to read"),
+    ],
+    ids=["list", "no-pattern", "entry-not-an-object", "deep"],
+)
+def test_registry_json_of_another_shape_is_a_value_error(text, message):
+    with pytest.raises(ValueError) as e:
+        TypeRegistry.from_json(text)
+    assert str(e.value) == message
+
+
 def test_registry_rejects_unpaired_patterns():
     with pytest.raises(ValueError):
         TypeRegistry(

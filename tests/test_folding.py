@@ -32,7 +32,7 @@ TURN_HEAVY = "bHhRLZ"
 
 
 def chain_of(kinds: str) -> Chain:
-    return Chain(tuple(Token(k) for k in kinds))
+    return tuple(Token(k) for k in kinds)
 
 
 def renormalize(cells: dict) -> dict:
@@ -160,10 +160,16 @@ def test_double_mirror_is_y_reflection(kinds):
 
 def test_swap_helpers_touch_only_their_kinds():
     c = parse_mdl("M24L_R_H_h_Z_b_")
-    assert swap_lr(c).kinds() == "MRLHhZb"
-    assert swap_hinges_and_lr(c).kinds() == "MRLhHZb"
+    assert "".join(t.kind for t in swap_lr(c)) == "MRLHhZb"
+    assert "".join(t.kind for t in swap_hinges_and_lr(c)) == "MRLhHZb"
     # params survive the swap
     assert swap_lr(c)[0].canonical == "M24"
+
+
+def test_a_chain_is_a_plain_tuple_of_tokens():
+    chain = parse_mdl("b__H__")
+    assert type(chain) is tuple and type(swap_lr(chain)) is tuple
+    assert swap_lr(chain) == (Token("b"), Token("H"))
 
 
 def substitution_case(kinds: str, index: int, replacement: str):

@@ -281,6 +281,12 @@ def test_world_rejects_shared_cells_and_bad_bonds():
         _world([a, far], bonds=[(0, 1)])
     with pytest.raises(KinematicsError, match="^bond 0-7 names a missing block$"):
         _world([a], bonds=[(0, 7)])
+    # a bond is a frozenset of two ids: a tuple used to crash the first dissolve,
+    # and one or three ids a bare unpacking ValueError
+    blocks = {0: a, 1: BlockInstance(id=1, kind="b", cell=(1, 0, 0))}
+    for bond in ((0, 1), frozenset({0}), frozenset({0, 1, 2})):
+        with pytest.raises(KinematicsError, match=r"^bond .* is not a frozenset of two block ids"):
+            World(blocks=blocks, bonds=frozenset({bond}))
     one = BlockInstance(id=1, kind="b", cell=(1, 0, 0))
     with pytest.raises(KinematicsError, match="^block 5 is filed under key 0$"):
         World(blocks={0: _mover(5, (0, 0, 0), face=0), 1: one}, bonds=frozenset())

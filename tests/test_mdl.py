@@ -9,7 +9,6 @@ from chainfold.mdl import (
     SEPARATOR_CHARS,
     SIX_TYPE_PROFILE,
     AlphabetProfile,
-    Chain,
     MdlError,
     Token,
     TruncatedTokenError,
@@ -92,7 +91,7 @@ def token_strategy():
 @given(st.lists(token_strategy(), max_size=40))
 @settings(max_examples=200)
 def test_roundtrip_parse_of_canonical(tokens):
-    chain = Chain(tokens=tuple(tokens))
+    chain = tuple(tokens)
     assert parse_mdl(write_canonical(chain)) == chain
 
 
@@ -102,7 +101,7 @@ def test_roundtrip_parse_of_canonical(tokens):
 )
 @settings(max_examples=200)
 def test_separators_between_tokens_are_inert(tokens, seps):
-    chain = Chain(tokens=tuple(tokens))
+    chain = tuple(tokens)
     text = ""
     for i, t in enumerate(chain):
         text += t.canonical + seps[i % len(seps)]

@@ -3,8 +3,9 @@
 The work a seeded run does is a pure function of its inputs, so these
 counts hold on any host, where a timing on a shared host is noisier than
 most changes it would judge. Each count is taken with a spy on the layer's
-module attribute, which is what its callers look up. A change that moves a
-count on purpose edits its row and says which count moved and why.
+module or class attribute, which is what its callers look up. A change
+that moves a count on purpose edits its row and says which count moved
+and why.
 """
 
 import pytest
@@ -16,16 +17,16 @@ from chainfold.encoding import default_registry, tape_from_kinds
 KINDS = default_registry().kinds
 
 
-def _spy(monkeypatch, module, name):
-    """The arguments of every later call to `module.name`."""
+def _spy(monkeypatch, owner, name):
+    """The arguments of every later call to `owner.name`."""
     calls = []
-    real = getattr(module, name)
+    real = getattr(owner, name)
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(owner, name, spy)
     return calls
 
 
@@ -33,12 +34,30 @@ def _default_ticks(name, length):
     return kinematics.build_scenario(name, length)[1]["default_ticks"]
 
 
+def _scenario(monkeypatch, name, length, past_default):
+    """One `run_scenario`: its trace, `step_world` calls and `World`s built."""
+    ticks = _default_ticks(name, length) + past_default if past_default else None
+    steps = _spy(monkeypatch, kinematics, "step_world")
+    worlds = _spy(monkeypatch, kinematics.World, "__post_init__")
+    trace = kinematics.run_scenario(name, length, ticks=ticks)
+    return trace, len(steps), len(worlds)
+
+
+def _cell_maps(trace):
+    """Distinct cell maps of a trace, and frames that share an earlier frame's."""
+    distinct = len({id(f.cells) for f in trace.frames})
+    return distinct, len(trace.frames) - distinct
+
+
 def _steps(monkeypatch, name, length, past_default):
     """`step_world` calls of one `run_scenario`."""
-    steps = _spy(monkeypatch, kinematics, "step_world")
-    ticks = _default_ticks(name, length) + past_default if past_default else None
-    kinematics.run_scenario(name, length, ticks=ticks)
-    return len(steps)
+    return _scenario(monkeypatch, name, length, past_default)[1]
+
+
+def _worlds(monkeypatch, name, length, past_default):
+    """`World`s built by one `run_scenario`, and frames sharing cells."""
+    trace, _, worlds = _scenario(monkeypatch, name, length, past_default)
+    return worlds, _cell_maps(trace)[1]
 
 
 def _chunks(monkeypatch, n):
@@ -69,6 +88,19 @@ WORK_COUNTS = [
     (_steps, ("retainer", 8, 500), 620),
     (_steps, ("retainer", 32, 0), 360),
     (_steps, ("retainer", 32, 500), 860),
+    # the same runs: `World`s built, and frames that reuse an earlier frame's cells
+    (_worlds, ("walker", 8, 0), (57, 64)),
+    (_worlds, ("walker", 8, 500), (57, 564)),
+    (_worlds, ("walker", 32, 0), (297, 64)),
+    (_worlds, ("walker", 32, 500), (297, 564)),
+    (_worlds, ("shuttle", 8, 0), (11, 130)),
+    (_worlds, ("shuttle", 8, 500), (11, 630)),
+    (_worlds, ("shuttle", 32, 0), (11, 370)),
+    (_worlds, ("shuttle", 32, 500), (11, 870)),
+    (_worlds, ("retainer", 8, 0), (121, 0)),
+    (_worlds, ("retainer", 8, 500), (621, 0)),
+    (_worlds, ("retainer", 32, 0), (361, 0)),
+    (_worlds, ("retainer", 32, 500), (861, 0)),
     # a copy of the six kinds in turn
     (_chunks, (8,), (1, 138)),
     (_chunks, (4096,), (21, 82_271)),
@@ -98,3 +130,16 @@ def test_how_scenario_steps_scale():
     for n in lengths:
         for extra in extras:
             assert steps["retainer", n, extra] == _default_ticks("retainer", n) + extra
+
+
+def test_how_scenario_worlds_relate(monkeypatch):
+    for count, args, _ in WORK_COUNTS:
+        if count is not _worlds:
+            continue
+        with monkeypatch.context() as spies:
+            trace, steps, worlds = _scenario(spies, *args)
+        # the scenario's starting world, then one per tick stepped
+        assert worlds == steps + 1
+        # every frame of the trace has its own cell map or shares one
+        distinct, shared = _cell_maps(trace)
+        assert distinct + shared == trace.ticks + 1
