@@ -47,7 +47,7 @@ class MarkingPattern:
 
     @classmethod
     def from_string(cls, s: str) -> "MarkingPattern":
-        return cls(tuple(int(c) for c in s))
+        return cls(tuple("01".find(c) for c in s))  # -1, refused, for any other character
 
     def as_string(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -166,7 +166,11 @@ class TypeRegistry:
             fields = entry if isinstance(entry, dict) else {}
             if not all(isinstance(fields.get(k), str) for k in ("role", "pattern")):
                 raise ValueError(f'registry kind {kind!r} needs a string "role" and "pattern"')
-            assignment[kind] = (entry["role"], MarkingPattern.from_string(entry["pattern"]))
+            pattern = fields["pattern"]
+            try:
+                assignment[kind] = (fields["role"], MarkingPattern.from_string(pattern))
+            except ValueError as e:
+                raise ValueError(f"registry kind {kind!r} has pattern {pattern!r}: {e}") from None
         return cls(assignment)
 
 

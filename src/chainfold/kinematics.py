@@ -332,6 +332,8 @@ def step_world(world: World) -> World:
 
 
 def run_world(world: World, ticks: int) -> World:
+    if ticks < 0:
+        raise ValueError(f"ticks must not be negative, got {ticks}")
     for _ in range(ticks):
         world = step_world(world)
     return world
@@ -413,18 +415,12 @@ def build_scenario(name: str, length: int = 8) -> tuple[World, dict]:
 
 
 @dataclass(frozen=True)
-class Frame:
-    tick: int
-    cells: dict[int, Cell]
-
-
-@dataclass(frozen=True)
 class ScenarioTrace:
     name: str
     length: int
     seed: int
     ticks: int
-    frames: tuple[Frame, ...]
+    frames: tuple[dict[int, Cell], ...]
     events: tuple[str, ...]
     period: int | None
     result: dict
@@ -455,10 +451,10 @@ def run_scenario(
 ) -> ScenarioTrace:
     """Simulate a named template and summarize what the tests assert on.
 
-    The trace records mobile-block cells per tick. Periodicity is detected
-    on the repeatable world state (`_state_key`), never assumed. Stepping
-    stops at the first repeat; each later frame shares the cells of the
-    frame one period before it, and no event follows.
+    The trace's frame `t` is tick `t`'s map of mobile-block cells.
+    Periodicity is detected on the repeatable world state (`_state_key`),
+    never assumed. Stepping stops at the first repeat; each later frame is
+    the very map of the frame one period before it, and no event follows.
     """
     if ticks is not None and ticks < 0:
         raise ValueError(f"ticks must not be negative, got {ticks}")
@@ -471,7 +467,7 @@ def run_scenario(
     period = None
     for t in range(total + 1):
         cells = {i: world.blocks[i].cell for i in mobile if i in world.blocks}
-        frames.append(Frame(tick=world.time, cells=cells))
+        frames.append(cells)
         key = _state_key(world, cells)
         if key in seen:
             period = world.time - seen[key]
@@ -484,11 +480,11 @@ def run_scenario(
         for i in sorted(before.blocks.keys() - world.blocks.keys()):
             events.append(f"block {i} dissolved at tick {before.time}")
     for t in range(len(frames), total + 1):
-        frames.append(Frame(tick=t, cells=frames[t - period].cells))
+        frames.append(frames[t - period])
 
     result: dict = {"name": name, "length": length}
     if name == "walker":
-        xs = [f.cells[meta["mover_id"]][0] for f in frames]
+        xs = [f[meta["mover_id"]][0] for f in frames]
         result.update(
             track_end=meta["track_end"],
             final_position=xs[-1],
@@ -497,22 +493,22 @@ def run_scenario(
             positions=xs,
         )
     elif name == "retainer":
-        zs = [f.cells[meta["payload_id"]][2] - meta["start_z"] for f in frames]
-        xs = [f.cells[meta["payload_id"]][0] for f in frames]
+        zs = [f[meta["payload_id"]][2] - meta["start_z"] for f in frames]
+        xs = [f[meta["payload_id"]][0] for f in frames]
         first = next((k for k, dz in enumerate(zs) if dz > 0), None)
         result.update(
             track_end=meta["track_end"],
-            first_lift_tick=frames[first].tick if first is not None else None,
+            first_lift_tick=first,
             x_at_first_lift=xs[first] if first is not None else None,
             final_rise=zs[-1],
             rises=zs,
             positions=xs,
         )
     else:
-        maps = {id(f.cells): f.cells for f in frames}  # replayed frames share theirs
+        maps = {id(f): f for f in frames}  # a replayed frame is the map it repeats
         xs = {k: [c[0] for i, c in m.items() if i in meta["car_ids"]] for k, m in maps.items()}
         span = {k: (min(v), max(v)) for k, v in xs.items()}
-        spans = [span[id(f.cells)] for f in frames]
+        spans = [span[id(f)] for f in frames]
         result.update(
             left_end=meta["left_end"],
             right_end=meta["right_end"],
@@ -550,8 +546,8 @@ def _trace_json(trace: ScenarioTrace, **frames) -> dict:
 
 def trace_to_json_dict(trace: ScenarioTrace) -> dict:
     frames = [
-        {"tick": f.tick, "cells": {str(i): list(c) for i, c in f.cells.items()}}
-        for f in trace.frames
+        {"tick": t, "cells": {str(i): list(c) for i, c in cells.items()}}
+        for t, cells in enumerate(trace.frames)
     ]
     return _trace_json(trace, frames=frames)
 

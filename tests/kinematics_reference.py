@@ -18,7 +18,6 @@ from chainfold.kinematics import (
     FACE_VECTORS,
     MOVER_PERIOD,
     FoldEvent,
-    Frame,
     ScenarioTrace,
     World,
     build_scenario,
@@ -200,9 +199,7 @@ def run_scenario(name, length=8, ticks=None, seed=0):
     period = None
     alive = set(world.blocks)
     for t in range(total + 1):
-        frames.append(
-            Frame(tick=world.time, cells={i: world.blocks[i].cell for i in mobile if i in world.blocks})
-        )
+        frames.append({i: world.blocks[i].cell for i in mobile if i in world.blocks})
         if period is None:
             key = _state_key(world)
             if key in seen:
@@ -220,7 +217,7 @@ def run_scenario(name, length=8, ticks=None, seed=0):
 
     result = {"name": name, "length": length}
     if name == "walker":
-        xs = [f.cells[meta["mover_id"]][0] for f in frames]
+        xs = [f[meta["mover_id"]][0] for f in frames]
         result.update(
             track_end=meta["track_end"],
             final_position=xs[-1],
@@ -229,12 +226,12 @@ def run_scenario(name, length=8, ticks=None, seed=0):
             positions=xs,
         )
     elif name == "retainer":
-        zs = [f.cells[meta["payload_id"]][2] - meta["start_z"] for f in frames]
-        xs = [f.cells[meta["payload_id"]][0] for f in frames]
+        zs = [f[meta["payload_id"]][2] - meta["start_z"] for f in frames]
+        xs = [f[meta["payload_id"]][0] for f in frames]
         first = next((k for k, dz in enumerate(zs) if dz > 0), None)
         result.update(
             track_end=meta["track_end"],
-            first_lift_tick=frames[first].tick if first is not None else None,
+            first_lift_tick=first,
             x_at_first_lift=xs[first] if first is not None else None,
             final_rise=zs[-1],
             rises=zs,
@@ -242,8 +239,8 @@ def run_scenario(name, length=8, ticks=None, seed=0):
         )
     else:
         spans = [
-            (min(c[0] for i, c in f.cells.items() if i in meta["car_ids"]),
-             max(c[0] for i, c in f.cells.items() if i in meta["car_ids"]))
+            (min(c[0] for i, c in f.items() if i in meta["car_ids"]),
+             max(c[0] for i, c in f.items() if i in meta["car_ids"]))
             for f in frames
         ]
         result.update(

@@ -49,6 +49,8 @@ def test_pattern_validation():
         P("110")
     with pytest.raises(ValueError):
         MarkingPattern((0, 2, 1, 0))
+    with pytest.raises(ValueError, match="^pattern bits must be 0 or 1$"):
+        P("ab")
 
 
 def test_complement_and_reverse_are_involutions():
@@ -97,8 +99,20 @@ NO_ROLE_AND_PATTERN = "registry kind 'a' needs a string \"role\" and \"pattern\"
         ('{"a": {"role": "a"}}', NO_ROLE_AND_PATTERN),
         ('{"a": 5}', NO_ROLE_AND_PATTERN),
         ("[" * 100_000, "a type registry nests JSON too deeply to read"),
+        (
+            '{"a": {"role": "a", "pattern": "ab"}}',
+            "registry kind 'a' has pattern 'ab': pattern bits must be 0 or 1",
+        ),
+        (
+            '{"a": {"role": "a", "pattern": ""}}',
+            "registry kind 'a' has pattern '': pattern width must be positive and even",
+        ),
+        (
+            '{"a": {"role": "a", "pattern": "1110"}}',
+            "registry kind 'a' has pattern '1110': exactly half the bits must be raised: 1110",
+        ),
     ],
-    ids=["list", "no-pattern", "entry-not-an-object", "deep"],
+    ids=["list", "no-pattern", "entry-not-an-object", "deep", "not-bits", "empty", "unbalanced"],
 )
 def test_registry_json_of_another_shape_is_a_value_error(text, message):
     with pytest.raises(ValueError) as e:

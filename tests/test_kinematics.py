@@ -568,13 +568,13 @@ def test_walker_position_monotone_after_release(length):
 
 
 def test_walker_waits_for_dissolve_release():
+    # the leash holds the mover still through the tick its dissolvable goes
     trace = run_scenario("walker", length=8)
-    release = next(
-        f.tick for e, f in zip(trace.events, trace.frames) if "dissolved" in e
-    )
+    release = next(int(e.split()[-1]) for e in trace.events if "dissolved" in e)
+    assert release == 13
     xs = trace.result["positions"]
-    assert all(x == xs[0] for x in xs[:release])
-    assert any("dissolved at tick 13" in e for e in trace.events)
+    assert all(x == xs[0] for x in xs[: release + 1])
+    assert xs[-1] > xs[0]
 
 
 def test_retainer_rises_only_past_the_roof():
@@ -659,8 +659,24 @@ def test_period_key_of_movable_blocks_matches_full_key(name):
     # must find the same period at the same tick
     for length in sorted({kinematics._MIN_LENGTH[name], 6, 8, 11, 16, 23, 32, 47, 64}):
         trace = run_scenario(name, length=length)
-        frames = [(f.tick, f.cells) for f in trace.frames]
+        frames = list(enumerate(trace.frames))
         assert (frames, list(trace.events), trace.period) == _full_key_trace(name, length)
+
+
+@pytest.mark.parametrize("name", ["shuttle", "walker"])
+def test_a_replayed_tick_is_the_frame_it_repeats(name):
+    trace = run_scenario(name, length=8)
+    first_repeat = next(int(e.split()[-1]) for e in trace.events if "period" in e)
+    assert all(type(f) is dict for f in trace.frames)
+    for t in range(first_repeat + 1, trace.ticks + 1):
+        assert trace.frames[t] is trace.frames[t - trace.period]
+
+
+def test_negative_tick_counts_are_refused():
+    with pytest.raises(ValueError, match="^ticks must not be negative, got -3$"):
+        run_world(build_scenario("walker")[0], -3)
+    with pytest.raises(ValueError, match="^ticks must not be negative, got -1$"):
+        run_scenario("walker", ticks=-1)
 
 
 def test_scenario_determinism():
@@ -673,7 +689,7 @@ def test_scenario_determinism():
 def test_trace_json_round_shape():
     d = trace_to_json_dict(run_scenario("shuttle", length=4, ticks=30))
     assert d["name"] == "shuttle"
-    assert len(d["frames"]) == 31
+    assert [f["tick"] for f in d["frames"]] == list(range(31))
     assert all(len(c) == 3 for f in d["frames"] for c in f["cells"].values())
     assert "spans" not in d["result"]
 

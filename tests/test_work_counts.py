@@ -45,7 +45,7 @@ def _scenario(monkeypatch, name, length, past_default):
 
 def _cell_maps(trace):
     """Distinct cell maps of a trace, and frames that share an earlier frame's."""
-    distinct = len({id(f.cells) for f in trace.frames})
+    distinct = len({id(f) for f in trace.frames})
     return distinct, len(trace.frames) - distinct
 
 
