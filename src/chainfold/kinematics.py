@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from .errors import KinematicsError
 from .folding import TOKEN_ROTATIONS
 from .geometry import IDENTITY, Cell, Rot, add, apply, compose, inverse, sub
-from .mdl import FACE_DIGITS, Chain, parse_mdl
+from .mdl import Chain, parse_mdl
 
 FACE_VECTORS: tuple[Cell, ...] = (
     (1, 0, 0),
@@ -41,7 +41,6 @@ FACE_VECTORS: tuple[Cell, ...] = (
 
 MOVER_PERIOD = 10
 DEFAULT_FOLD_DELAY = 50
-DEFAULT_DISSOLVE_DIGIT = 10
 
 SCENARIO_NAMES = ("walker", "retainer", "shuttle")
 
@@ -63,26 +62,23 @@ class BlockInstance:
     cell: Cell
     orientation: Rot = IDENTITY
     anchored: bool = False
-    mover_face: int | None = None
+    face: int | None = None
     mover_phase: int | None = None
     dissolve_due: int | None = None
     chain_index: int | None = None
 
     def __post_init__(self) -> None:
-        if (self.mover_face is not None) != (self.kind == "M"):
-            raise KinematicsError("mover fields belong to M blocks only")
-        if self.mover_face is not None and not 0 <= self.mover_face < 6:
-            raise KinematicsError(f"face index {self.mover_face} out of range")
+        if (self.face is not None) != (self.kind in ("M", "G")):
+            raise KinematicsError("M and G blocks, and only they, have a face")
+        if self.face is not None and not 0 <= self.face < 6:
+            raise KinematicsError(f"face index {self.face} out of range")
         if self.mover_phase is not None and not 0 <= self.mover_phase < MOVER_PERIOD:
             raise KinematicsError(f"phase {self.mover_phase} out of range")
         if self.dissolve_due is not None and self.kind != "d":
             raise KinematicsError("only d blocks dissolve")
 
     def absolute_face(self) -> Cell:
-        if self.mover_face is None and self.kind not in "MG":
-            raise KinematicsError(f"{self.kind} has no active face")
-        idx = self.mover_face if self.mover_face is not None else 0
-        return apply(self.orientation, FACE_VECTORS[idx])
+        return apply(self.orientation, FACE_VECTORS[self.face])
 
 
 @dataclass(frozen=True)
@@ -135,9 +131,10 @@ def world_from_chain(
     Block j starts at (n-1-j, 0, 0), matching the unfolded frame of the
     static folder; neighbours are bonded. Rotating tokens fold one per
     tick starting at fold_delay; each dissolvable's timer starts at fold
-    completion and runs for its first parameter digit. Mover phases that
-    are not digits are drawn in chain order from one Generator, seeded at
-    the first draw so that chains with no drawn phase never load numpy.
+    completion and runs for its delay. Mover phases that are not digits
+    are drawn in chain order from one Generator, seeded at the first draw
+    so that chains with no drawn phase never load numpy. A mover or gluer
+    without a face digit is refused.
     """
     chain = parse_mdl(chain) if isinstance(chain, str) else chain
     n = len(chain)
@@ -151,40 +148,27 @@ def world_from_chain(
     completion = (folds[-1].due_tick + 2) if folds else fold_delay
     blocks: dict[int, BlockInstance] = {}
     for j, t in enumerate(chain):
-        face = phase = due = None
-        if t.kind == "M":
-            face_digit, phase_char = t.params
-            if face_digit not in FACE_DIGITS:
-                raise KinematicsError(f"mover {t.canonical} needs a face digit 0-5")
-            face = int(face_digit)
-            if phase_char.isdigit():
-                phase = int(phase_char)
-            else:
-                if rng is None:
-                    import numpy as np
+        if t.kind in "MG" and t.face is None:
+            role = "mover" if t.kind == "M" else "gluer"
+            raise KinematicsError(f"{role} {t.canonical} needs a face digit 0-5")
+        phase = t.phase
+        if t.kind == "M" and phase is None:
+            if rng is None:
+                import numpy as np
 
-                    rng = np.random.default_rng(seed)
-                phase = int(rng.integers(0, MOVER_PERIOD))
-        if t.kind == "d":
-            digit = (
-                int(t.params[0]) if t.params[0].isdigit() else DEFAULT_DISSOLVE_DIGIT
-            )
-            due = completion + digit
+                rng = np.random.default_rng(seed)
+            phase = int(rng.integers(0, MOVER_PERIOD))
         blocks[j] = BlockInstance(
             id=j,
             kind=t.kind,
             cell=(n - 1 - j, 0, 0),
-            mover_face=face,
+            face=t.face,
             mover_phase=phase,
-            dissolve_due=due,
+            dissolve_due=None if t.delay is None else completion + t.delay,
             chain_index=j,
         )
     bonds = frozenset(frozenset((j, j + 1)) for j in range(n - 1))
     return World(blocks=blocks, bonds=bonds, pending_folds=tuple(folds))
-
-
-def folding_complete(world: World) -> bool:
-    return not world.pending_folds
 
 
 def _apply_dissolves(
@@ -377,7 +361,7 @@ def build_scenario(name: str, length: int = 8) -> tuple[World, dict]:
         """Leash (bonded to track block 0 until it dissolves), body, x-mover."""
         leash = place("d", (0, 0, 1), 0, dissolve_due=_RELEASE_TICK)
         body = place("b", (1, 0, 1), leash)
-        return body, place("M", (2, 0, 1), body, mover_face=0, mover_phase=_WALKER_PHASE_X)
+        return body, place("M", (2, 0, 1), body, face=0, mover_phase=_WALKER_PHASE_X)
 
     prev = None
     for x in range(length + 3 if name == "retainer" else length):
@@ -393,15 +377,15 @@ def build_scenario(name: str, length: int = 8) -> tuple[World, dict]:
         for z in range(1, 9):  # post at the track end stops the carriage
             place("b", (length + 2, 0, z), anchored=True)
         body, _ = carriage()
-        payload = place("M", (1, 0, 2), body, mover_face=4, mover_phase=_RETAINER_PHASE_Z)
+        payload = place("M", (1, 0, 2), body, face=4, mover_phase=_RETAINER_PHASE_Z)
         meta = {
             "payload_id": payload,
             "start_z": 2,
             "track_end": length,  # payload x once the carriage parks
         }
     else:
-        place("M", (-1, 0, 1), anchored=True, mover_face=0, mover_phase=_SHUTTLE_PHASE_L)
-        place("M", (length, 0, 1), anchored=True, mover_face=1, mover_phase=_SHUTTLE_PHASE_R)
+        place("M", (-1, 0, 1), anchored=True, face=0, mover_phase=_SHUTTLE_PHASE_L)
+        place("M", (length, 0, 1), anchored=True, face=1, mover_phase=_SHUTTLE_PHASE_R)
         car, prev = len(blocks), None
         for x in range(length - 1):
             prev = place("b", (x, 0, 1), prev)

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 KIND_CHARS = "bdSGMHhRLZ12"
 PARAM_CHARS = "0123456789x_"
 # '_' between tokens is a separator; inside a token it is padding.
 SEPARATOR_CHARS = " \t\r\n_"
 FACE_DIGITS = "012345"
+DEFAULT_DELAY = 10
 
 # One lexeme: a comment, a run of separators, a kind with up to two
 # parameters, or (group 3) the foreign character that ends the scan.
@@ -61,6 +61,26 @@ class Token:
         if not _params_ok(self.params):
             raise MdlError(f"bad params {self.params!r} for kind {self.kind!r}")
 
+    # A token's fields, read here and nowhere else: the face digit 0-5 of a
+    # mover or gluer (None if it has none), a mover's phase digit (None if
+    # the phase is drawn) and a dissolvable's delay digit.
+    @property
+    def face(self) -> int | None:
+        c = self.params[0]
+        return int(c) if self.kind in "MG" and c in FACE_DIGITS else None
+
+    @property
+    def phase(self) -> int | None:
+        c = self.params[1]
+        return int(c) if self.kind == "M" and c.isdigit() else None
+
+    @property
+    def delay(self) -> int | None:
+        if self.kind != "d":
+            return None
+        c = self.params[0]
+        return int(c) if c.isdigit() else DEFAULT_DELAY
+
     @property
     def canonical(self) -> str:
         return self.kind + self.params
@@ -99,10 +119,6 @@ def parse_mdl(text: str, strict: bool = False) -> Chain:
 
 def write_canonical(chain: Chain) -> str:
     return "".join(t.canonical for t in chain)
-
-
-def load_mdl(path: str | Path, strict: bool = False) -> Chain:
-    return parse_mdl(Path(path).read_text(encoding="utf-8"), strict=strict)
 
 
 @dataclass(frozen=True)
@@ -145,24 +161,19 @@ def validate(chain: Chain, profile: AlphabetProfile | None = None) -> list[Diagn
     if not chain:
         out.append(Diagnostic("empty-chain", -1, "chain has no tokens"))
     for i, t in enumerate(chain):
-        if t.kind == "M":
-            face, phase = t.params
-            if face not in FACE_DIGITS or not (phase.isdigit() or phase == "x"):
-                out.append(
-                    Diagnostic(
-                        "mover-params",
-                        i,
-                        f"mover {t.canonical} needs a face digit 0-5 and a "
-                        "phase digit or 'x'",
-                    )
+        if t.kind == "M" and (t.face is None or (t.phase is None and t.params[1] != "x")):
+            out.append(
+                Diagnostic(
+                    "mover-params",
+                    i,
+                    f"mover {t.canonical} needs a face digit 0-5 and a "
+                    "phase digit or 'x'",
                 )
-        elif t.kind == "G":
-            if not t.params[0].isdigit():
-                out.append(
-                    Diagnostic(
-                        "gluer-params", i, f"gluer {t.canonical} missing face digit"
-                    )
-                )
+            )
+        elif t.kind == "G" and t.face is None:
+            out.append(
+                Diagnostic("gluer-params", i, f"gluer {t.canonical} needs a face digit 0-5")
+            )
         if profile is not None and not profile.matches(t):
             out.append(
                 Diagnostic(

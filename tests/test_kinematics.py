@@ -24,7 +24,6 @@ from chainfold.kinematics import (
     World,
     _state_key,
     build_scenario,
-    folding_complete,
     run_scenario,
     run_world,
     step_world,
@@ -43,7 +42,7 @@ def _world(blocks, bonds=()):
 
 def _mover(bid, cell, face, phase=0, anchored=False):
     return BlockInstance(
-        id=bid, kind="M", cell=cell, mover_face=face, mover_phase=phase,
+        id=bid, kind="M", cell=cell, face=face, mover_phase=phase,
         anchored=anchored,
     )
 
@@ -135,7 +134,7 @@ def test_dissolvable_vanishes_on_schedule_and_releases_bonds():
 def test_gluer_bonds_across_active_face():
     w = _world(
         [
-            BlockInstance(id=0, kind="G", cell=(0, 0, 0)),
+            BlockInstance(id=0, kind="G", cell=(0, 0, 0), face=0),
             BlockInstance(id=1, kind="b", cell=(1, 0, 0)),
         ]
     )
@@ -158,7 +157,7 @@ def test_a_tick_keeps_the_bond_set_object_unless_a_bond_changed():
     glued = step_world(
         _world(
             [
-                BlockInstance(id=0, kind="G", cell=(0, 0, 0)),
+                BlockInstance(id=0, kind="G", cell=(0, 0, 0), face=0),
                 BlockInstance(id=1, kind="b", cell=(1, 0, 0)),
             ]
         )
@@ -171,7 +170,7 @@ def test_a_tick_keeps_the_bond_set_object_unless_a_bond_changed():
             [
                 BlockInstance(id=0, kind="d", cell=(0, 0, 0), dissolve_due=0),
                 BlockInstance(id=1, kind="b", cell=(1, 0, 0)),
-                BlockInstance(id=2, kind="G", cell=(0, 0, 5)),
+                BlockInstance(id=2, kind="G", cell=(0, 0, 5), face=0),
                 BlockInstance(id=3, kind="b", cell=(1, 0, 6)),
                 _mover(4, (1, 0, 7), face=5, phase=0),
             ],
@@ -185,7 +184,7 @@ def test_block_pushed_into_gluer_face_bonds_same_tick():
     # the glue phase reads the cells as the move phase left them
     w = _world(
         [
-            BlockInstance(id=0, kind="G", cell=(0, 0, 0)),
+            BlockInstance(id=0, kind="G", cell=(0, 0, 0), face=0),
             BlockInstance(id=1, kind="b", cell=(1, 0, 1)),
             _mover(2, (1, 0, 2), face=5, phase=0),
         ]
@@ -248,9 +247,10 @@ def test_bonded_blocks_stay_adjacent_through_run():
 
 def test_mover_fields_rejected_on_plain_blocks():
     with pytest.raises(KinematicsError):
-        BlockInstance(id=0, kind="b", cell=(0, 0, 0), mover_face=0)
-    with pytest.raises(KinematicsError):
-        BlockInstance(id=0, kind="M", cell=(0, 0, 0))
+        BlockInstance(id=0, kind="b", cell=(0, 0, 0), face=0)
+    for kind in "MG":
+        with pytest.raises(KinematicsError, match="^M and G blocks, and only they, have a face$"):
+            BlockInstance(id=0, kind=kind, cell=(0, 0, 0))
 
 
 @pytest.mark.parametrize(
@@ -263,7 +263,7 @@ def test_mover_face_and_phase_out_of_range_rejected(face, phase, message):
 
 
 def test_absolute_face_refused_on_a_block_without_one():
-    with pytest.raises(KinematicsError, match="^b has no active face$"):
+    with pytest.raises(TypeError):
         BlockInstance(id=0, kind="b", cell=(0, 0, 0)).absolute_face()
 
 
@@ -319,16 +319,26 @@ def test_world_from_chain_layout():
 def test_mover_params_decode_face_and_phase():
     w = world_from_chain("M24b_")
     m = next(b for b in w.blocks.values() if b.kind == "M")
-    assert m.mover_face == 2
+    assert m.face == 2
     assert m.mover_phase == 4
 
 
-@pytest.mark.parametrize("mover", ["Mx3", "M__", "M63"])
-def test_mover_without_a_face_digit_is_refused(mover):
-    # the face rule is mdl.validate's: a digit 0-5, nothing read as face 0
-    assert [d.code for d in validate(parse_mdl(mover + "b__"))] == ["mover-params"]
-    with pytest.raises(KinematicsError, match=f"mover {mover} needs a face digit 0-5"):
-        world_from_chain(mover + "b__")
+@pytest.mark.parametrize("token", ["Mx3", "M__", "M63", "G7_", "G__"])
+def test_mover_without_a_face_digit_is_refused(token):
+    # the face rule is mdl's, for movers and gluers: a digit 0-5, nothing read as face 0
+    role = {"M": "mover", "G": "gluer"}[token[0]]
+    assert [d.code for d in validate(parse_mdl(token + "b__"))] == [f"{role}-params"]
+    with pytest.raises(KinematicsError, match=f"^{role} {token} needs a face digit 0-5$"):
+        world_from_chain(token + "b__")
+
+
+def test_gluer_glues_across_the_face_its_digit_names():
+    w = world_from_chain("G3_b__")
+    gluer = w.blocks[0]
+    assert gluer.face == 3 and gluer.absolute_face() == FACE_VECTORS[3]
+    below = BlockInstance(id=9, kind="b", cell=add(gluer.cell, FACE_VECTORS[3]))
+    w = step_world(World(blocks={**w.blocks, 9: below}, bonds=w.bonds))
+    assert w.bonds == {frozenset((0, 1)), frozenset((0, 9))}
 
 
 def test_random_phase_drawn_once_per_seed():
@@ -367,10 +377,10 @@ def test_dissolve_timer_starts_at_fold_completion():
 def _congruent_with_static_fold(text_or_chain, fold_delay=0, max_ticks=500):
     w = world_from_chain(text_or_chain, fold_delay=fold_delay)
     t = 0
-    while not folding_complete(w) and t < max_ticks:
+    while w.pending_folds and t < max_ticks:
         w = step_world(w)
         t += 1
-    if not folding_complete(w):
+    if w.pending_folds:
         return False
     cells = {b.chain_index: b.cell for b in w.blocks.values()}
     lo = bounding_box(cells.values())[0]
@@ -430,17 +440,17 @@ def test_blocked_fold_retries_until_clear():
     w = world_from_chain("b_H_b_", fold_delay=0)
     stranger = BlockInstance(id=90, kind="b", cell=(1, 1, 0))
     shover = BlockInstance(
-        id=91, kind="M", cell=(0, 1, 0), mover_face=0, mover_phase=2, anchored=True
+        id=91, kind="M", cell=(0, 1, 0), face=0, mover_phase=2, anchored=True
     )
     blocks = dict(w.blocks)
     blocks[90] = stranger
     blocks[91] = shover
     w = World(blocks=blocks, bonds=w.bonds, pending_folds=w.pending_folds)
     w = step_world(w)  # fold due but blocked
-    assert not folding_complete(w)
+    assert w.pending_folds
     for _ in range(4):
         w = step_world(w)
-    assert folding_complete(w)
+    assert not w.pending_folds
     assert w.blocks[90].cell == (2, 1, 0)  # shoved clear
     cells = {b.chain_index: b.cell for b in w.blocks.values() if b.chain_index is not None}
     assert cells[0] == (1, 1, 0)
@@ -463,8 +473,11 @@ def test_fold_that_would_tear_a_glue_bond_waits():
     assert frozenset((0, 7)) in w.bonds
 
 
+_GLUERS = [f"G{face}" for face in range(6)]
+
+
 @given(
-    st.lists(st.sampled_from(["b", "H", "h", "L", "R", "Z", "G0"]), min_size=4, max_size=16),
+    st.lists(st.sampled_from(["b", "H", "h", "L", "R", "Z", *_GLUERS]), min_size=4, max_size=16),
     st.integers(0, 3),
 )
 @example(["G0", "H", "b", "H", "G0", "H", "h", "b", "b", "H"], 0)
@@ -478,10 +491,11 @@ def test_bonds_join_adjacent_cells_every_tick(kinds, fold_delay):
             assert sorted(abs(x - y) for x, y in zip(a, b)) == [0, 0, 1]
 
 
-# movers with a fixed or drawn phase, gluers, and dissolvables with a
-# timer digit or the default one, among the turning and straight tokens
+# movers with a fixed or drawn phase, gluers on every face, and dissolvables
+# with a timer digit or the default one, among the turning and straight tokens
 _INWORLD_TOKENS = [
-    "b__", "H__", "h__", "L__", "R__", "Z__", "G0_", "M0x", "M3x", "M24", "d3_", "d__"
+    "b__", "H__", "h__", "L__", "R__", "Z__", *(g + "_" for g in _GLUERS), "M0x", "M3x", "M24",
+    "d3_", "d__",
 ]
 
 
@@ -711,10 +725,10 @@ def drawn_worlds(draw):
     The cells grow as a cluster of straight rods, each of one to three
     cells and starting next to an earlier cell or a gap of one or two away,
     so that blocks touch and line up often. On them: free blocks and bonded
-    groups, anchored blocks, movers with every face and phase and gluers,
-    both mostly facing a neighbour, dissolvables, and chain blocks whose
-    hinges hold folds that are due, past due (retrying) or still waiting;
-    one fold may name a hinge that is gone.
+    groups, anchored blocks, movers and gluers with every face (movers with
+    every phase too), both mostly facing a neighbour, dissolvables, and
+    chain blocks whose hinges hold folds that are due, past due (retrying)
+    or still waiting; one fold may name a hinge that is gone.
     """
     cells, label = [(0, 0, 0)], [0]
     while len(cells) < 14 and not draw(_one_in(8)):
@@ -734,13 +748,11 @@ def drawn_worlds(draw):
     for i, cell in enumerate(cells):
         kind = draw(st.sampled_from("bbbMMMGGdHhLRZ"))
         fields = {"orientation": draw(st.sampled_from(_ROTATIONS))}
-        face = 0
-        if kind == "M":
-            face = draw(st.integers(0, 5))
-            # half of them fire on the first tick
-            phase = draw(st.just(now % 10) | st.integers(0, 9))
-            fields.update(mover_face=face, mover_phase=phase)
         if kind in "MG":
+            face = fields["face"] = draw(st.integers(0, 5))
+            if kind == "M":
+                # half of them fire on the first tick
+                fields["mover_phase"] = draw(st.just(now % 10) | st.integers(0, 9))
             # a neighbour it is not bonded to
             ahead = [add(cell, apply(r, FACE_VECTORS[face])) for r in _ROTATIONS]
             facing = [r for r, c in zip(_ROTATIONS, ahead) if rod_of.get(c, label[i]) != label[i]]
@@ -887,7 +899,7 @@ TEMPLATE_DIGESTS = {
 def test_scenario_template_matches_pinned_digest(name, length):
     world, _ = build_scenario(name, length=length)
     blocks = [
-        (b.id, b.kind, b.cell, b.orientation, b.anchored, b.mover_face,
+        (b.id, b.kind, b.cell, b.orientation, b.anchored, b.face,
          b.mover_phase, b.dissolve_due, b.chain_index)
         for b in sorted(world.blocks.values(), key=lambda b: b.id)
     ]

@@ -13,7 +13,6 @@ from chainfold.mdl import (
     Token,
     TruncatedTokenError,
     UnknownKindError,
-    load_mdl,
     parse_mdl,
     validate,
     write_canonical,
@@ -124,10 +123,19 @@ def test_validate_diagnostics():
     assert codes == ["outside-profile"]
     codes = [d.code for d in validate(parse_mdl("M__"))]
     assert "mover-params" in codes
-    codes = [d.code for d in validate(parse_mdl("G__"))]
-    assert "gluer-params" in codes
+    for gluer in ("G__", "G7_"):
+        assert [d.code for d in validate(parse_mdl(gluer))] == ["gluer-params"]
+    assert validate(parse_mdl("G5_")) == []
     codes = [d.code for d in validate(parse_mdl(""))]
     assert codes == ["empty-chain"]
+
+
+def test_token_fields_face_phase_and_delay():
+    chain = parse_mdl("M24 M5_ Mx3 G3_ G7_ d3_ d__ b__")
+    assert [(t.face, t.phase, t.delay) for t in chain] == [
+        (2, 4, None), (5, None, None), (None, 3, None), (3, None, None),
+        (None, None, None), (None, None, 3), (None, None, 10), (None, None, None),
+    ]
 
 
 def test_bad_profile_entry_rejected():
@@ -172,7 +180,7 @@ def test_lexeme_pattern_matches_reference_scanner(text, strict):
         assert [(t.kind, t.params, t.offset) for t in chain] == expected
 
 
-def test_load_mdl(tmp_path):
+def test_parse_mdl_reads_a_commented_chain_file(tmp_path):
     p = tmp_path / "toy.mdl"
     p.write_text("# toy chain\nb_H_b_b_b_\n")
-    assert len(load_mdl(p)) == 5
+    assert len(parse_mdl(p.read_text(encoding="utf-8"))) == 5
