@@ -266,6 +266,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"chainfold: {exc}\n")
         return 2
     except (OSError, ValueError) as exc:  # MdlError and JSONDecodeError included
+        if len(name := str(getattr(exc, "filename", ""))) > 200:
+            exc.filename = name[:200] + "..."  # a 60 kB path, say, is not echoed whole
         sys.stderr.write(f"chainfold: {exc}\n")
         return 1
     except KeyboardInterrupt:

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from .errors import FoldError
 from .geometry import (
     IDENTITY,
-    RX90,
-    RZ90,
+    TOKEN_ROTATIONS,
     Cell,
     Rot,
     add,
@@ -28,18 +27,9 @@ from .geometry import (
     bounding_box,
     compose,
     dot,
-    inverse,
     sub,
 )
 from .mdl import SIX_TYPE_PROFILE, Chain, Token, parse_mdl
-
-TOKEN_ROTATIONS: dict[str, Rot] = {
-    "H": RZ90,
-    "h": inverse(RZ90),
-    "L": RX90,
-    "R": inverse(RX90),
-    "Z": compose(RX90, RX90),
-}
 
 _E_X: Cell = (1, 0, 0)
 

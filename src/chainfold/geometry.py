@@ -55,6 +55,16 @@ def inverse(rot: Rot) -> Rot:
     return tuple(zip(*rot))  # type: ignore[return-value]
 
 
+# The turn of each hinge token, shared by the static folder and the tick.
+TOKEN_ROTATIONS: dict[str, Rot] = {
+    "H": RZ90,
+    "h": inverse(RZ90),
+    "L": RX90,
+    "R": inverse(RX90),
+    "Z": compose(RX90, RX90),
+}
+
+
 def add(a: Cell, b: Cell) -> Cell:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 

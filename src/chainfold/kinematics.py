@@ -17,18 +17,20 @@ Anchored blocks pin their whole group.
 A tick keeps one cell -> block map, built after the dissolves and updated
 by every fold and push, so each action and the glue phase see the cells
 as the actions before them left them. Folds and pushes share one rule,
-`_move`; the only `World` built (and validated) per tick is the result.
+`_move`; the only `World` built per tick is the result, and it skips
+`check_world`, since no action can break a valid world.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import KinematicsError
-from .folding import TOKEN_ROTATIONS
-from .geometry import IDENTITY, Cell, Rot, add, apply, compose, inverse, sub
-from .mdl import Chain, parse_mdl
+from .geometry import IDENTITY, TOKEN_ROTATIONS, Cell, Rot, add, apply, compose, inverse, sub
+
+if TYPE_CHECKING:
+    from .mdl import Chain
 
 FACE_VECTORS: tuple[Cell, ...] = (
     (1, 0, 0),
@@ -55,8 +57,7 @@ def _adjacent(a: Cell, b: Cell) -> bool:
     return sub(a, b) in FACE_VECTORS
 
 
-@dataclass(frozen=True)
-class BlockInstance:
+class _BlockFields(NamedTuple):
     id: int
     kind: str
     cell: Cell
@@ -67,7 +68,12 @@ class BlockInstance:
     dissolve_due: int | None = None
     chain_index: int | None = None
 
-    def __post_init__(self) -> None:
+
+class BlockInstance(_BlockFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **fields):
+        self = super().__new__(cls, *args, **fields)
         if (self.face is not None) != (self.kind in ("M", "G")):
             raise KinematicsError("M and G blocks, and only they, have a face")
         if self.face is not None and not 0 <= self.face < 6:
@@ -76,49 +82,59 @@ class BlockInstance:
             raise KinematicsError(f"phase {self.mover_phase} out of range")
         if self.dissolve_due is not None and self.kind != "d":
             raise KinematicsError("only d blocks dissolve")
+        return self
 
     def absolute_face(self) -> Cell:
         return apply(self.orientation, FACE_VECTORS[self.face])
 
 
-@dataclass(frozen=True)
-class FoldEvent:
+class FoldEvent(NamedTuple):
     chain_index: int
     due_tick: int
 
 
-@dataclass(frozen=True)
-class World:
+class _WorldFields(NamedTuple):
     blocks: dict[int, BlockInstance]
     bonds: frozenset[frozenset[int]]
     time: int = 0
     pending_folds: tuple[FoldEvent, ...] = ()
 
-    def __post_init__(self) -> None:
-        cells: set[Cell] = set()
-        for key, b in self.blocks.items():
-            if key != b.id:
-                raise KinematicsError(f"block {b.id} is filed under key {key}")
-            if b.cell in cells:
-                raise KinematicsError(f"two blocks share cell {b.cell}")
-            cells.add(b.cell)
-        # the tick skips a fold that names no block, but has no turn for a non-hinge kind
-        kinds = {b.chain_index: b.kind for b in self.blocks.values()} if self.pending_folds else {}
-        for ev in self.pending_folds:
-            kind = kinds.get(ev.chain_index)
-            if kind is not None and kind not in TOKEN_ROTATIONS:
-                raise KinematicsError(f"fold at chain index {ev.chain_index} names a {kind} block")
-        for bond in self.bonds:
-            if not (isinstance(bond, frozenset) and len(bond) == 2):
-                raise KinematicsError(f"bond {bond!r} is not a frozenset of two block ids")
-            a, b = bond
-            if a not in self.blocks or b not in self.blocks:
-                problem = "names a missing block"
-            elif not _adjacent(self.blocks[a].cell, self.blocks[b].cell):
-                problem = "joins non-adjacent cells"
-            else:
-                continue
-            raise KinematicsError(f"bond {min(a, b)}-{max(a, b)} {problem}")
+
+class World(_WorldFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **fields):
+        self = super().__new__(cls, *args, **fields)
+        check_world(self)
+        return self
+
+
+def check_world(world: World) -> None:
+    """Raise KinematicsError on shared cells, mis-keyed blocks, bad folds or bonds."""
+    cells: set[Cell] = set()
+    for key, b in world.blocks.items():
+        if key != b.id:
+            raise KinematicsError(f"block {b.id} is filed under key {key}")
+        if b.cell in cells:
+            raise KinematicsError(f"two blocks share cell {b.cell}")
+        cells.add(b.cell)
+    # the tick skips a fold that names no block, but has no turn for a non-hinge kind
+    kinds = {b.chain_index: b.kind for b in world.blocks.values()} if world.pending_folds else {}
+    for ev in world.pending_folds:
+        kind = kinds.get(ev.chain_index)
+        if kind is not None and kind not in TOKEN_ROTATIONS:
+            raise KinematicsError(f"fold at chain index {ev.chain_index} names a {kind} block")
+    for bond in world.bonds:
+        if not (isinstance(bond, frozenset) and len(bond) == 2):
+            raise KinematicsError(f"bond {bond!r} is not a frozenset of two block ids")
+        a, b = bond
+        if a not in world.blocks or b not in world.blocks:
+            problem = "names a missing block"
+        elif not _adjacent(world.blocks[a].cell, world.blocks[b].cell):
+            problem = "joins non-adjacent cells"
+        else:
+            continue
+        raise KinematicsError(f"bond {min(a, b)}-{max(a, b)} {problem}")
 
 
 def world_from_chain(
@@ -136,7 +152,10 @@ def world_from_chain(
     so that chains with no drawn phase never load numpy. A mover or gluer
     without a face digit is refused.
     """
-    chain = parse_mdl(chain) if isinstance(chain, str) else chain
+    if isinstance(chain, str):
+        from .mdl import parse_mdl
+
+        chain = parse_mdl(chain)
     n = len(chain)
     rng = None
     folds = []
@@ -221,8 +240,7 @@ def _try_fold(
     )
     pivot = hinge.cell
     turned = [
-        replace(
-            b,
+        b._replace(
             cell=add(pivot, apply(w, sub(b.cell, pivot))),
             orientation=compose(w, b.orientation),
         )
@@ -297,7 +315,7 @@ def step_world(world: World) -> World:
             continue  # a mover cannot shove its own group
         group = own if tid is None else _group(bonded, tid)
         if not any(blocks[i].anchored for i in group):
-            shifted = [replace(blocks[i], cell=add(blocks[i].cell, delta)) for i in group]
+            shifted = [blocks[i]._replace(cell=add(blocks[i].cell, delta)) for i in group]
             _move(blocks, occupancy, shifted)
 
     for b in blocks.values():
@@ -306,13 +324,9 @@ def step_world(world: World) -> World:
             if nid is not None:
                 bonds.add(frozenset((b.id, nid)))
 
-    return World(
-        blocks=blocks,
-        # run_scenario's period keys hold every tick's bonds: share, not copy
-        bonds=world.bonds if bonds == world.bonds else frozenset(bonds),
-        time=now + 1,
-        pending_folds=tuple(still_pending),
-    )
+    # run_scenario's period keys hold every tick's bonds: share, not copy
+    bonds = world.bonds if bonds == world.bonds else frozenset(bonds)
+    return World._make((blocks, bonds, now + 1, tuple(still_pending)))  # unchecked
 
 
 def run_world(world: World, ticks: int) -> World:
@@ -398,8 +412,7 @@ def build_scenario(name: str, length: int = 8) -> tuple[World, dict]:
     return World(blocks=blocks, bonds=frozenset(bonds)), meta
 
 
-@dataclass(frozen=True)
-class ScenarioTrace:
+class ScenarioTrace(NamedTuple):
     name: str
     length: int
     seed: int

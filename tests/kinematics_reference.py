@@ -10,8 +10,6 @@ it happens: "fold retried", "push blocked", "carry", "bonded group
 shoved" and "bond formed".
 """
 
-from dataclasses import replace
-
 from chainfold.folding import TOKEN_ROTATIONS
 from chainfold.geometry import add, apply, compose, inverse, sub
 from chainfold.kinematics import (
@@ -65,8 +63,7 @@ def _try_fold(blocks, occupancy, bonds, hinge):
     )
     pivot = hinge.cell
     turned = [
-        replace(
-            b,
+        b._replace(
             cell=add(pivot, apply(w, sub(b.cell, pivot))),
             orientation=compose(w, b.orientation),
         )
@@ -142,7 +139,7 @@ def step_world(world, hits=None):
             continue  # a mover cannot shove its own group
         group = own if tid is None else _group(bonded, tid)
         if not any(blocks[i].anchored for i in group):
-            shifted = [replace(blocks[i], cell=add(blocks[i].cell, delta)) for i in group]
+            shifted = [blocks[i]._replace(cell=add(blocks[i].cell, delta)) for i in group]
             if not _move(blocks, occupancy, shifted):
                 hits.append("push blocked")
             elif tid is None:

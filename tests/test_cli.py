@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import chainfold
-import kinematics_reference as reference
 from chainfold import kinematics
 from chainfold.cli import DEFAULT_SEED, main
 from chainfold.corpus import fixtures_dir
@@ -80,6 +80,16 @@ def test_fold_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "fold", str(tmp_path / "nope.mdl"))
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize(
+    "argv", [["fold"], ["scenario", "--name", "walker", "--trace-out"]], ids=["fold", "scenario"]
+)
+def test_an_over_long_path_is_echoed_in_part(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "x" * 60_000)
+    assert code == 1 and out == ""
+    assert re.fullmatch(r"chainfold: \[Errno \d+\] File name too long: 'x+\.\.\.'\n", err)
+    assert len(err) < 300
 
 
 def test_fold_parse_error_exits_one(capsys, tmp_path):
@@ -447,7 +457,9 @@ def test_scenario_summary_and_trace_file(capsys, tmp_path):
         ]
     ],
 )
-def test_scenario_output_matches_the_reference_loop(capsys, tmp_path, name, length, ticks):
+def test_scenario_output_matches_the_reference_loop(
+    capsys, tmp_path, reference_scenario, name, length, ticks
+):
     if ticks == "default+50":
         ticks = kinematics.build_scenario(name, length)[1]["default_ticks"] + 50
     trace_path = tmp_path / "trace.json"
@@ -457,7 +469,7 @@ def test_scenario_output_matches_the_reference_loop(capsys, tmp_path, name, leng
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     full = kinematics.trace_to_json_dict(
-        reference.run_scenario(name, length, ticks=ticks, seed=DEFAULT_SEED)
+        reference_scenario(name, length, ticks=ticks, seed=DEFAULT_SEED)
     )
     written = trace_path.read_text(encoding="utf-8")
     assert written == json.dumps(full, indent=2, sort_keys=True) + "\n"
@@ -605,7 +617,7 @@ def test_cli_runs_numpy_with_one_blas_thread_unless_the_caller_sets_one(preset, 
         assert threads == "1"
 
 
-# prints the chainfold modules loaded after `cli.main(argv)`; no argv, no call
+# prints the modules loaded after `cli.main(argv)`; no argv, no call
 _LOADED_BY = textwrap.dedent(
     """
     import contextlib, io, json, sys
@@ -617,14 +629,18 @@ _LOADED_BY = textwrap.dedent(
                 cli.main(sys.argv[1:])
             except SystemExit:
                 pass
-    print(json.dumps(sorted(m for m in sys.modules if m.startswith("chainfold"))))
+    print(json.dumps(sorted(sys.modules)))
     """
 )
 CLI_ONLY = {"chainfold", "chainfold.cli", "chainfold.errors"}
 
 
-def _chainfold_modules_after(*argv: str) -> set[str]:
+def _modules_after(*argv: str) -> set[str]:
     return set(json.loads(_run_fresh(_LOADED_BY, *argv)))
+
+
+def _chainfold_modules_after(*argv: str) -> set[str]:
+    return {m for m in _modules_after(*argv) if m.startswith("chainfold")}
 
 
 def test_importing_the_cli_loads_no_other_chainfold_module():
@@ -632,9 +648,17 @@ def test_importing_the_cli_loads_no_other_chainfold_module():
 
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():
-    # `scenario` loads it with kinematics; every other command's start-up skips it
+    # `fold`, `corpus`, `copy` and `evolve` load it with their records; a usage
+    # error, --help or a missing file, and `scenario`, never do
     script = "import sys, chainfold.cli; print('dataclasses' in sys.modules)"
     assert _run_fresh(script) == "False\n"
+
+
+@pytest.mark.parametrize("name", ["walker", "nosuch"])
+def test_a_scenario_leaves_dataclasses_unloaded(name):
+    # kinematics' records are NamedTuples, and it loads no module with dataclasses
+    loaded = _modules_after("scenario", "--name", name, "--length", "8")
+    assert not loaded & {"dataclasses", "chainfold.mdl", "chainfold.folding"}
 
 
 @pytest.mark.parametrize(
@@ -659,7 +683,7 @@ def test_usage_errors_and_missing_files_load_no_command_module(argv):
     "argv,absent",
     [
         (("fold", FIG4A), {"kinematics", "corpus", "encoding", "copier"}),
-        (("scenario", "--name", "walker"), {"corpus", "encoding", "copier"}),
+        (("scenario", "--name", "walker"), {"corpus", "encoding", "copier", "mdl", "folding"}),
         (("corpus", "stats"), {"kinematics", "encoding", "copier"}),
         (("copy", "--tape", TAPE8), {"kinematics", "corpus", "mdl", "folding"}),
     ],

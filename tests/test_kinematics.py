@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 import kinematics_reference as reference
 from chainfold import kinematics
+from chainfold.cli import DEFAULT_SEED
 from chainfold.corpus import load_fixture, load_manifest
 from chainfold.folding import CollisionError, fold
 from chainfold.geometry import add, apply, bounding_box, rotation_group, sub
@@ -24,6 +24,7 @@ from chainfold.kinematics import (
     World,
     _state_key,
     build_scenario,
+    check_world,
     run_scenario,
     run_world,
     step_world,
@@ -292,7 +293,7 @@ def test_world_rejects_shared_cells_and_bad_bonds():
         World(blocks={0: _mover(5, (0, 0, 0), face=0), 1: one}, bonds=frozenset())
     with pytest.raises(KinematicsError, match="^block 3 is filed under key 7$"):
         three = BlockInstance(id=3, kind="b", cell=(0, 0, 0))
-        World(blocks={7: three, 3: replace(three, cell=(1, 0, 0))}, bonds=frozenset())
+        World(blocks={7: three, 3: three._replace(cell=(1, 0, 0))}, bonds=frozenset())
     stiff = BlockInstance(id=1, kind="b", cell=(1, 0, 0), chain_index=1)
     with pytest.raises(KinematicsError, match="^fold at chain index 1 names a b block$"):
         World(blocks={0: a, 1: stiff}, bonds=frozenset(), pending_folds=(FoldEvent(1, 0),))
@@ -459,7 +460,7 @@ def test_blocked_fold_retries_until_clear():
 def test_fold_that_would_turn_an_anchored_block_waits():
     w = world_from_chain("b_H_b_", fold_delay=0)
     blocks = dict(w.blocks)
-    blocks[0] = replace(blocks[0], anchored=True)
+    blocks[0] = blocks[0]._replace(anchored=True)
     w = step_world(World(blocks=blocks, bonds=w.bonds, pending_folds=w.pending_folds))
     assert w.blocks[0].cell == (2, 0, 0)
     assert w.pending_folds == (FoldEvent(1, 1),)
@@ -522,7 +523,7 @@ def inworld_runs(draw):
 def _inworld(text, fold_delay, seed, strangers, pinned):
     w = world_from_chain(text, fold_delay=fold_delay, seed=seed)
     blocks = {
-        i: replace(b, anchored=True) if b.chain_index in pinned else b
+        i: b._replace(anchored=True) if b.chain_index in pinned else b
         for i, b in w.blocks.items()
     }
     taken = {b.cell for b in blocks.values()}
@@ -539,7 +540,8 @@ def test_in_world_invariants_hold_every_tick(run):
     kept = {i for i, b in w.blocks.items() if b.kind != "d"}
     due = {i: b.dissolve_due for i, b in w.blocks.items() if b.kind == "d"}
     for _ in range(60):
-        w = step_world(w)  # raises KinematicsError on a broken world
+        w = step_world(w)
+        check_world(w)
         assert {i: w.blocks[i].cell for i in anchored} == anchored
         assert kept <= set(w.blocks)
         # a dissolvable melts at its due tick, and not before
@@ -797,6 +799,7 @@ def test_run_world_matches_the_reference_tick_by_tick(run):
     hits = []
     for _ in range(ticks):
         ours, ref = run_world(ours, 1), reference.step_world(ref, hits)
+        check_world(ours)
         assert ours.time == ref.time
         assert ours.blocks == ref.blocks
         assert ours.bonds == ref.bonds
@@ -804,6 +807,27 @@ def test_run_world_matches_the_reference_tick_by_tick(run):
     assert run_world(start, ticks) == ref
     for case in sorted(set(hits)):
         event(case)
+
+
+def _checked_run(world, ticks):
+    """Step `world` `ticks` times and run the check on every world the tick returns."""
+    for _ in range(ticks):
+        world = step_world(world)
+        check_world(world)
+
+
+# `step_world` builds its result without the check, so the check runs here
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_tick_keeps_every_fixture_world_valid(seed):
+    for fx in load_manifest().values():
+        _checked_run(world_from_chain(fx.chain, seed=seed), 150)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+@pytest.mark.parametrize("length", [8, 32])
+def test_the_tick_keeps_every_template_world_valid(name, length):
+    world, meta = build_scenario(name, length=length)
+    _checked_run(world, meta["default_ticks"])
 
 
 def test_drawn_worlds_reach_every_action_the_tick_takes_or_refuses():
@@ -827,16 +851,18 @@ PERIOD_FOUND_AT = {"walker": 56, "shuttle": 10, "retainer": None}
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_run_scenario_matches_the_reference_loop(name):
+def test_run_scenario_matches_the_reference_loop(reference_scenario, name):
+    # the CLI's default seed, so that test_cli's reference runs are these
     for length in sorted({kinematics._MIN_LENGTH[name], 8, 13, 32, 128}):
-        assert run_scenario(name, length) == reference.run_scenario(name, length)
+        ours = run_scenario(name, length, seed=DEFAULT_SEED)
+        assert ours == reference_scenario(name, length, seed=DEFAULT_SEED)
     found = PERIOD_FOUND_AT[name]
     around = () if found is None else (found - 1, found, found + 1)
     past_default = build_scenario(name, 8)[1]["default_ticks"] + 50
     for ticks in (0, 1, 9, *around, past_default):
         ours = run_scenario(name, 8, ticks=ticks, seed=3)
-        assert ours == reference.run_scenario(name, 8, ticks=ticks, seed=3)
-    events = reference.run_scenario(name, 8, ticks=past_default).events
+        assert ours == reference_scenario(name, 8, ticks=ticks, seed=3)
+    events = reference_scenario(name, 8, ticks=past_default, seed=3).events
     detected = [int(e.rsplit(" ", 1)[1]) for e in events if e.startswith("period")]
     assert detected == ([] if found is None else [found])
 
