@@ -45,10 +45,11 @@ def _int_at_least(low: int, rule: str):
     return check
 
 
-# numpy would reject a negative seed, `run_copy` a negative cycle budget,
-# `StreamExperiment` a trial count below 1 and `run_scenario` a negative
-# length or tick count, but only after numpy or the command's modules load:
-# a fresh `python -c "import numpy"` takes about 150 ms on a 2-vCPU x86_64 host
+# the seeded streams would reject a negative seed, the copier a negative
+# cycle budget, `StreamExperiment` a trial count below 1 and `run_scenario`
+# a negative length or tick count, but only after the command's modules (and
+# for `evolve` numpy) load: a fresh `python -c "import numpy"` takes about
+# 150 ms on a 2-vCPU x86_64 host
 _non_negative = _int_at_least(0, "must not be negative")
 _positive = _int_at_least(1, "must be positive")
 
@@ -126,14 +127,24 @@ def _load_tape_file(path: str):
     return tape_from_kinds(t.canonical for t in parse_mdl(text))
 
 
+# Tapes up to this many slots are copied by `seeded_copy`, which draws
+# numpy's stream in Python and never imports numpy; longer ones by
+# `run_copy`, which pays for the import but draws much faster. A one-side
+# `copy` process took about the same time either way near here: 332 vs
+# 307 ms at 24,576 slots, 370 vs 392 ms at 32,768 (run_copy vs
+# seeded_copy, best of 7, a shared 2-vCPU x86_64 host).
+_NUMPY_FREE_COPY_SLOTS = 28_000
+
+
 def _cmd_copy(args) -> int:
     tape = _load_tape_file(args.tape)
-    # numpy loads with the copier, after a bad tape has exited 1
-    from .copier import Sparing, SubunitProfile, run_copy
+    from . import kernels
+    from .copier import Sparing, SubunitProfile, run_copy, seeded_copy
     from .encoding import negative_copy, tape_to_json_dict
 
     profile = SubunitProfile(sparing=Sparing[args.sparing.upper()])
-    run = run_copy(tape, profile=profile, seed=args.seed, max_cycles=args.max_cycles)
+    copy = seeded_copy if len(tape) <= _NUMPY_FREE_COPY_SLOTS else run_copy
+    run = copy(tape, profile=profile, seed=args.seed, max_cycles=args.max_cycles)
     _emit(
         {
             "config": {
@@ -143,7 +154,7 @@ def _cmd_copy(args) -> int:
                 "max_cycles": args.max_cycles,
             },
             "cycles": run.cycles,
-            "backend": run.backend,
+            "backend": kernels.active_backend(),
             "mutations": list(run.mutations),
             "mutation_count": len(run.mutations),
             "faithful": run.output == negative_copy(tape),

@@ -12,6 +12,10 @@ opposite direction. The push-down mover measures how far it protrudes:
 
 With both sides of the marking row spared, a reversed match lies flush
 too and is glued, which is the mutation pathway.
+
+`run_copy` draws from numpy and returns the stick-out log too;
+`seeded_copy` draws the same stream from `pcg64` and gathers only the
+copy, its cycles and mutations, so it never loads numpy.
 """
 
 from __future__ import annotations
@@ -23,13 +27,15 @@ from array import array
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from fractions import Fraction
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
 from .encoding import FitResult, Tape, TapeEntry, TypeRegistry, default_registry, fit
 from .errors import CycleLimitExceededError, TapeExhaustedError, UnknownTapeKindError
+from .pcg64 import Pcg64
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FEED_CHUNK = 4096
 
@@ -146,76 +152,132 @@ class CopyRun:
     backend: str
 
 
-class _Rules(NamedTuple):
-    """What the copier reads off one registry under one sparing.
+class CopyResult(NamedTuple):
+    """What `seeded_copy` gathers: `run_copy`'s fields of the same names."""
 
-    Both tables are indexed (slot code, flat draw): a slot code is kind
-    index * 2 + flip, a flat draw is kind index * cases + case.
-    """
+    output: Tape
+    cycles: int
+    mutations: tuple[int, ...]
 
-    entries: np.ndarray  # the tape entry at each slot code, as objects
+
+class _Table(NamedTuple):
+    """What the copier reads off one registry under one sparing, in plain
+    Python: a slot code is kind index * 2 + flip, a flat draw is kind
+    index * cases + case, and `stick` and `mut` hold one byte per (slot
+    code, flat draw) at slot code * width + draw."""
+
+    entries: tuple[TapeEntry, ...]  # the tape entry at each slot code
     index: dict[str, int]  # kind -> kind index; shared, so never written
-    stick: np.ndarray  # stick-out of each draw at each slot
-    mut: np.ndarray  # whether gluing that draw there is a mutation
+    width: int  # flat draws per slot code
+    stick: bytes  # stick-out of each draw at each slot
+    mut: bytes  # 1 where gluing that draw there is a mutation
     # per slot code, a byte class (never empty: every kind has a partner) of
     # the draws with stick-out 0 there; \xNN escapes keep -, \, ] and ^ literal
     seek: tuple[re.Pattern[bytes], ...]
 
 
 @functools.cache
-def _rules(sparing: Sparing, registry: TypeRegistry) -> _Rules:
+def _table(sparing: Sparing, registry: TypeRegistry) -> _Table:
     """Built once per sparing and registry value, since only the sparing
-    enters the rule; the tables are read-only. A glue always takes the
-    drawn kind."""
+    enters the rule. A glue always takes the drawn kind."""
     profile = SubunitProfile(sparing=sparing)
     kinds = registry.kinds
     entries = tuple(TapeEntry(kind, flipped) for kind in kinds for flipped in (False, True))
     draws = [(kind, case) for kind in kinds for case in PresentationCase]
-    stick = np.empty((len(entries), len(draws)), dtype=np.uint8)
-    mut = np.empty_like(stick)
-    for code, slot in enumerate(entries):
-        for f, (kind, case) in enumerate(draws):
-            stick[code, f], mut[code, f] = _classify(kind, case, slot, profile, registry)
-    entry_table = np.array(entries, dtype=object)
-    for table in (stick, mut, entry_table):
-        table.flags.writeable = False
-    glues = [np.flatnonzero(row == 0).tolist() for row in stick]
-    return _Rules(
-        entries=entry_table,
+    rule = [
+        _classify(kind, case, slot, profile, registry) for slot in entries for kind, case in draws
+    ]
+    stick = bytes(s for s, _ in rule)
+    width = len(draws)
+    rows = range(0, len(stick), width)
+    glues = [[f for f in range(width) if not stick[row + f]] for row in rows]
+    return _Table(
+        entries=entries,
         index={kind: i for i, kind in enumerate(kinds)},
+        width=width,
         stick=stick,
-        mut=mut,
+        mut=bytes(m for _, m in rule),
         seek=tuple(re.compile(b"[%s]" % b"".join(b"\\x%02x" % f for f in fs)) for fs in glues),
     )
 
 
-def _slot_codes(tape: Tape, rules: _Rules) -> bytes:
+class _Rules(NamedTuple):
+    """`_table` as read-only numpy tables, indexed (slot code, flat draw)."""
+
+    entries: np.ndarray  # the tape entry at each slot code, as objects
+    index: dict[str, int]
+    stick: np.ndarray
+    mut: np.ndarray
+    seek: tuple[re.Pattern[bytes], ...]
+
+
+@functools.cache
+def _rules(sparing: Sparing, registry: TypeRegistry) -> _Rules:
+    import numpy as np
+
+    table = _table(sparing, registry)
+    entries = np.array(table.entries, dtype=object)
+    entries.flags.writeable = False
+    shape = (len(table.entries), table.width)
+    return _Rules(
+        entries=entries,
+        index=table.index,
+        # views of `bytes`, so numpy refuses to write them
+        stick=np.frombuffer(table.stick, dtype=np.uint8).reshape(shape),
+        mut=np.frombuffer(table.mut, dtype=np.uint8).reshape(shape),
+        seek=table.seek,
+    )
+
+
+def _slot_codes(tape: Tape, table: _Table | _Rules) -> bytes:
     """One byte per slot, kind index * 2 + flip: codes < 2 * _MAX_KINDS."""
-    index = rules.index
+    index = table.index
     try:  # a flip is a bool, and a bool is an int, so it adds as is
         return bytes([2 * index[e.kind] + e.flipped for e in tape])
     except KeyError as exc:
         raise UnknownTapeKindError(exc.args[0]) from None
 
 
+# A draw source is called once per chunk with (open slots, cycles left)
+# and returns that chunk's flat draws, kind * cases + case, as `bytes`.
+
+
 def _seeded_draws(seed: int | np.random.SeedSequence, n_kinds: int):
+    import numpy as np
+
     rng = np.random.default_rng(seed)
 
-    def draw(open_slots: int, budget: int):
+    def draw(open_slots: int, budget: int) -> bytes:
         # Draw a full chunk regardless of budget so the stream is a pure
         # function of the seed, then cap what the kernel may consume.
         kinds = rng.integers(0, n_kinds, size=FEED_CHUNK, dtype=np.uint8)
-        cases = rng.integers(0, 4, size=FEED_CHUNK, dtype=np.uint8)
-        return kinds[:budget], cases[:budget]
+        cases = rng.integers(0, len(PresentationCase), size=FEED_CHUNK, dtype=np.uint8)
+        return (kinds[:budget] * len(PresentationCase) + cases[:budget]).tobytes()
+
+    return draw
+
+
+def _pure_draws(seed: int, n_kinds: int):
+    stream = Pcg64(seed)
+
+    def draw(open_slots: int, budget: int) -> bytes:
+        # the same stream as `_seeded_draws`; a kind index < _MAX_KINDS
+        # times the case count stays below 256, so the byte strings add as
+        # two big-endian ints with no carry between bytes
+        kinds = int.from_bytes(stream.integers(n_kinds, FEED_CHUNK), "big")
+        cases = int.from_bytes(stream.integers(len(PresentationCase), FEED_CHUNK), "big")
+        return (kinds * len(PresentationCase) + cases).to_bytes(FEED_CHUNK, "big")[:budget]
 
     return draw
 
 
 def _forced_draws(feed, rules: _Rules):
+    import numpy as np
+
     items = iter(feed)
     case_values = frozenset(map(int, PresentationCase))
 
-    def draw(open_slots: int, budget: int):
+    def draw(open_slots: int, budget: int) -> bytes:
         # Every open slot needs at least one more draw, so a batch this
         # size never reads past the draw that finishes the tape.
         batch = list(itertools.islice(items, min(open_slots, budget)))
@@ -230,9 +292,54 @@ def _forced_draws(feed, rules: _Rules):
             valid = False
         if not valid:
             raise ValueError("forced feed cases must be PresentationCase values 0-3")
-        return np.array(kinds, dtype=np.uint8), np.array(cases, dtype=np.uint8)
+        flat = np.array(kinds, dtype=np.uint8) * len(PresentationCase)
+        return (flat + np.array(cases, dtype=np.uint8)).tobytes()
 
     return draw
+
+
+def _settings(
+    tape: Tape,
+    profile: SubunitProfile | None,
+    max_cycles: int | None,
+    registry: TypeRegistry | None,
+) -> tuple[Sparing, TypeRegistry, int]:
+    """A copy's sparing, registry and cycle budget, after the checks that
+    both entry points make before drawing."""
+    reg = registry or default_registry()
+    n_kinds = len(reg.kinds)
+    if n_kinds > _MAX_KINDS:
+        raise ValueError(f"the copier takes at most {_MAX_KINDS} kinds, got {n_kinds}")
+    if max_cycles is None:
+        max_cycles = max(10_000, 2_000 * len(tape))
+    elif max_cycles < 0:
+        raise ValueError(f"max_cycles must not be negative, got {max_cycles}")
+    return (profile or SubunitProfile()).sparing, reg, max_cycles
+
+
+def _walk(codes: bytes, seek, draw, max_cycles: int) -> tuple[bytearray, array, int]:
+    """Feed chunks from `draw` to the kernel until every slot is glued.
+
+    Returns every draw fed, each as its flat index (only the last chunk
+    can end unused), the cycle that glued each slot after -1 for the
+    start, and the cycles used. Stops with CycleLimitExceededError after
+    `max_cycles` draws, or when the source runs dry first.
+    """
+    n = len(codes)
+    drawn = bytearray()
+    glue_cycles = array("q", [-1])
+    head = 0
+    cycles = 0
+    while head < n:
+        if cycles >= max_cycles:
+            raise CycleLimitExceededError(cycles, head, n)
+        flat = draw(n - head, max_cycles - cycles)
+        if not flat:  # a forced feed ran dry
+            raise CycleLimitExceededError(cycles, head, n)
+        head, used = kernels.copier_chunk(seek, codes, head, flat, cycles, glue_cycles)
+        drawn += flat
+        cycles += used
+    return drawn, glue_cycles, cycles
 
 
 def run_copy(
@@ -253,33 +360,13 @@ def run_copy(
     a forced feed runs out first. Registries of more than 64 kinds and a
     negative `max_cycles` raise ValueError.
     """
-    profile = profile or SubunitProfile()
-    reg = registry or default_registry()
-    n_kinds = len(reg.kinds)
-    if n_kinds > _MAX_KINDS:
-        raise ValueError(f"the copier takes at most {_MAX_KINDS} kinds, got {n_kinds}")
-    n = len(tape)
-    if max_cycles is None:
-        max_cycles = max(10_000, 2_000 * n)
-    elif max_cycles < 0:
-        raise ValueError(f"max_cycles must not be negative, got {max_cycles}")
-    rules = _rules(profile.sparing, reg)
-    draw = _seeded_draws(seed, n_kinds) if feed is None else _forced_draws(feed, rules)
+    import numpy as np
+
+    sparing, reg, max_cycles = _settings(tape, profile, max_cycles, registry)
+    rules = _rules(sparing, reg)
+    draw = _seeded_draws(seed, len(reg.kinds)) if feed is None else _forced_draws(feed, rules)
     codes = _slot_codes(tape, rules)
-    drawn = bytearray()  # each draw as its flat index, kind * cases + case
-    glue_cycles = array("q", [-1])  # the cycle that glued each slot, after -1 for the start
-    head = 0
-    cycles = 0
-    while head < n:
-        if cycles >= max_cycles:
-            raise CycleLimitExceededError(cycles, head, n)
-        kinds, cases = draw(n - head, max_cycles - cycles)
-        if not len(kinds):  # a forced feed ran dry
-            raise CycleLimitExceededError(cycles, head, n)
-        flat = (kinds * len(PresentationCase) + cases).tobytes()
-        head, used = kernels.copier_chunk(rules.seek, codes, head, flat, cycles, glue_cycles)
-        drawn += flat  # only the last chunk can end unused, and `count` drops that
-        cycles += used
+    drawn, glue_cycles, cycles = _walk(codes, rules.seek, draw, max_cycles)
     # the copy is finished, so every slot has its glue: gather in one pass
     flat = np.frombuffer(drawn, dtype=np.uint8, count=cycles)
     ends = np.frombuffer(glue_cycles, dtype=np.int64)
@@ -300,9 +387,38 @@ def run_copy(
         cycles=cycles,
         mutations=tuple(np.flatnonzero(mut).tolist()),
         stickout_log=rules.stick.ravel()[met],
-        sparing=profile.sparing,
+        sparing=sparing,
         backend=kernels.active_backend(),
     )
+
+
+def seeded_copy(
+    tape: Tape,
+    profile: SubunitProfile | None = None,
+    seed: int = 0,
+    max_cycles: int | None = None,
+    registry: TypeRegistry | None = None,
+) -> CopyResult:
+    """`run_copy`'s output, cycles and mutations for an int seed >= 0,
+    with the same errors, computed without numpy: the draws come from
+    `pcg64.Pcg64`, and the copy is gathered slot by slot, with no
+    stick-out log."""
+    sparing, reg, max_cycles = _settings(tape, profile, max_cycles, registry)
+    table = _table(sparing, reg)
+    draw = _pure_draws(seed, len(reg.kinds))
+    codes = _slot_codes(tape, table)
+    drawn, glue_cycles, cycles = _walk(codes, table.seek, draw, max_cycles)
+    width, mut_table, entries = table.width, table.mut, table.entries
+    output = []
+    mutations = []
+    for slot, (code, end) in enumerate(zip(codes, itertools.islice(glue_cycles, 1, None))):
+        glue = drawn[end]
+        mut = mut_table[code * width + glue]
+        if mut:
+            mutations.append(slot)
+        # as in run_copy: the drawn kind, in the slot's flip frame unless a mutation
+        output.append(entries[glue // len(PresentationCase) * 2 + (code & 1 ^ mut)])
+    return CopyResult(tuple(output), cycles, tuple(mutations))
 
 
 def copy_twice(
@@ -311,8 +427,15 @@ def copy_twice(
     seed: int | np.random.SeedSequence = 0,
     registry: TypeRegistry | None = None,
 ) -> Tape:
-    """Copy the copy; with a mutation-free profile this returns the original."""
-    s1, s2 = np.random.SeedSequence(seed).spawn(2)
+    """Copy the copy; with a mutation-free profile this returns the original.
+
+    The two copies draw from two children spawned from `seed`, a
+    SeedSequence or an int that seeds one."""
+    import numpy as np
+
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    s1, s2 = seed.spawn(2)
     first = run_copy(tape, profile, seed=s1, registry=registry)
     second = run_copy(first.output, profile, seed=s2, registry=registry)
     return second.output
@@ -329,10 +452,10 @@ def analytic_cycle_stats(
     each slot; waiting times are geometric, so expectation is 1/p per slot.
     """
     profile = profile or SubunitProfile()
-    reg = registry or default_registry()
-    rules = _rules(profile.sparing, reg)
-    n_glue = np.count_nonzero(rules.stick == 0, axis=1).tolist()
-    per_slot = [Fraction(n_glue[code], rules.stick.shape[1]) for code in _slot_codes(tape, rules)]
+    table = _table(profile.sparing, registry or default_registry())
+    width = table.width
+    n_glue = [table.stick.count(0, row, row + width) for row in range(0, len(table.stick), width)]
+    per_slot = [Fraction(n_glue[code], width) for code in _slot_codes(tape, table)]
     expected = sum((1 / p for p in per_slot), Fraction(0))
     variance = sum(((1 - p) / p**2 for p in per_slot), Fraction(0))
     return {"per_slot": per_slot, "expected_cycles": expected, "variance": variance}

@@ -237,10 +237,14 @@ def verify_corpus(
 
 
 def corpus_stats(directory: str | Path | None = None) -> dict:
-    """Block counts per machine and the two headline ratios.
+    """Block counts per machine, the two headline ratios, and the paper's
+    type-reduction counts.
 
     The genome estimate charges one codon per block across the machines a
     self-replicator must describe (copier, decoder, recyclers, sorter).
+    `type_reduction` quotes the paper's own counts as constants; nothing
+    in it is computed from the corpus, whose gluers glue across three
+    different faces (`G0_`, `G1_`, `G2_`) where `gluer_directions` says 1.
     """
     corpus = load_manifest(directory)
     counts = {fid: len(fx.chain) for fid, fx in corpus.items()}

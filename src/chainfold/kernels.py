@@ -9,16 +9,20 @@ function of them, and both cost time linear in their input:
 - `copier_chunk` only walks: one C-level byte-class search per glue
   skips the rejected draws between glues, which cost no Python step,
   and it records the run-wide cycle of each glue into the caller's
-  `array('q')`. `copier.run_copy` gathers the copy from those cycles
-  once the tape is finished.
+  `array('q')`. `copier.run_copy` and `copier.seeded_copy` gather the
+  copy from those cycles once the tape is finished.
 
 `tests/test_kernels.py` holds plain-Python loop versions of each as the
-reference they must match element for element.
+reference they must match element for element. numpy loads inside
+`count_matches`, so `copier_chunk` runs without it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def active_backend() -> str:
@@ -38,6 +42,8 @@ def count_matches(draws: np.ndarray, target: np.ndarray) -> int:
     a zero-copy view; each later column only filters the few rows that
     matched, about one in |alphabet|^w.
     """
+    import numpy as np
+
     k = len(target)
     if not k:
         return draws.shape[0]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import chainfold
-from chainfold import kinematics
+from chainfold import cli, kinematics
 from chainfold.cli import DEFAULT_SEED, main
 from chainfold.corpus import fixtures_dir
 
@@ -283,6 +283,81 @@ def test_copy_of_a_deeply_nested_json_tape_exits_one(capsys, tmp_path):
     assert err == f"chainfold: {p} nests JSON too deeply to read\n"
 
 
+def _copy_both_ways(capsys, monkeypatch, *argv):
+    """(exit code, stdout, stderr) of `copy` through `seeded_copy`, then
+    with every tape over the slot limit, through `run_copy`."""
+    from chainfold import copier
+
+    results = []
+    for limit, path in ((cli._NUMPY_FREE_COPY_SLOTS, "seeded_copy"), (-1, "run_copy")):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_NUMPY_FREE_COPY_SLOTS", limit)
+            calls = {name: [] for name in ("seeded_copy", "run_copy")}
+            for name, log in calls.items():
+                m.setattr(copier, name, _logged(getattr(copier, name), log))
+            results.append(run_cli(capsys, "copy", *argv))
+        assert {name: len(log) for name, log in calls.items()} == {
+            name: int(name == path) for name in calls
+        }
+    return results
+
+
+def _logged(fn, log):
+    def spy(*args, **kwargs):
+        log.append(args)
+        return fn(*args, **kwargs)
+
+    return spy
+
+
+@pytest.fixture()
+def tape512(tmp_path):
+    p = tmp_path / "tape512.json"
+    kinds = ["G0_", "H__", "L__", "R__", "M1x", "b__"]
+    entries = [{"kind": kinds[i % 6], "flipped": i % 5 == 0} for i in range(512)]
+    p.write_text(json.dumps({"entries": entries}))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "tape8",
+        "tape8-both-seed-2^70",
+        "fig4a",
+        "empty",
+        "zero-budget",
+        "budget-in-chunk-1",
+        "budget-in-chunk-2",
+        "unknown-kind",
+    ],
+)
+def test_copy_prints_the_same_on_either_path(capsys, monkeypatch, tmp_path, tape512, case):
+    empty, unknown = tmp_path / "empty.json", tmp_path / "unknown.json"
+    empty.write_text(json.dumps({"entries": []}))
+    unknown.write_text(json.dumps({"entries": [{"kind": "G0_"}, {"kind": "a"}]}))
+    argv = {
+        "tape8": ["--tape", TAPE8],
+        "tape8-both-seed-2^70": ["--tape", TAPE8, "--sparing", "both_sides", "--seed", str(2**70)],
+        "fig4a": ["--tape", FIG4A, "--seed", "3"],
+        "empty": ["--tape", str(empty)],
+        "zero-budget": ["--tape", TAPE8, "--max-cycles", "0"],
+        # one_side takes about 20 draws a slot, so both budgets run out
+        "budget-in-chunk-1": ["--tape", TAPE8, "--max-cycles", "20"],
+        "budget-in-chunk-2": ["--tape", tape512, "--max-cycles", "6000"],
+        "unknown-kind": ["--tape", str(unknown)],
+    }[case]
+    seeded, numpy_run = _copy_both_ways(capsys, monkeypatch, *argv)
+    assert seeded == numpy_run
+    code, out, err = seeded
+    if case.startswith(("zero", "budget")):
+        assert code == 2 and out == "" and "cycle" in err
+    elif case == "unknown-kind":
+        assert (code, out, err) == (2, "", "chainfold: kind 'a' is not in the type registry\n")
+    else:
+        assert code == 0 and err == "" and json.loads(out)["backend"] == "numpy"
+
+
 def test_copy_unknown_kind_message_has_no_key_error_quotes(capsys, tmp_path):
     p = tmp_path / "unknown.json"
     p.write_text(json.dumps({"entries": [{"kind": "a"}]}))
@@ -551,8 +626,9 @@ def _run_fresh(script: str, *args: str) -> str:
 
 
 def test_commands_that_draw_nothing_never_load_numpy(tmp_path):
-    # numpy costs about half of a short command's start-up; only copy,
-    # evolve and in-world runs with drawn mover phases need it
+    # numpy costs about half of a short command's start-up; only evolve,
+    # copies of tapes over cli._NUMPY_FREE_COPY_SLOTS and in-world runs with
+    # drawn mover phases need it
     script = textwrap.dedent(
         f"""
         import contextlib, io, sys
@@ -566,6 +642,8 @@ def test_commands_that_draw_nothing_never_load_numpy(tmp_path):
             ["scenario", "--name", "shuttle"],
             ["scenario", "--name", "retainer"],
             ["frobnicate"],
+            ["copy", "--tape", {TAPE8!r}],
+            ["copy", "--tape", {FIG4A!r}, "--sparing", "both_sides"],
             ["copy", "--tape", {str(tmp_path / "no-such.json")!r}],
             ["copy", "--tape", {TAPE8!r}, "--seed", "-1"],
             ["copy", "--tape", {TAPE8!r}, "--max-cycles", "-5"],
@@ -589,7 +667,7 @@ def test_commands_that_draw_nothing_never_load_numpy(tmp_path):
 
 
 # argv[1] is the caller's OPENBLAS_NUM_THREADS, "" for none; prints its value
-# after `cli.main(["copy", ...])` and the process's thread count (0 off Linux)
+# after `cli.main(["evolve", ...])` and the process's thread count (0 off Linux)
 _BLAS_THREADS = textwrap.dedent(
     f"""
     import contextlib, io, os, sys
@@ -600,7 +678,7 @@ _BLAS_THREADS = textwrap.dedent(
     from chainfold import cli
     assert dict(os.environ) == before, "import chainfold.cli changed os.environ"
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["copy", "--tape", {TAPE8!r}]) == 0
+        assert cli.main(["evolve", "--trials", "1000"]) == 0
     assert "numpy" in sys.modules
     tasks = "/proc/self/task"
     print(os.environ["OPENBLAS_NUM_THREADS"], len(os.listdir(tasks)) if os.path.isdir(tasks) else 0)

@@ -18,6 +18,7 @@ from chainfold.copier import (
     analytic_cycle_stats,
     copy_twice,
     run_copy,
+    seeded_copy,
     step,
     stickout,
 )
@@ -186,6 +187,16 @@ def test_copy_twice_round_trips_with_flips():
     assert copy_twice((), ONE, seed=5) == ()
 
 
+def test_copy_twice_spawns_from_a_given_seed_sequence():
+    tape = tape_from_kinds(KINDS, [False, True] * 3)
+    assert copy_twice(tape, ONE, seed=np.random.SeedSequence(3)) == tape
+    # an int seeds the SeedSequence that is spawned from, so both draw alike
+    doubled = tape * 4
+    assert copy_twice(doubled, BOTH, seed=np.random.SeedSequence(3)) == copy_twice(
+        doubled, BOTH, seed=3
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     tape=st.lists(
@@ -344,6 +355,8 @@ def test_mutations_confined_to_reversed_partners(case):
     if profile is ONE:
         assert run.mutations == ()
         assert copy_twice(tape, ONE, seed=seed, registry=reg) == tape
+    seeded = seeded_copy(tape, profile, seed, registry=reg)
+    assert seeded == (run.output, run.cycles, run.mutations)
     for i in run.mutations:
         assert reg.pattern(run.output[i].kind) == reverse(reg.pattern(exact[i].kind))
 
@@ -351,8 +364,9 @@ def test_mutations_confined_to_reversed_partners(case):
 def test_registry_past_64_kinds_is_refused():
     reg = _registry(BALANCED_8)
     assert len(reg.kinds) == 70
-    with pytest.raises(ValueError, match="at most 64 kinds"):
-        run_copy(tape_from_kinds(reg.kinds[:2]), ONE, registry=reg)
+    for copy in (run_copy, seeded_copy):
+        with pytest.raises(ValueError, match="at most 64 kinds"):
+            copy(tape_from_kinds(reg.kinds[:2]), ONE, registry=reg)
 
 
 def test_cycle_counts_within_three_sigma():
@@ -440,6 +454,8 @@ def test_negative_cycle_budget_is_refused():
     for feed in (None, [("b__", U)]):
         with pytest.raises(ValueError, match="max_cycles must not be negative, got -5"):
             run_copy(tape, ONE, feed=feed, max_cycles=-5)
+    with pytest.raises(ValueError, match="max_cycles must not be negative, got -5"):
+        seeded_copy(tape, ONE, max_cycles=-5)
     with pytest.raises(ValueError):
         run_copy((), ONE, max_cycles=-1)
     # a zero budget stays legal: it finishes an empty tape and nothing else
@@ -464,3 +480,35 @@ def test_a_flip_that_is_not_a_bool_is_refused(flip):
         step(CopierState(tape=(TapeEntry("H__", flip),), profile=ONE, registry=REG), "H__", U)
     with refused:
         negative_copy((TapeEntry("H__", flip),))
+
+
+def _copy_outcome(copy, tape, profile, seed, max_cycles):
+    """A copy's output, cycles and mutations, or where it ran out of cycles."""
+    try:
+        run = copy(tape, profile, seed=seed, max_cycles=max_cycles)
+    except CycleLimitExceededError as exc:
+        return exc.cycles, exc.head, str(exc)
+    return run.output, run.cycles, run.mutations
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    tape=st.lists(_entries, max_size=40).map(tuple),
+    profile=st.sampled_from([ONE, BOTH]),
+    seed=st.integers(0, 2**32 - 1) | st.integers(0, 2**256),
+    max_cycles=st.none() | st.integers(0, 1000),
+)
+# several chunks, and a budget that ends in the second one
+@example(tape=tape_from_kinds(KINDS * 40), profile=ONE, seed=7, max_cycles=None)
+@example(tape=tape_from_kinds(KINDS * 40), profile=BOTH, seed=2**70, max_cycles=6000)
+@example(tape=(), profile=ONE, seed=0, max_cycles=0)
+def test_seeded_copy_matches_run_copy(tape, profile, seed, max_cycles):
+    numpy_run = _copy_outcome(run_copy, tape, profile, seed, max_cycles)
+    assert _copy_outcome(seeded_copy, tape, profile, seed, max_cycles) == numpy_run
+
+
+def test_seeded_copy_refuses_what_run_copy_refuses():
+    with pytest.raises(UnknownTapeKindError, match="'Q__'"):
+        seeded_copy(tape_from_kinds(["G0_", "Q__"]), ONE, seed=1)
+    with pytest.raises(ValueError, match="seed must not be negative, got -1"):
+        seeded_copy(tape_from_kinds(["G0_"]), ONE, seed=-1)

@@ -1,0 +1,46 @@
+"""`pcg64.Pcg64` against the installed numpy: the same bytes from each
+`integers` call, and the bit generator left in the same state after it."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from chainfold.copier import FEED_CHUNK
+from chainfold.pcg64 import Pcg64
+
+
+def _state(stream: Pcg64) -> dict:
+    """`stream` in the layout of numpy's `bit_generator.state`."""
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": stream.state, "inc": stream.inc},
+        "has_uint32": stream.has_uint32,
+        "uinteger": stream.uinteger,
+    }
+
+
+# the copier draws kinds with k = 6 (the default registry) and cases with
+# k = 4; a registry can have 2 to 64 kinds, and 1 and 256 are the edges
+_k = st.sampled_from([6, 4, 6, 4, 1, 2, 3, 7, 64, 256])
+_calls = st.lists(st.tuples(_k, st.sampled_from([1, 7, FEED_CHUNK, 0, 3])), min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**256), calls=_calls)
+@example(seed=0, calls=[(6, FEED_CHUNK), (4, FEED_CHUNK)])
+@example(seed=2**32 + 5, calls=[(6, 7), (4, 1), (4, 7), (6, 1)])
+@example(seed=2**128 - 1, calls=[(6, 1), (256, FEED_CHUNK)])
+def test_integers_and_state_match_numpy(seed, calls):
+    rng = np.random.default_rng(seed)
+    stream = Pcg64(seed)
+    assert _state(stream) == rng.bit_generator.state
+    for k, size in calls:
+        want = rng.integers(0, k, size=size, dtype=np.uint8).tobytes()
+        assert stream.integers(k, size) == want, (k, size)
+        assert _state(stream) == rng.bit_generator.state, (k, size)
+
+
+def test_a_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="seed must not be negative, got -3"):
+        Pcg64(-3)

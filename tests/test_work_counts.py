@@ -11,7 +11,7 @@ and why.
 import pytest
 
 from chainfold import kernels, kinematics, protoevolution
-from chainfold.copier import run_copy
+from chainfold.copier import run_copy, seeded_copy
 from chainfold.encoding import default_registry, tape_from_kinds
 
 KINDS = default_registry().kinds
@@ -60,11 +60,16 @@ def _worlds(monkeypatch, name, length, past_default):
     return worlds, _cell_maps(trace)[1]
 
 
-def _chunks(monkeypatch, n):
+def _chunks(monkeypatch, n, copy=run_copy):
     """`copier_chunk` calls and cycles of a seed-7 copy of an n-slot tape."""
     chunks = _spy(monkeypatch, kernels, "copier_chunk")
-    run = run_copy(tape_from_kinds([KINDS[i % 6] for i in range(n)]), seed=7)
+    run = copy(tape_from_kinds([KINDS[i % 6] for i in range(n)]), seed=7)
     return len(chunks), run.cycles
+
+
+def _seeded_chunks(monkeypatch, n):
+    """The same for the numpy-free `seeded_copy`, which draws the same stream."""
+    return _chunks(monkeypatch, n, seeded_copy)
 
 
 def _matched_rows(monkeypatch, trials):
@@ -104,6 +109,8 @@ WORK_COUNTS = [
     # a copy of the six kinds in turn
     (_chunks, (8,), (1, 138)),
     (_chunks, (4096,), (21, 82_271)),
+    (_seeded_chunks, (8,), (1, 138)),
+    (_seeded_chunks, (4096,), (21, 82_271)),
     # an evolve of the default experiment
     (_matched_rows, (1_000_000,), [1_000_000]),
     (_matched_rows, (2_500_000,), [1_000_000, 1_000_000, 500_000]),
