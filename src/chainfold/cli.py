@@ -127,24 +127,16 @@ def _load_tape_file(path: str):
     return tape_from_kinds(t.canonical for t in parse_mdl(text))
 
 
-# Tapes up to this many slots are copied by `seeded_copy`, which draws
-# numpy's stream in Python and never imports numpy; longer ones by
-# `run_copy`, which pays for the import but draws much faster. A one-side
-# `copy` process took about the same time either way near here: 332 vs
-# 307 ms at 24,576 slots, 370 vs 392 ms at 32,768 (run_copy vs
-# seeded_copy, best of 7, a shared 2-vCPU x86_64 host).
-_NUMPY_FREE_COPY_SLOTS = 28_000
-
-
 def _cmd_copy(args) -> int:
     tape = _load_tape_file(args.tape)
+    # `seeded_copy` draws numpy's seeded stream in Python, so a copy never
+    # imports numpy
     from . import kernels
-    from .copier import Sparing, SubunitProfile, run_copy, seeded_copy
+    from .copier import Sparing, SubunitProfile, seeded_copy
     from .encoding import negative_copy, tape_to_json_dict
 
     profile = SubunitProfile(sparing=Sparing[args.sparing.upper()])
-    copy = seeded_copy if len(tape) <= _NUMPY_FREE_COPY_SLOTS else run_copy
-    run = copy(tape, profile=profile, seed=args.seed, max_cycles=args.max_cycles)
+    run = seeded_copy(tape, profile=profile, seed=args.seed, max_cycles=args.max_cycles)
     _emit(
         {
             "config": {

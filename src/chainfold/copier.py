@@ -175,6 +175,15 @@ class _Table(NamedTuple):
     # the draws with stick-out 0 there; \xNN escapes keep -, \, ] and ^ literal
     seek: tuple[re.Pattern[bytes], ...]
 
+    def glued(self, code: int, glue: int) -> tuple[TapeEntry, int]:
+        """The entry that flat draw `glue` leaves glued in a slot of `code`,
+        and 1 if that glue is a mutation, else 0. The glue takes the drawn
+        kind and lies in its slot's flip frame (bit 0 of the code), unless
+        it is a mutation, which sits the other way up. `run_copy` applies
+        this rule to whole arrays."""
+        mut = self.mut[code * self.width + glue]
+        return self.entries[glue // len(PresentationCase) * 2 + (code & 1 ^ mut)], mut
+
 
 @functools.cache
 def _table(sparing: Sparing, registry: TypeRegistry) -> _Table:
@@ -376,8 +385,7 @@ def run_copy(
     # below 2 * _MAX_KINDS * 256 and so fits a uint16 index
     rows = slots.astype(np.uint16) * rules.stick.shape[1]
     mut = rules.mut.ravel()[rows + glues]
-    # a glue takes the drawn kind and lies in its slot's flip frame (bit 0
-    # of the code), unless it is a mutation, which sits the other way up
+    # `_Table.glued`'s rule, on every slot at once
     out_codes = glues // len(PresentationCase) * 2 + ((slots & 1) ^ mut)
     # each slot met the draws after the glue before it, up to its own glue
     met = np.repeat(rows, np.diff(ends))
@@ -408,16 +416,14 @@ def seeded_copy(
     draw = _pure_draws(seed, len(reg.kinds))
     codes = _slot_codes(tape, table)
     drawn, glue_cycles, cycles = _walk(codes, table.seek, draw, max_cycles)
-    width, mut_table, entries = table.width, table.mut, table.entries
+    glued = table.glued
     output = []
     mutations = []
     for slot, (code, end) in enumerate(zip(codes, itertools.islice(glue_cycles, 1, None))):
-        glue = drawn[end]
-        mut = mut_table[code * width + glue]
+        entry, mut = glued(code, drawn[end])
+        output.append(entry)
         if mut:
             mutations.append(slot)
-        # as in run_copy: the drawn kind, in the slot's flip frame unless a mutation
-        output.append(entries[glue // len(PresentationCase) * 2 + (code & 1 ^ mut)])
     return CopyResult(tuple(output), cycles, tuple(mutations))
 
 
@@ -429,11 +435,20 @@ def copy_twice(
 ) -> Tape:
     """Copy the copy; with a mutation-free profile this returns the original.
 
-    The two copies draw from two children spawned from `seed`, a
-    SeedSequence or an int that seeds one."""
+    The two copies draw from the two children that `seed.spawn(2)` would
+    give, `seed` being a SeedSequence or an int that seeds one. They are
+    spawned from a copy, so a given SeedSequence is left as it was and the
+    same seed copies the same way every call."""
     import numpy as np
 
-    if not isinstance(seed, np.random.SeedSequence):
+    if isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(
+            seed.entropy,
+            spawn_key=seed.spawn_key,
+            pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned,
+        )
+    else:
         seed = np.random.SeedSequence(seed)
     s1, s2 = seed.spawn(2)
     first = run_copy(tape, profile, seed=s1, registry=registry)

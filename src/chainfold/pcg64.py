@@ -15,10 +15,10 @@ where numpy leaves it. It takes numpy's four steps on Python ints:
   scales it by Lemire's method and rejects the few low remainders that
   would bias it. The buffer starts empty at every `integers` call.
 
-A 64-bit step costs about half a microsecond here, against about 2 ns
-in numpy, so this pays only where importing numpy would cost more than
-the draws (`cli._NUMPY_FREE_COPY_SLOTS`). `tests/test_pcg64.py` checks
-the bytes and the state against the installed numpy.
+A 64-bit step costs about half a microsecond in Python ints, against
+about 2 ns in numpy, so this pays where importing numpy would cost more
+than the draws: in a CLI `copy` of a short tape. `tests/test_pcg64.py`
+checks the bytes and the state against the installed numpy.
 """
 
 from __future__ import annotations

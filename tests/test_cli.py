@@ -283,33 +283,6 @@ def test_copy_of_a_deeply_nested_json_tape_exits_one(capsys, tmp_path):
     assert err == f"chainfold: {p} nests JSON too deeply to read\n"
 
 
-def _copy_both_ways(capsys, monkeypatch, *argv):
-    """(exit code, stdout, stderr) of `copy` through `seeded_copy`, then
-    with every tape over the slot limit, through `run_copy`."""
-    from chainfold import copier
-
-    results = []
-    for limit, path in ((cli._NUMPY_FREE_COPY_SLOTS, "seeded_copy"), (-1, "run_copy")):
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_NUMPY_FREE_COPY_SLOTS", limit)
-            calls = {name: [] for name in ("seeded_copy", "run_copy")}
-            for name, log in calls.items():
-                m.setattr(copier, name, _logged(getattr(copier, name), log))
-            results.append(run_cli(capsys, "copy", *argv))
-        assert {name: len(log) for name, log in calls.items()} == {
-            name: int(name == path) for name in calls
-        }
-    return results
-
-
-def _logged(fn, log):
-    def spy(*args, **kwargs):
-        log.append(args)
-        return fn(*args, **kwargs)
-
-    return spy
-
-
 @pytest.fixture()
 def tape512(tmp_path):
     p = tmp_path / "tape512.json"
@@ -332,7 +305,12 @@ def tape512(tmp_path):
         "unknown-kind",
     ],
 )
-def test_copy_prints_the_same_on_either_path(capsys, monkeypatch, tmp_path, tape512, case):
+def test_copy_prints_what_run_copy_computes(capsys, tmp_path, tape512, case):
+    # `copy` draws through `seeded_copy`; numpy's `run_copy` is the reference
+    from chainfold.copier import Sparing, SubunitProfile, run_copy
+    from chainfold.encoding import tape_to_json_dict
+    from chainfold.errors import DomainError
+
     empty, unknown = tmp_path / "empty.json", tmp_path / "unknown.json"
     empty.write_text(json.dumps({"entries": []}))
     unknown.write_text(json.dumps({"entries": [{"kind": "G0_"}, {"kind": "a"}]}))
@@ -347,15 +325,28 @@ def test_copy_prints_the_same_on_either_path(capsys, monkeypatch, tmp_path, tape
         "budget-in-chunk-2": ["--tape", tape512, "--max-cycles", "6000"],
         "unknown-kind": ["--tape", str(unknown)],
     }[case]
-    seeded, numpy_run = _copy_both_ways(capsys, monkeypatch, *argv)
-    assert seeded == numpy_run
-    code, out, err = seeded
-    if case.startswith(("zero", "budget")):
-        assert code == 2 and out == "" and "cycle" in err
-    elif case == "unknown-kind":
-        assert (code, out, err) == (2, "", "chainfold: kind 'a' is not in the type registry\n")
-    else:
-        assert code == 0 and err == "" and json.loads(out)["backend"] == "numpy"
+    printed = run_cli(capsys, "copy", *argv)
+    opts = dict(zip(argv[::2], argv[1::2]))
+    budget = opts.get("--max-cycles")
+    try:
+        run = run_copy(
+            cli._load_tape_file(opts["--tape"]),
+            SubunitProfile(sparing=Sparing[opts.get("--sparing", "one_side").upper()]),
+            seed=int(opts.get("--seed", DEFAULT_SEED)),
+            max_cycles=None if budget is None else int(budget),
+        )
+    except DomainError as exc:
+        assert printed == (2, "", f"chainfold: {exc}\n")
+        assert case.startswith(("zero", "budget", "unknown"))
+        if case == "unknown-kind":
+            assert printed[2] == "chainfold: kind 'a' is not in the type registry\n"
+        return
+    code, out, err = printed
+    assert (code, err) == (0, "") and not case.startswith(("zero", "budget", "unknown"))
+    fields = json.loads(out)
+    assert fields["output"] == tape_to_json_dict(run.output)
+    assert (fields["cycles"], fields["mutations"]) == (run.cycles, list(run.mutations))
+    assert fields["backend"] == run.backend == "numpy"
 
 
 def test_copy_unknown_kind_message_has_no_key_error_quotes(capsys, tmp_path):
@@ -626,9 +617,8 @@ def _run_fresh(script: str, *args: str) -> str:
 
 
 def test_commands_that_draw_nothing_never_load_numpy(tmp_path):
-    # numpy costs about half of a short command's start-up; only evolve,
-    # copies of tapes over cli._NUMPY_FREE_COPY_SLOTS and in-world runs with
-    # drawn mover phases need it
+    # numpy costs about half of a short command's start-up; only evolve and
+    # in-world runs with drawn mover phases need it
     script = textwrap.dedent(
         f"""
         import contextlib, io, sys

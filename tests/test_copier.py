@@ -192,9 +192,18 @@ def test_copy_twice_spawns_from_a_given_seed_sequence():
     assert copy_twice(tape, ONE, seed=np.random.SeedSequence(3)) == tape
     # an int seeds the SeedSequence that is spawned from, so both draw alike
     doubled = tape * 4
-    assert copy_twice(doubled, BOTH, seed=np.random.SeedSequence(3)) == copy_twice(
-        doubled, BOTH, seed=3
-    )
+    seed = np.random.SeedSequence(3)
+    twice = copy_twice(doubled, BOTH, seed=seed)
+    assert twice == copy_twice(doubled, BOTH, seed=3)
+    # the children come from a copy, so the same object copies the same way
+    # again (both_sides mutates this tape, so the draws show in the output)
+    assert seed.n_children_spawned == 0
+    assert copy_twice(doubled, BOTH, seed=seed) == twice != doubled
+    # and one that has spawned before gives the children it would spawn next
+    seed.spawn(2)
+    s1, s2 = np.random.SeedSequence(3).spawn(4)[2:]
+    first = run_copy(doubled, BOTH, seed=s1).output
+    assert copy_twice(doubled, BOTH, seed=seed) == run_copy(first, BOTH, seed=s2).output
 
 
 @settings(max_examples=200, deadline=None)
