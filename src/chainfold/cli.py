@@ -157,7 +157,7 @@ def _cmd_copy(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    from . import protoevolution
+    from . import kernels, protoevolution
 
     alphabet = protoevolution.build_alphabet(
         args.alphabet_size, include_separator=args.separator
@@ -184,7 +184,7 @@ def _cmd_evolve(args) -> int:
             "hits": report.hits,
             "trials": report.trials,
             "warning": report.warning,
-            "backend": report.backend,
+            "backend": kernels.active_backend(),
         }
     )
     return 0

@@ -13,9 +13,12 @@ opposite direction. The push-down mover measures how far it protrudes:
 With both sides of the marking row spared, a reversed match lies flush
 too and is glued, which is the mutation pathway.
 
-`run_copy` draws from numpy and returns the stick-out log too;
-`seeded_copy` draws the same stream from `pcg64` and gathers only the
-copy, its cycles and mutations, so it never loads numpy.
+Both entry points read one rule table per sparing and registry,
+`_table`, whose bytes hold the stick-out, the mutation flag and the glued
+entry's slot code of every draw at every slot. `run_copy` draws from numpy
+and gathers the copy and the stick-out log through numpy views of those
+bytes; `seeded_copy` draws the same stream from `pcg64` and gathers only
+the copy, its cycles and mutations, slot by slot, so it never loads numpy.
 """
 
 from __future__ import annotations
@@ -149,7 +152,6 @@ class CopyRun:
     mutations: tuple[int, ...]
     stickout_log: np.ndarray
     sparing: Sparing
-    backend: str
 
 
 class CopyResult(NamedTuple):
@@ -161,42 +163,44 @@ class CopyResult(NamedTuple):
 
 
 class _Table(NamedTuple):
-    """What the copier reads off one registry under one sparing, in plain
-    Python: a slot code is kind index * 2 + flip, a flat draw is kind
-    index * cases + case, and `stick` and `mut` hold one byte per (slot
-    code, flat draw) at slot code * width + draw."""
+    """What the copier reads off one registry under one sparing: a slot
+    code is kind index * 2 + flip, a flat draw is kind index * cases +
+    case, and `stick`, `mut` and `out` hold one byte per (slot code, flat
+    draw) at slot code * width + draw."""
 
     entries: tuple[TapeEntry, ...]  # the tape entry at each slot code
     index: dict[str, int]  # kind -> kind index; shared, so never written
     width: int  # flat draws per slot code
     stick: bytes  # stick-out of each draw at each slot
     mut: bytes  # 1 where gluing that draw there is a mutation
+    out: bytes  # the slot code of the entry that gluing that draw there leaves
     # per slot code, a byte class (never empty: every kind has a partner) of
     # the draws with stick-out 0 there; \xNN escapes keep -, \, ] and ^ literal
     seek: tuple[re.Pattern[bytes], ...]
 
     def glued(self, code: int, glue: int) -> tuple[TapeEntry, int]:
         """The entry that flat draw `glue` leaves glued in a slot of `code`,
-        and 1 if that glue is a mutation, else 0. The glue takes the drawn
-        kind and lies in its slot's flip frame (bit 0 of the code), unless
-        it is a mutation, which sits the other way up. `run_copy` applies
-        this rule to whole arrays."""
-        mut = self.mut[code * self.width + glue]
-        return self.entries[glue // len(PresentationCase) * 2 + (code & 1 ^ mut)], mut
+        and 1 if that glue is a mutation, else 0."""
+        i = code * self.width + glue
+        return self.entries[self.out[i]], self.mut[i]
 
 
 @functools.cache
 def _table(sparing: Sparing, registry: TypeRegistry) -> _Table:
     """Built once per sparing and registry value, since only the sparing
-    enters the rule. A glue always takes the drawn kind."""
+    enters the rule. A glue takes the drawn kind and lies in its slot's
+    flip frame, unless it is a mutation, which sits the other way up."""
     profile = SubunitProfile(sparing=sparing)
     kinds = registry.kinds
     entries = tuple(TapeEntry(kind, flipped) for kind in kinds for flipped in (False, True))
-    draws = [(kind, case) for kind in kinds for case in PresentationCase]
-    rule = [
-        _classify(kind, case, slot, profile, registry) for slot in entries for kind, case in draws
-    ]
-    stick = bytes(s for s, _ in rule)
+    draws = [(k, kind, case) for k, kind in enumerate(kinds) for case in PresentationCase]
+    stick, mut, out = bytearray(), bytearray(), bytearray()
+    for slot in entries:
+        for k, kind, case in draws:
+            s, m = _classify(kind, case, slot, profile, registry)
+            stick.append(s)
+            mut.append(m)
+            out.append(2 * k + (slot.flipped != m))
     width = len(draws)
     rows = range(0, len(stick), width)
     glues = [[f for f in range(width) if not stick[row + f]] for row in rows]
@@ -204,41 +208,14 @@ def _table(sparing: Sparing, registry: TypeRegistry) -> _Table:
         entries=entries,
         index={kind: i for i, kind in enumerate(kinds)},
         width=width,
-        stick=stick,
-        mut=bytes(m for _, m in rule),
+        stick=bytes(stick),
+        mut=bytes(mut),
+        out=bytes(out),
         seek=tuple(re.compile(b"[%s]" % b"".join(b"\\x%02x" % f for f in fs)) for fs in glues),
     )
 
 
-class _Rules(NamedTuple):
-    """`_table` as read-only numpy tables, indexed (slot code, flat draw)."""
-
-    entries: np.ndarray  # the tape entry at each slot code, as objects
-    index: dict[str, int]
-    stick: np.ndarray
-    mut: np.ndarray
-    seek: tuple[re.Pattern[bytes], ...]
-
-
-@functools.cache
-def _rules(sparing: Sparing, registry: TypeRegistry) -> _Rules:
-    import numpy as np
-
-    table = _table(sparing, registry)
-    entries = np.array(table.entries, dtype=object)
-    entries.flags.writeable = False
-    shape = (len(table.entries), table.width)
-    return _Rules(
-        entries=entries,
-        index=table.index,
-        # views of `bytes`, so numpy refuses to write them
-        stick=np.frombuffer(table.stick, dtype=np.uint8).reshape(shape),
-        mut=np.frombuffer(table.mut, dtype=np.uint8).reshape(shape),
-        seek=table.seek,
-    )
-
-
-def _slot_codes(tape: Tape, table: _Table | _Rules) -> bytes:
+def _slot_codes(tape: Tape, table: _Table) -> bytes:
     """One byte per slot, kind index * 2 + flip: codes < 2 * _MAX_KINDS."""
     index = table.index
     try:  # a flip is a bool, and a bool is an int, so it adds as is
@@ -247,14 +224,16 @@ def _slot_codes(tape: Tape, table: _Table | _Rules) -> bytes:
         raise UnknownTapeKindError(exc.args[0]) from None
 
 
-# A draw source is called once per chunk with (open slots, cycles left)
-# and returns that chunk's flat draws, kind * cases + case, as `bytes`.
+# A draw source is made from a seed or feed and the `_Table`; it is called
+# once per chunk with (open slots, cycles left) and returns that chunk's
+# flat draws, kind * cases + case, as `bytes`.
 
 
-def _seeded_draws(seed: int | np.random.SeedSequence, n_kinds: int):
+def _seeded_draws(seed: int | np.random.SeedSequence, table: _Table):
     import numpy as np
 
     rng = np.random.default_rng(seed)
+    n_kinds = len(table.index)
 
     def draw(open_slots: int, budget: int) -> bytes:
         # Draw a full chunk regardless of budget so the stream is a pure
@@ -266,8 +245,9 @@ def _seeded_draws(seed: int | np.random.SeedSequence, n_kinds: int):
     return draw
 
 
-def _pure_draws(seed: int, n_kinds: int):
+def _pure_draws(seed: int, table: _Table):
     stream = Pcg64(seed)
+    n_kinds = len(table.index)
 
     def draw(open_slots: int, budget: int) -> bytes:
         # the same stream as `_seeded_draws`; a kind index < _MAX_KINDS
@@ -280,41 +260,46 @@ def _pure_draws(seed: int, n_kinds: int):
     return draw
 
 
-def _forced_draws(feed, rules: _Rules):
-    import numpy as np
-
+def _forced_draws(feed, table: _Table):
     items = iter(feed)
-    case_values = frozenset(map(int, PresentationCase))
+    index = table.index
+    # a dict, so a case is looked up by equality as a set member would be
+    case_values = {int(case): int(case) for case in PresentationCase}
 
     def draw(open_slots: int, budget: int) -> bytes:
         # Every open slot needs at least one more draw, so a batch this
         # size never reads past the draw that finishes the tape.
         batch = list(itertools.islice(items, min(open_slots, budget)))
         try:
-            kinds = [rules.index[kind] for kind, _ in batch]
+            kinds = [index[kind] for kind, _ in batch]
         except KeyError as exc:
             raise UnknownTapeKindError(exc.args[0]) from None
-        cases = [case for _, case in batch]
         try:
-            valid = set(cases) <= case_values
-        except TypeError:  # unhashable, so no case either
-            valid = False
-        if not valid:
-            raise ValueError("forced feed cases must be PresentationCase values 0-3")
-        flat = np.array(kinds, dtype=np.uint8) * len(PresentationCase)
-        return (flat + np.array(cases, dtype=np.uint8)).tobytes()
+            cases = [case_values[case] for _, case in batch]
+        except (KeyError, TypeError):  # TypeError: unhashable, so no case either
+            raise ValueError("forced feed cases must be PresentationCase values 0-3") from None
+        return bytes([k * len(PresentationCase) + c for k, c in zip(kinds, cases)])
 
     return draw
 
 
-def _settings(
+def _walk(
     tape: Tape,
     profile: SubunitProfile | None,
     max_cycles: int | None,
     registry: TypeRegistry | None,
-) -> tuple[Sparing, TypeRegistry, int]:
-    """A copy's sparing, registry and cycle budget, after the checks that
-    both entry points make before drawing."""
+    source,
+) -> tuple[Sparing, _Table, bytes, bytearray, array, int]:
+    """What both entry points share: check the settings, then feed chunks
+    from the draw source that `source(table)` makes to the kernel until
+    every slot is glued.
+
+    Returns the sparing, the `_Table`, the slot codes, every draw fed,
+    each as its flat index (only the last chunk can end unused), the cycle
+    that glued each slot after -1 for the start, and the cycles used.
+    Stops with CycleLimitExceededError after `max_cycles` draws, or when
+    the source runs dry first.
+    """
     reg = registry or default_registry()
     n_kinds = len(reg.kinds)
     if n_kinds > _MAX_KINDS:
@@ -323,17 +308,10 @@ def _settings(
         max_cycles = max(10_000, 2_000 * len(tape))
     elif max_cycles < 0:
         raise ValueError(f"max_cycles must not be negative, got {max_cycles}")
-    return (profile or SubunitProfile()).sparing, reg, max_cycles
-
-
-def _walk(codes: bytes, seek, draw, max_cycles: int) -> tuple[bytearray, array, int]:
-    """Feed chunks from `draw` to the kernel until every slot is glued.
-
-    Returns every draw fed, each as its flat index (only the last chunk
-    can end unused), the cycle that glued each slot after -1 for the
-    start, and the cycles used. Stops with CycleLimitExceededError after
-    `max_cycles` draws, or when the source runs dry first.
-    """
+    sparing = (profile or SubunitProfile()).sparing
+    table = _table(sparing, reg)
+    draw = source(table)
+    codes = _slot_codes(tape, table)
     n = len(codes)
     drawn = bytearray()
     glue_cycles = array("q", [-1])
@@ -345,10 +323,10 @@ def _walk(codes: bytes, seek, draw, max_cycles: int) -> tuple[bytearray, array, 
         flat = draw(n - head, max_cycles - cycles)
         if not flat:  # a forced feed ran dry
             raise CycleLimitExceededError(cycles, head, n)
-        head, used = kernels.copier_chunk(seek, codes, head, flat, cycles, glue_cycles)
+        head, used = kernels.copier_chunk(table.seek, codes, head, flat, cycles, glue_cycles)
         drawn += flat
         cycles += used
-    return drawn, glue_cycles, cycles
+    return sparing, table, codes, drawn, glue_cycles, cycles
 
 
 def run_copy(
@@ -371,32 +349,31 @@ def run_copy(
     """
     import numpy as np
 
-    sparing, reg, max_cycles = _settings(tape, profile, max_cycles, registry)
-    rules = _rules(sparing, reg)
-    draw = _seeded_draws(seed, len(reg.kinds)) if feed is None else _forced_draws(feed, rules)
-    codes = _slot_codes(tape, rules)
-    drawn, glue_cycles, cycles = _walk(codes, rules.seek, draw, max_cycles)
+    if feed is None:
+        source = functools.partial(_seeded_draws, seed)
+    else:
+        source = functools.partial(_forced_draws, feed)
+    sparing, table, codes, drawn, glue_cycles, cycles = _walk(
+        tape, profile, max_cycles, registry, source
+    )
     # the copy is finished, so every slot has its glue: gather in one pass
     flat = np.frombuffer(drawn, dtype=np.uint8, count=cycles)
     ends = np.frombuffer(glue_cycles, dtype=np.int64)
-    glues = flat[ends[1:]]
-    slots = np.frombuffer(codes, dtype=np.uint8)
-    # both tables are read flat at slot code * width + draw, which stays
-    # below 2 * _MAX_KINDS * 256 and so fits a uint16 index
-    rows = slots.astype(np.uint16) * rules.stick.shape[1]
-    mut = rules.mut.ravel()[rows + glues]
-    # `_Table.glued`'s rule, on every slot at once
-    out_codes = glues // len(PresentationCase) * 2 + ((slots & 1) ^ mut)
+    # the tables are read at slot code * width + draw, which stays below
+    # 2 * _MAX_KINDS * 256 and so fits a uint16 index
+    rows = np.frombuffer(codes, dtype=np.uint8).astype(np.uint16) * table.width
+    at = rows + flat[ends[1:]]
+    mut = np.frombuffer(table.mut, dtype=np.uint8)[at]
+    entries = np.array(table.entries, dtype=object)
     # each slot met the draws after the glue before it, up to its own glue
     met = np.repeat(rows, np.diff(ends))
     met += flat
     return CopyRun(
-        output=tuple(rules.entries.take(out_codes).tolist()),
+        output=tuple(entries.take(np.frombuffer(table.out, dtype=np.uint8)[at]).tolist()),
         cycles=cycles,
         mutations=tuple(np.flatnonzero(mut).tolist()),
-        stickout_log=rules.stick.ravel()[met],
+        stickout_log=np.frombuffer(table.stick, dtype=np.uint8)[met],
         sparing=sparing,
-        backend=kernels.active_backend(),
     )
 
 
@@ -411,11 +388,10 @@ def seeded_copy(
     with the same errors, computed without numpy: the draws come from
     `pcg64.Pcg64`, and the copy is gathered slot by slot, with no
     stick-out log."""
-    sparing, reg, max_cycles = _settings(tape, profile, max_cycles, registry)
-    table = _table(sparing, reg)
-    draw = _pure_draws(seed, len(reg.kinds))
-    codes = _slot_codes(tape, table)
-    drawn, glue_cycles, cycles = _walk(codes, table.seek, draw, max_cycles)
+    source = functools.partial(_pure_draws, seed)
+    _, table, codes, drawn, glue_cycles, cycles = _walk(
+        tape, profile, max_cycles, registry, source
+    )
     glued = table.glued
     output = []
     mutations = []

@@ -9,8 +9,9 @@ function of them, and both cost time linear in their input:
 - `copier_chunk` only walks: one C-level byte-class search per glue
   skips the rejected draws between glues, which cost no Python step,
   and it records the run-wide cycle of each glue into the caller's
-  `array('q')`. `copier.run_copy` and `copier.seeded_copy` gather the
-  copy from those cycles once the tape is finished.
+  `array('q')`. Once the tape is finished, `copier.run_copy` and
+  `copier.seeded_copy` gather the copy from those cycles, each glue's
+  entry read from the copier's one rule table.
 
 `tests/test_kernels.py` holds plain-Python loop versions of each as the
 reference they must match element for element. numpy loads inside
@@ -26,7 +27,8 @@ if TYPE_CHECKING:
 
 
 def active_backend() -> str:
-    """The kernel implementation, as reported in run records."""
+    """The kernel implementation, as `copy`, `evolve` and the benchmark
+    report it."""
     return "numpy"
 
 

@@ -144,7 +144,6 @@ class ProbabilityReport:
     hits: int
     trials: int
     warning: str | None
-    backend: str
 
 
 _CHUNK_TRIALS = 1_000_000
@@ -189,7 +188,6 @@ def mhbbg_probability(exp: StreamExperiment) -> ProbabilityReport:
         hits=hits,
         trials=exp.trials,
         warning=warning,
-        backend=kernels.active_backend(),
     )
 
 

@@ -14,7 +14,7 @@ from chainfold.copier import (
     Sparing,
     SubunitProfile,
     TapeExhaustedError,
-    _rules,
+    _table,
     analytic_cycle_stats,
     copy_twice,
     run_copy,
@@ -119,7 +119,6 @@ def test_forced_feed_produces_negative_copy():
     assert run.output == negative_copy(tape)
     assert run.cycles == 3
     assert run.mutations == ()
-    assert run.backend == "numpy"
 
 
 def test_forced_feed_stops_at_cycle_budget():
@@ -279,13 +278,15 @@ def test_registry_in_another_kind_order_copies_alike():
 
 
 def test_equal_registries_share_one_rule_table():
-    _rules.cache_clear()
+    _table.cache_clear()
     loaded = [TypeRegistry.from_json(REG.to_json()) for _ in range(5)]
     tape = tape_from_kinds(KINDS, [False, True] * 3)
     for reg in loaded:
         for profile in (ONE, BOTH):
             run_copy(tape, profile, seed=2, registry=reg)
-    assert _rules.cache_info().currsize == 2  # one per sparing, not per registry
+            seeded_copy(tape, profile, seed=2, registry=reg)
+            analytic_cycle_stats(tape, profile, reg)
+    assert _table.cache_info().currsize == 2  # one per sparing, not per registry
     assert len(set(loaded)) == 1 and loaded[0] == REG
     # so a seeded copy under a loaded registry draws the same kinds
     doubled = tape_from_kinds(KINDS * 2)

@@ -23,7 +23,7 @@ from chainfold.copier import (
     PresentationCase,
     Sparing,
     SubunitProfile,
-    _rules,
+    _table,
     run_copy,
     step,
 )
@@ -274,11 +274,21 @@ def _kernel_walk(seek, slot_codes, head, kinds, cases, cycles=0):
     return new_head, used, glued[1:].tolist()
 
 
+def _grids(sparing, reg):
+    """`_table(sparing, reg)`, and its stick-out and mutation bytes as
+    read-only arrays indexed (slot code, flat draw), as the loop oracles
+    read them."""
+    table = _table(sparing, reg)
+    shape = (len(table.entries), table.width)
+    stick, mut = (np.frombuffer(b, dtype=np.uint8) for b in (table.stick, table.mut))
+    return table, stick.reshape(shape), mut.reshape(shape)
+
+
 def _both_walks(sparing, slot_codes, head, kinds, cases, reg=None, cycles=0):
     """The loop oracle's and the kernel's (head, used, glued)."""
-    rules = _rules(sparing, reg or default_registry())
-    got = _kernel_walk(rules.seek, slot_codes, head, kinds, cases, cycles)
-    return _walk_py(rules.stick, slot_codes, head, kinds, cases, cycles), got
+    table, stick, _ = _grids(sparing, reg or default_registry())
+    got = _kernel_walk(table.seek, slot_codes, head, kinds, cases, cycles)
+    return _walk_py(stick, slot_codes, head, kinds, cases, cycles), got
 
 
 @pytest.mark.parametrize("reg", REGISTRIES, ids=_kinds_id)
@@ -289,7 +299,7 @@ def test_copier_chunk_backends_agree(seed, reg):
     assert got == want
     # slots glued, some of them as mutations wherever the registry has any
     head, _, glued = got
-    mut = _rules(Sparing.BOTH_SIDES, reg).mut
+    _, _, mut = _grids(Sparing.BOTH_SIDES, reg)
     flat = _flat(kinds, cases)
     assert head > 0
     assert any(mut[slot_codes[i], flat[p]] for i, p in enumerate(glued)) == mut.any()
@@ -301,7 +311,7 @@ def test_copier_chunk_resumes_mid_tape():
     whole, _ = _both_walks(Sparing.BOTH_SIDES, slot_codes, 0, kinds, cases)
     # split the draw stream in two; the head carries across the boundary
     cut = 40
-    seek = _rules(Sparing.BOTH_SIDES, default_registry()).seek
+    seek = _table(Sparing.BOTH_SIDES, default_registry()).seek
     codes, flat = bytes(slot_codes), _flat(kinds, cases).tobytes()
     glued = array("q")  # one array across both calls, as `run_copy` keeps it
     head, used = kernels.copier_chunk(seek, codes, 0, flat[:cut], 0, glued)
@@ -330,8 +340,8 @@ def test_stick_log_matches_table_lookup(sparing, forced):
     reg = default_registry()
     rng = np.random.default_rng(21)
     slot_codes = rng.integers(0, 12, size=600).tolist()
-    rules = _rules(sparing, reg)
-    tape = tuple(rules.entries[c] for c in slot_codes)
+    table, stick, mut = _grids(sparing, reg)
+    tape = tuple(table.entries[c] for c in slot_codes)
     kinds, cases = _seeded_stream(4, chunks=6)
     feed = [(reg.kinds[k], PresentationCase(int(c))) for k, c in zip(kinds, cases)]
     profile = SubunitProfile(sparing)
@@ -340,9 +350,7 @@ def test_stick_log_matches_table_lookup(sparing, forced):
     else:
         run = run_copy(tape, profile, seed=4)
     assert run.cycles > FEED_CHUNK  # more than one seeded chunk
-    out_kinds, out_flips, out_mut, stick_log = _copy_py(
-        rules.stick, rules.mut, slot_codes, kinds, cases
-    )
+    out_kinds, out_flips, out_mut, stick_log = _copy_py(stick, mut, slot_codes, kinds, cases)
     assert len(out_kinds) == len(tape)  # the replayed stream finishes the copy
     assert [reg.kinds.index(e.kind) for e in run.output] == out_kinds
     assert [int(e.flipped) for e in run.output] == out_flips
@@ -366,7 +374,7 @@ def test_kernel_calls_account_for_every_cycle_of_a_copy(monkeypatch, sparing, fo
     with stick-out 0."""
     reg = default_registry()
     slot_codes = np.random.default_rng(8).integers(0, 12, size=600).tolist()
-    tape = tuple(_rules(sparing, reg).entries[c] for c in slot_codes)
+    tape = tuple(_table(sparing, reg).entries[c] for c in slot_codes)
     calls = []
     walk = kernels.copier_chunk
 
@@ -398,7 +406,8 @@ def test_long_copy_peak_memory():
     keep the tracemalloc peak well under the 663 KiB of a 2-D gather."""
     rng = np.random.default_rng(17)
     reg = default_registry()
-    tape = tuple(_rules(Sparing.ONE_SIDE, reg).entries[rng.integers(0, 12, size=4096)])
+    entries = _table(Sparing.ONE_SIDE, reg).entries
+    tape = tuple(entries[c] for c in rng.integers(0, 12, size=4096))
     run_copy(tape[:8], seed=1)  # rule tables and lazy numpy state, outside the peak
     tracemalloc.start()
     try:
@@ -410,55 +419,95 @@ def test_long_copy_peak_memory():
     assert peak < 560 * 1024
 
 
-def test_tables_built_once_and_read_only():
+def test_tables_built_once_and_read_only(monkeypatch):
     reg = default_registry()
+    n_codes, width = 2 * len(reg.kinds), 4 * len(reg.kinds)
+    frombuffer = np.frombuffer
     for sparing in Sparing:
-        rules = _rules(sparing, reg)
-        assert _rules(sparing, reg) is rules
-        stick, mut = rules.stick, rules.mut
-        # one row per slot code, one column per flat draw
-        assert stick.shape == mut.shape == (2 * len(reg.kinds), 4 * len(reg.kinds))
-        for tab in (stick, mut):
-            with pytest.raises(ValueError):
-                tab[0, 0] = 1
+        table, stick, mut = _grids(sparing, reg)
+        assert _table(sparing, reg) is table
+        # one byte per (slot code, flat draw), one row of `width` per slot code
+        assert (len(table.entries), table.width) == (n_codes, width)
+        assert all(type(tab) is bytes for tab in (table.stick, table.mut, table.out))
+        assert len(table.stick) == len(table.mut) == len(table.out) == n_codes * width
+        assert max(table.out) < n_codes  # a glue leaves an entry of the table
         # a mutation is always a glue, and only both-sides sparing has any
         assert not np.any(mut.astype(bool) & (stick != 0))
         assert mut.any() == (sparing is Sparing.BOTH_SIDES)
-        assert len(rules.seek) == len(stick)  # one search pattern per slot code
-        assert [rules.entries[2 * rules.index[k]] for k in reg.kinds] == [
+        assert len(table.seek) == n_codes  # one search pattern per slot code
+        assert [table.entries[2 * table.index[k]] for k in reg.kinds] == [
             TapeEntry(k) for k in reg.kinds
         ]
+        # `run_copy` reads the three tables through views it cannot write
+        views = []
+
+        def recorded(buffer, *args, **kwargs):
+            views.append((buffer, frombuffer(buffer, *args, **kwargs)))
+            return views[-1][1]
+
+        monkeypatch.setattr(np, "frombuffer", recorded)
+        run_copy(tuple(table.entries), SubunitProfile(sparing), seed=5)
+        monkeypatch.undo()
+        tables = (table.stick, table.mut, table.out)
+        read = [v for b, v in views if any(b is tab for tab in tables)]
+        assert len(read) == 3 and not any(v.flags.writeable for v in read)
+        with pytest.raises(ValueError):
+            read[0][0] = 1
+
+
+@pytest.mark.parametrize("sparing", list(Sparing), ids=lambda s: s.value)
+@pytest.mark.parametrize("reg", REGISTRIES, ids=_kinds_id)
+def test_table_glue_rule_matches_step(reg, sparing):
+    """Every glue in the table leaves the entry, and the mutation flag,
+    that `step` gives on a one-slot tape fed that draw."""
+    table = _table(sparing, reg)
+    profile = SubunitProfile(sparing)
+    glues = 0
+    for code, slot in enumerate(table.entries):
+        for draw in range(table.width):
+            i = code * table.width + draw
+            if table.stick[i]:
+                continue
+            state = CopierState(tape=(slot,), profile=profile, registry=reg)
+            kind, case = divmod(draw, len(PresentationCase))
+            outcome = step(state, reg.kinds[kind], PresentationCase(case))
+            assert outcome.accepted and state.output == [table.entries[table.out[i]]]
+            assert outcome.mutation == table.mut[i]
+            assert table.glued(code, draw) == (state.output[0], table.mut[i])
+            glues += 1
+    assert glues >= len(table.entries)  # every slot code has a glue
+    assert sparing is Sparing.BOTH_SIDES or not any(table.mut)
 
 
 @pytest.mark.parametrize("sparing", list(Sparing), ids=lambda s: s.value)
 @pytest.mark.parametrize("reg", REGISTRIES, ids=_kinds_id)
 def test_seek_matches_exactly_the_draws_that_glue(reg, sparing):
-    rules = _rules(sparing, reg)
+    table, stick, _ = _grids(sparing, reg)
     width = 4 * len(reg.kinds)
-    assert rules.stick.shape == (2 * len(reg.kinds), width)
-    for code, pattern in enumerate(rules.seek):
+    assert stick.shape == (2 * len(reg.kinds), width)
+    for code, pattern in enumerate(table.seek):
         # every byte value, one at a time and inside a run of other bytes;
         # so no byte at or past the table's width matches either
         hits = [b for b in range(256) if pattern.fullmatch(bytes([b]))]
-        assert hits == np.flatnonzero(rules.stick[code] == 0).tolist()
+        assert hits == np.flatnonzero(stick[code] == 0).tolist()
         assert [m.start() for m in pattern.finditer(bytes(range(256)))] == hits
     if len(reg.kinds) == 64:  # the metacharacters that a glue can be
-        glue_bytes = set(np.flatnonzero((rules.stick == 0).any(axis=0)).tolist())
+        glue_bytes = set(np.flatnonzero((stick == 0).any(axis=0)).tolist())
         assert {0x2D, 0x5C, 0x5D} <= glue_bytes
 
 
-def _oracle_inputs(rules, n, head_frac, m, mode, seed):
+def _oracle_inputs(stick, n, head_frac, m, mode, seed):
     """Slot codes, a head and kinds/cases: uniform draws, rejects only (on
     its side or the wrong way round, a candidate never glues), or half of
     them drawn from the glues of the tape's own slots."""
     rng = np.random.default_rng(seed)
-    n_codes, width = rules.stick.shape
+    n_codes, width = stick.shape
     slot_codes = rng.integers(0, n_codes, size=n).tolist()
     flat = rng.integers(0, width, size=m)
     if mode == "reject_only":
         flat = flat // 4 * 4 + rng.integers(PresentationCase.ON_SIDE, 4, size=m)
     elif mode == "dense" and n:
-        glues = np.flatnonzero((rules.stick[slot_codes] == 0).any(axis=0))
+        glues = np.flatnonzero((stick[slot_codes] == 0).any(axis=0))
         flat = np.where(rng.random(m) < 0.5, rng.choice(glues, size=m), flat)
     flat = flat.astype(np.uint8)
     return slot_codes, round(head_frac * n), flat // 4, flat % 4
@@ -492,8 +541,8 @@ def _case(sparing, reg, cycles=0, **rest):
 @_case(Sparing.BOTH_SIDES, WIDEST, n=24, head_frac=0.0, m=300, mode="dense", seed=4)
 @_case(Sparing.BOTH_SIDES, DEFAULT, 81_927, n=9, head_frac=0.2, m=120, mode="dense", seed=6)
 def test_copier_chunk_matches_loop_oracle(sparing, reg, n, head_frac, m, mode, seed, cycles):
-    rules = _rules(sparing, reg)
-    slot_codes, head, kinds, cases = _oracle_inputs(rules, n, head_frac, m, mode, seed)
+    _, stick, _ = _grids(sparing, reg)
+    slot_codes, head, kinds, cases = _oracle_inputs(stick, n, head_frac, m, mode, seed)
     want, got = _both_walks(sparing, slot_codes, head, kinds, cases, reg, cycles)
     assert got == want
 
@@ -514,10 +563,10 @@ class _CountingSearch:
 @_case(Sparing.ONE_SIDE, DEFAULT, n=4, head_frac=1.0, m=30, mode="uniform", seed=0)
 @_case(Sparing.BOTH_SIDES, WIDEST, n=3, head_frac=0.0, m=300, mode="dense", seed=5)
 def test_copier_chunk_searches_once_per_glue(sparing, reg, n, head_frac, m, mode, seed, cycles):
-    rules = _rules(sparing, reg)
-    slot_codes, head, kinds, cases = _oracle_inputs(rules, n, head_frac, m, mode, seed)
+    table, stick, _ = _grids(sparing, reg)
+    slot_codes, head, kinds, cases = _oracle_inputs(stick, n, head_frac, m, mode, seed)
     calls = []
-    seek = [_CountingSearch(p, calls) for p in rules.seek]
+    seek = [_CountingSearch(p, calls) for p in table.seek]
     new_head, used, glued = _kernel_walk(seek, slot_codes, head, kinds, cases, cycles)
     if head >= n:
         assert calls == [] and (new_head, used, glued) == (head, 0, [])
@@ -545,7 +594,7 @@ def test_copier_chunk_without_a_glue_logs_every_draw():
     assert got == want == (2, 300, [])
     # a copy fed these rejects first logs each of them, then finishes
     reg = default_registry()
-    tape = tuple(_rules(Sparing.ONE_SIDE, reg).entries[c] for c in slot_codes)
+    tape = tuple(_table(Sparing.ONE_SIDE, reg).entries[c] for c in slot_codes)
     rejects = [(reg.kinds[k], PresentationCase(int(c))) for k, c in zip(kinds, cases)]
     glues = [(e.kind, PresentationCase(int(e.flipped))) for e in negative_copy(tape)]
     run = run_copy(tape, SubunitProfile(), feed=rejects + glues)

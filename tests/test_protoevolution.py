@@ -146,7 +146,6 @@ def test_same_seed_reproduces_hits():
     b = mhbbg_probability(StreamExperiment(trials=300_000, seed=11))
     assert a.hits == b.hits
     assert a.monte_carlo == b.monte_carlo
-    assert a.backend == "numpy"
 
 
 def test_seed_spread_is_binomial_sized():
