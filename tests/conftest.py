@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-# Make sibling helper modules (fig6_reference) importable from any cwd.
+# Make the sibling oracles (fig6_reference, mdl_reference and
+# kinematics_reference) importable from any cwd.
 sys.path.insert(0, str(Path(__file__).parent))
 
 

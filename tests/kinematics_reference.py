@@ -10,8 +10,7 @@ it happens: "fold retried", "push blocked", "carry", "bonded group
 shoved" and "bond formed".
 """
 
-from chainfold.folding import TOKEN_ROTATIONS
-from chainfold.geometry import add, apply, compose, inverse, sub
+from chainfold.geometry import TOKEN_ROTATIONS, add, apply, compose, inverse, sub
 from chainfold.kinematics import (
     FACE_VECTORS,
     MOVER_PERIOD,

@@ -521,7 +521,6 @@ def test_scenario_summary_and_trace_file(capsys, tmp_path):
             (kinematics._MIN_LENGTH[name], None),
             (8, None), (8, 0), (8, 1), (8, 9), (8, "default+50"),
             (32, None), (32, 0), (32, 9),
-            (128, None),
         ]
     ],
 )

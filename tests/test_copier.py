@@ -58,16 +58,6 @@ ACCEPT_BOTH_SIDES = {
 }
 
 
-def test_stickout_table_is_exhaustive_and_bounded():
-    for profile in (ONE, BOTH):
-        for slot_kind, case, cand in itertools.product(
-            KINDS, PresentationCase, KINDS
-        ):
-            for slot_flip in (False, True):
-                s = stickout(cand, case, TapeEntry(slot_kind, slot_flip), profile)
-                assert s in (0, 1, 2)
-
-
 @pytest.mark.parametrize(
     "profile,table", [(ONE, ACCEPT_ONE_SIDE), (BOTH, ACCEPT_BOTH_SIDES)]
 )

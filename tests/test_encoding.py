@@ -30,12 +30,6 @@ def P(s):
     return MarkingPattern.from_string(s)
 
 
-def test_codon_count_small_widths():
-    assert codon_count(2) == 2
-    assert codon_count(4) == 6
-    assert codon_count(6) == 20
-
-
 @pytest.mark.parametrize("n", [0, -2, 3, 5])
 def test_codon_count_rejects_bad_widths(n):
     with pytest.raises(ValueError):

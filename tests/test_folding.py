@@ -66,11 +66,6 @@ def test_l_shape_frozen_oracle():
     assert all(b.orientation == IDENTITY for b in s.blocks[1:])
 
 
-def test_l_shape_matches_reference():
-    assert ref_fold("bHbbb") == L_SHAPE
-    assert fold("b_H_b_b_b_").cells_by_index() == ref_fold("bHbbb")
-
-
 def test_square_loop_collision_frozen_oracle():
     with pytest.raises(CollisionError) as e:
         fold("b_H_b_H_b_H_b_H_b_")

@@ -1,8 +1,9 @@
-"""Every name a chainfold module imports is used (a stdlib stand-in for
-F401), every module-level `_private` name it defines is read in it, and
-every exception it defines is one the CLI maps to an exit status, no
-module calls a BLAS-backed numpy routine, the CLI leaves the trace's
-JSON layout to kinematics, and only the CLI reads the environment.
+"""Every name a chainfold or test module imports is used (a stdlib
+stand-in for F401), and every module-level `_private` name it defines is
+read in it. Every exception chainfold defines is one the CLI maps to an
+exit status, no chainfold module calls a BLAS-backed numpy routine, the
+CLI leaves the trace's JSON layout to kinematics, and only the CLI reads
+the environment.
 
 An import kept on purpose, such as a re-export, carries `# noqa: F401` on
 its statement. A private helper that no line of its own module reads is
@@ -20,6 +21,9 @@ import chainfold
 from chainfold.errors import DomainError
 
 MODULES = sorted(Path(chainfold.__file__).parent.glob("*.py"))
+# the tests, their oracles and conftest, so that a folded test leaves no
+# dead import or helper behind
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[tuple[int, str]]:
@@ -41,7 +45,7 @@ def _unused_imports(source: str) -> list[tuple[int, str]]:
     return unused
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -84,7 +88,7 @@ def _unread_privates(source: str) -> list[tuple[int, str]]:
     return sorted((line, name) for name, line in defined.items() if name not in loaded)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_every_private_name_is_read_in_its_module(path):
     assert _unread_privates(path.read_text(encoding="utf-8")) == []
 

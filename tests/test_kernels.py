@@ -3,8 +3,8 @@
 Every kernel takes pre-drawn inputs, so each must agree with its loop
 version element for element, not just statistically. The copier kernel
 only walks, so the copy gathered from its walk (kinds, flips, mutation
-flags, stick-out log) is checked at `run_copy` level against table
-lookups and the `step()` loop.
+flags, stick-out log) is checked at `run_copy` level against the
+`step()` loop.
 """
 
 import itertools
@@ -70,29 +70,13 @@ def _walk_py(stick_tab, slot_codes, head, kinds, cases, cycles=0):
     return head, pos, glued
 
 
-def _copy_py(stick_tab, mut_tab, slot_codes, kinds, cases):
-    """A whole copy by table lookups: per slot the glued kind, flip and
-    mutation flag, and the stick-out of every draw up to the last glue."""
-    out_kinds, out_flips, out_mut, stick_log = [], [], [], []
-    for k, f in zip(kinds, _flat(kinds, cases)):
-        if len(out_kinds) == len(slot_codes):
-            break
-        s = slot_codes[len(out_kinds)]
-        stick_log.append(int(stick_tab[s, f]))
-        if stick_tab[s, f] == 0:
-            out_kinds.append(int(k))
-            out_flips.append(int((s & 1) ^ mut_tab[s, f]))
-            out_mut.append(int(mut_tab[s, f]))
-    return out_kinds, out_flips, out_mut, stick_log
-
-
 def _random_draws(seed, m=2_000, k=3, high=4):
     rng = np.random.default_rng(seed)
     return rng.integers(0, high, size=(m, k), dtype=np.uint8)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
-def test_count_matches_backends_agree(seed):
+def test_count_matches_agrees_with_the_loop_on_seeded_draws(seed):
     draws = _random_draws(seed)
     target = draws[1234].copy()
     plain = _count_matches_py(draws, target)
@@ -293,7 +277,7 @@ def _both_walks(sparing, slot_codes, head, kinds, cases, reg=None, cycles=0):
 
 @pytest.mark.parametrize("reg", REGISTRIES, ids=_kinds_id)
 @pytest.mark.parametrize("seed", [0, 3, 11])
-def test_copier_chunk_backends_agree(seed, reg):
+def test_copier_chunk_agrees_with_the_loop_on_seeded_inputs(seed, reg):
     slot_codes, kinds, cases = _chunk_inputs(seed, reg=reg)
     want, got = _both_walks(Sparing.BOTH_SIDES, slot_codes, 0, kinds, cases, reg)
     assert got == want
@@ -335,13 +319,12 @@ def _seeded_stream(seed, chunks):
 
 @pytest.mark.parametrize("forced", [False, True], ids=["seeded", "forced"])
 @pytest.mark.parametrize("sparing", list(Sparing), ids=lambda s: s.value)
-def test_stick_log_matches_table_lookup(sparing, forced):
-    """`run_copy`, over several chunks, against table lookups and step()."""
+def test_run_copy_matches_the_step_loop(sparing, forced):
+    """`run_copy`, over several chunks, against the step() loop."""
     reg = default_registry()
     rng = np.random.default_rng(21)
     slot_codes = rng.integers(0, 12, size=600).tolist()
-    table, stick, mut = _grids(sparing, reg)
-    tape = tuple(table.entries[c] for c in slot_codes)
+    tape = tuple(_table(sparing, reg).entries[c] for c in slot_codes)
     kinds, cases = _seeded_stream(4, chunks=6)
     feed = [(reg.kinds[k], PresentationCase(int(c))) for k, c in zip(kinds, cases)]
     profile = SubunitProfile(sparing)
@@ -350,20 +333,16 @@ def test_stick_log_matches_table_lookup(sparing, forced):
     else:
         run = run_copy(tape, profile, seed=4)
     assert run.cycles > FEED_CHUNK  # more than one seeded chunk
-    out_kinds, out_flips, out_mut, stick_log = _copy_py(stick, mut, slot_codes, kinds, cases)
-    assert len(out_kinds) == len(tape)  # the replayed stream finishes the copy
-    assert [reg.kinds.index(e.kind) for e in run.output] == out_kinds
-    assert [int(e.flipped) for e in run.output] == out_flips
-    assert run.mutations == tuple(np.flatnonzero(out_mut).tolist())
     assert run.mutations or sparing is Sparing.ONE_SIDE
-    assert run.stickout_log.dtype == np.uint8 and run.stickout_log.tolist() == stick_log
     state = CopierState(tape=tape, profile=profile, registry=reg)
     for kind, case in feed[: run.cycles]:
         step(state, kind, case)
     accepted = [o for o in state.cycle_log if o.accepted]
+    # the replayed stream finishes the copy
     assert state.done and run.output == tuple(state.output)
     assert run.mutations == tuple(i for i, o in enumerate(accepted) if o.mutation)
-    assert stick_log == [o.stickout for o in state.cycle_log]
+    assert run.stickout_log.dtype == np.uint8
+    assert run.stickout_log.tolist() == [o.stickout for o in state.cycle_log]
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["seeded", "forced"])

@@ -424,15 +424,13 @@ def foldable_chains(draw):
     try:
         fold(text)
     except CollisionError:
-        return None
+        assume(False)
     return text
 
 
 @given(foldable_chains())
 @settings(max_examples=60, deadline=None)
 def test_in_world_folding_congruence_property(text):
-    if text is None:
-        return
     assert _congruent_with_static_fold(text)
 
 
@@ -476,22 +474,6 @@ def test_fold_that_would_tear_a_glue_bond_waits():
 
 _GLUERS = [f"G{face}" for face in range(6)]
 
-
-@given(
-    st.lists(st.sampled_from(["b", "H", "h", "L", "R", "Z", *_GLUERS]), min_size=4, max_size=16),
-    st.integers(0, 3),
-)
-@example(["G0", "H", "b", "H", "G0", "H", "h", "b", "b", "H"], 0)
-@settings(max_examples=150, deadline=None)
-def test_bonds_join_adjacent_cells_every_tick(kinds, fold_delay):
-    w = world_from_chain("".join(k + "_" for k in kinds), fold_delay=fold_delay)
-    for _ in range(40):
-        w = step_world(w)
-        for pair in w.bonds:
-            a, b = (w.blocks[i].cell for i in pair)
-            assert sorted(abs(x - y) for x, y in zip(a, b)) == [0, 0, 1]
-
-
 # movers with a fixed or drawn phase, gluers on every face, and dissolvables
 # with a timer digit or the default one, among the turning and straight tokens
 _INWORLD_TOKENS = [
@@ -502,14 +484,11 @@ _INWORLD_TOKENS = [
 
 @st.composite
 def inworld_runs(draw):
-    """A foldable chain, a fold delay, a seed, anchored strangers and the
-    chain indices of anchored chain blocks."""
+    """A chain, a fold delay, a seed, anchored strangers and the chain
+    indices of anchored chain blocks. The chain need not fold statically:
+    in the world a fold that would collide waits."""
     tokens = draw(st.lists(st.sampled_from(_INWORLD_TOKENS), min_size=2, max_size=16))
     text = "".join(tokens)
-    try:
-        fold(text)
-    except CollisionError:
-        assume(False)
     # strangers sit beside the straight chain, where its movers face them
     n = len(tokens)
     beside = st.tuples(st.integers(0, n - 1), st.sampled_from(FACE_VECTORS[2:]))
@@ -533,7 +512,9 @@ def _inworld(text, fold_delay, seed, strangers, pinned):
 
 
 @given(inworld_runs())
-@settings(max_examples=80, deadline=None)
+# with no fold delay, the chain's gluers form a glue bond at tick 3
+@example(("G0_H_b_H_G0_H_h_b_b_H_", 0, 0, [], set()))
+@settings(max_examples=150, deadline=None)
 def test_in_world_invariants_hold_every_tick(run):
     w = _inworld(*run)
     anchored = {i: b.cell for i, b in w.blocks.items() if b.anchored}
@@ -541,7 +522,7 @@ def test_in_world_invariants_hold_every_tick(run):
     due = {i: b.dissolve_due for i, b in w.blocks.items() if b.kind == "d"}
     for _ in range(60):
         w = step_world(w)
-        check_world(w)
+        check_world(w)  # bonds join adjacent cells, among the rest
         assert {i: w.blocks[i].cell for i in anchored} == anchored
         assert kept <= set(w.blocks)
         # a dissolvable melts at its due tick, and not before
@@ -591,19 +572,6 @@ def test_walker_waits_for_dissolve_release():
     xs = trace.result["positions"]
     assert all(x == xs[0] for x in xs[: release + 1])
     assert xs[-1] > xs[0]
-
-
-def test_retainer_rises_only_past_the_roof():
-    t0 = time.perf_counter()
-    trace = run_scenario("retainer", length=6)
-    assert time.perf_counter() - t0 < 10.0
-    r = trace.result
-    rises, xs = r["rises"], r["positions"]
-    for dz, x in zip(rises, xs):
-        if x < r["track_end"]:
-            assert dz == 0
-    assert r["x_at_first_lift"] == r["track_end"]
-    assert r["final_rise"] > 0
 
 
 def test_shuttle_is_periodic_and_touches_both_ends():
