@@ -1,9 +1,10 @@
 """Command line front end.
 
 One executable, five subcommands, three exit codes: 0 success, 1 bad
-arguments or unreadable input, 2 domain errors (fold collisions, copy
-failures, unknown scenarios); an interrupt exits 130. JSON output is
-sorted and seeded so the same invocation is byte-identical run to run.
+arguments, unreadable input or running out of memory, 2 domain errors
+(fold collisions, copy failures, unknown scenarios); an interrupt exits
+130. JSON output is sorted and seeded so the same invocation is
+byte-identical run to run.
 """
 
 from __future__ import annotations
@@ -272,6 +273,9 @@ def main(argv=None) -> int:
         if len(name := str(getattr(exc, "filename", ""))) > 200:
             exc.filename = name[:200] + "..."  # a 60 kB path, say, is not echoed whole
         sys.stderr.write(f"chainfold: {exc}\n")
+        return 1
+    except MemoryError:  # a constant, so that writing it allocates next to nothing
+        sys.stderr.write("chainfold: out of memory\n")
         return 1
     except KeyboardInterrupt:
         sys.stderr.write("chainfold: interrupted\n")

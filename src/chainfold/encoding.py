@@ -16,7 +16,6 @@ complementary and exactly (a,f) and (b,e) are confusable under reversal:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -88,7 +87,6 @@ class TypeRegistry:
         self._by_kind = dict(assignment)
         self._key = tuple(self._by_kind.items())  # ordered, unlike dict equality
         self._hash = hash(self._key)
-        self._by_role = {role: kind for kind, (role, _) in assignment.items()}
         self._partner: dict[str, str] = {}
         for kind, (_, pat) in self._by_kind.items():
             comp = complement(pat)
@@ -134,44 +132,10 @@ class TypeRegistry:
             raise UnknownTapeKindError(kind)
         return self._partner[kind]
 
-    def kind_for_role(self, role: str) -> str:
-        return self._by_role[role]
-
     def _lookup(self, kind: str) -> tuple[str, MarkingPattern]:
         if kind not in self._by_kind:
             raise UnknownTapeKindError(kind)
         return self._by_kind[kind]
-
-    def to_json(self) -> str:
-        # kinds in registry order, so that `from_json` gives back an equal registry
-        return json.dumps(
-            {
-                kind: {"pattern": pat.as_string(), "role": role}
-                for kind, (role, pat) in self._by_kind.items()
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TypeRegistry":
-        """A registry in `to_json`'s layout; ValueError on another shape."""
-        try:
-            raw = json.loads(text)
-        except RecursionError:
-            raise ValueError("a type registry nests JSON too deeply to read") from None
-        if not isinstance(raw, dict):
-            raise ValueError("a type registry must be a JSON object keyed by kind")
-        assignment = {}
-        for kind, entry in raw.items():
-            fields = entry if isinstance(entry, dict) else {}
-            if not all(isinstance(fields.get(k), str) for k in ("role", "pattern")):
-                raise ValueError(f'registry kind {kind!r} needs a string "role" and "pattern"')
-            pattern = fields["pattern"]
-            try:
-                assignment[kind] = (fields["role"], MarkingPattern.from_string(pattern))
-            except ValueError as e:
-                raise ValueError(f"registry kind {kind!r} has pattern {pattern!r}: {e}") from None
-        return cls(assignment)
 
 
 class FitResult(Enum):

@@ -60,7 +60,6 @@ class StreamExperiment:
     require_separator: bool = False
     trials: int = 1_000_000
     seed: int = 0
-    strict_params: bool = False
 
     def __post_init__(self) -> None:
         if self.trials <= 0:
@@ -124,9 +123,6 @@ def mhbbg_trial(
         )
     got = "".join(t.kind for t in tokens[:k])
     copied = len(tokens) >= k and got == exp.target
-    if copied and exp.strict_params:
-        by_kind = {e[0]: e for e in exp.alphabet}
-        copied = all(t.canonical == by_kind[t.kind] for t in tokens[:k])
     return TrialResult(self_copy=copied, blob=tokens)
 
 

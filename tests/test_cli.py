@@ -496,6 +496,39 @@ def test_an_interrupt_exits_130_with_one_line(capsys, monkeypatch):
     assert (code, out, err) == (130, "", "chainfold: interrupted\n")
 
 
+def test_running_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
+    def exhausted(name, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(kinematics, "run_scenario", exhausted)
+    code, out, err = run_cli(capsys, "scenario", "--name", "shuttle")
+    assert (code, out, err) == (1, "", "chainfold: out of memory\n")
+
+
+# a child that caps its own address space 64 MiB above what it has mapped
+# once chainfold is loaded; a shuttle replaying its period for 10^8 ticks
+# appends frames until an allocation fails, in about half a second
+_OUT_OF_MEMORY = textwrap.dedent(
+    """
+    import resource, sys
+    from chainfold import cli, kinematics  # both loaded before the cap
+    with open("/proc/self/status") as fh:
+        mapped = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+    cap = mapped * 1024 + 64 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+    sys.exit(cli.main(["scenario", "--name", "shuttle", "--length", "64", "--ticks", "100000000"]))
+    """
+)
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="reads VmSize from /proc/self/status"
+)
+def test_a_real_memory_error_exits_1_with_one_line():
+    proc = _fresh(_OUT_OF_MEMORY)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "chainfold: out of memory\n")
+
+
 def test_scenario_summary_and_trace_file(capsys, tmp_path):
     trace_path = tmp_path / "trace.json"
     code, out, _ = run_cli(
@@ -605,14 +638,19 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["fixture_count"] == 48
 
 
-def _run_fresh(script: str, *args: str) -> str:
-    """stdout of `script` run in a fresh interpreter that imports this chainfold."""
+def _fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """`script` run in a fresh interpreter that imports this chainfold."""
     src = str(Path(chainfold.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
     )
+
+
+def _run_fresh(script: str, *args: str) -> str:
+    """stdout of `_fresh`, which must exit 0."""
+    proc = _fresh(script, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

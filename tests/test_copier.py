@@ -269,7 +269,8 @@ def test_registry_in_another_kind_order_copies_alike():
 
 def test_equal_registries_share_one_rule_table():
     _table.cache_clear()
-    loaded = [TypeRegistry.from_json(REG.to_json()) for _ in range(5)]
+    loaded = [TypeRegistry.default() for _ in range(5)]
+    assert len({id(r) for r in loaded}) == 5  # equal values, built apart
     tape = tape_from_kinds(KINDS, [False, True] * 3)
     for reg in loaded:
         for profile in (ONE, BOTH):

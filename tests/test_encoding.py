@@ -66,16 +66,17 @@ def test_registry_roles_and_partners():
     assert [REG.role(k) for k in ("G0_", "H__", "L__", "R__", "M1x", "b__")] == [
         "a", "b", "c", "d", "e", "f",
     ]
+    by_role = {REG.role(k): k for k in KINDS}
     for x, y in (("a", "f"), ("b", "e"), ("c", "d")):
-        kx, ky = REG.kind_for_role(x), REG.kind_for_role(y)
+        kx, ky = by_role[x], by_role[y]
         assert REG.partner(kx) == ky
         assert REG.partner(ky) == kx
         assert complement(REG.pattern(kx)) == REG.pattern(ky)
 
 
-def test_registry_json_roundtrip():
-    again = TypeRegistry.from_json(REG.to_json())
-    # kind order numbers the copier's draws, so the file keeps it
+def test_registry_rebuilt_from_its_own_reads_is_equal():
+    again = TypeRegistry({k: (REG.role(k), REG.pattern(k)) for k in REG.kinds})
+    # kind order numbers the copier's draws, so the rebuild keeps it
     assert again == REG and again.kinds == REG.kinds
     for k in KINDS:
         assert again.pattern(k) == REG.pattern(k)
@@ -83,34 +84,18 @@ def test_registry_json_roundtrip():
         assert again.partner(k) == REG.partner(k)
 
 
-NO_ROLE_AND_PATTERN = "registry kind 'a' needs a string \"role\" and \"pattern\""
-
-
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("[1]", "a type registry must be a JSON object keyed by kind"),
-        ('{"a": {"role": "a"}}', NO_ROLE_AND_PATTERN),
-        ('{"a": 5}', NO_ROLE_AND_PATTERN),
-        ("[" * 100_000, "a type registry nests JSON too deeply to read"),
-        (
-            '{"a": {"role": "a", "pattern": "ab"}}',
-            "registry kind 'a' has pattern 'ab': pattern bits must be 0 or 1",
-        ),
-        (
-            '{"a": {"role": "a", "pattern": ""}}',
-            "registry kind 'a' has pattern '': pattern width must be positive and even",
-        ),
-        (
-            '{"a": {"role": "a", "pattern": "1110"}}',
-            "registry kind 'a' has pattern '1110': exactly half the bits must be raised: 1110",
-        ),
+        ("ab", "pattern bits must be 0 or 1"),
+        ("", "pattern width must be positive and even"),
+        ("1110", "exactly half the bits must be raised: 1110"),
     ],
-    ids=["list", "no-pattern", "entry-not-an-object", "deep", "not-bits", "empty", "unbalanced"],
+    ids=["not-bits", "empty", "unbalanced"],
 )
-def test_registry_json_of_another_shape_is_a_value_error(text, message):
+def test_pattern_of_another_shape_is_a_value_error(text, message):
     with pytest.raises(ValueError) as e:
-        TypeRegistry.from_json(text)
+        MarkingPattern.from_string(text)
     assert str(e.value) == message
 
 

@@ -1,13 +1,17 @@
 """Every name a chainfold or test module imports is used (a stdlib
 stand-in for F401), and every module-level `_private` name it defines is
-read in it. Every exception chainfold defines is one the CLI maps to an
-exit status, no chainfold module calls a BLAS-backed numpy routine, the
-CLI leaves the trace's JSON layout to kinematics, and only the CLI reads
-the environment.
+read in it. Every public function, class and method chainfold defines is
+named by chainfold, the benchmark or the acceptance tests. Every
+exception chainfold defines is one the CLI maps to an exit status, no
+chainfold module calls a BLAS-backed numpy routine, the CLI leaves the
+trace's JSON layout to kinematics, and only the CLI reads the
+environment.
 
 An import kept on purpose, such as a re-export, carries `# noqa: F401` on
 its statement. A private helper that no line of its own module reads is
-left over from a change that stopped calling it.
+left over from a change that stopped calling it. A public name that only
+its own unit tests call is either deleted or listed in `_TEST_ONLY` with
+the reason it stays.
 """
 
 import ast
@@ -111,6 +115,80 @@ def test_the_check_sees_an_unread_private_name():
         "    return _used() + _local\n"
     )
     assert _unread_privates(src) == [(4, "_B"), (6, "_orphan"), (10, "_Gone")]
+
+
+def _public_defs(source: str) -> list[str]:
+    """Public module-level functions and classes, and public classes' public methods."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            found += [node.name] + [m.name for m in members if isinstance(m, defs[:2])]
+    return [name for name in found if not name.startswith("_")]
+
+
+def _named(source: str) -> set[str]:
+    """Every name an expression, attribute or import in `source` spells."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def _unread_publics(defining: dict[str, str], readers: list[str]) -> list[str]:
+    """`module.name` for each public definition that no reader names."""
+    read = set().union(*map(_named, readers))
+    return sorted(
+        f"{module}.{name}"
+        for module, source in defining.items()
+        for name in _public_defs(source)
+        if name not in read
+    )
+
+
+# public names that no command, benchmark or acceptance test calls, and why each stays
+_TEST_ONLY = {
+    "encoding.flip_end_over_end": "paper concept: a tape entering the machine from the wrong end",
+    "folding.structure_stats": "paper concept: a structure's kind histogram and information content",
+    "folding.swap_hinges_and_lr": "paper concept: the hinge-and-handedness mirror of a chain",
+    "geometry.rotation_group": "paper concept: the 24 proper rotations of the cubic lattice",
+    "mdl.validate": "the chain-language lint that README documents",
+    "protoevolution.mhbbg_trial": "paper concept: one glued blob of the self-copy experiment",
+}
+
+
+def test_every_public_name_has_a_reader():
+    here = Path(__file__).parent
+    readers = MODULES + sorted((here.parent / "perfbench").glob("*.py"))
+    readers.append(here / "test_acceptance.py")
+    defining = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    unread = _unread_publics(defining, [p.read_text(encoding="utf-8") for p in readers])
+    assert unread == sorted(_TEST_ONLY)
+
+
+def test_the_check_sees_a_public_name_with_no_reader():
+    defining = {
+        "shapes": (
+            "def read():\n"
+            "    def inner(): ...\n"
+            "def orphan(): ...\n"
+            "def _private(): ...\n"
+            "class Shape:\n"
+            "    def area(self): ...\n"
+            "    def unread(self): ...\n"
+            "    def __len__(self): ...\n"
+            "class _Hidden:\n"
+            "    def ignored(self): ...\n"
+        ),
+    }
+    readers = ["from shapes import read as r\n", "import shapes\nshapes.Shape().area()\n"]
+    assert _unread_publics(defining, readers) == ["shapes.orphan", "shapes.unread"]
 
 
 def test_every_exception_reaches_the_cli_as_an_exit_status():

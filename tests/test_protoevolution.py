@@ -168,12 +168,12 @@ def test_trial_rng_reproducible():
     assert r1.self_copy == r2.self_copy
 
 
-def test_strict_params_demands_registered_spelling():
-    exp = StreamExperiment(strict_params=True)
+def test_self_copy_reads_kind_letters_not_spellings():
+    exp = StreamExperiment()
     loose = mhbbg_trial(exp, forced_stream=["M9x", "H", "b", "b", "G0"])
     exact = mhbbg_trial(exp, forced_stream=["M1x", "H__", "b__", "b__", "G0_"])
-    assert not loose.self_copy
-    assert exact.self_copy
+    assert loose.self_copy and exact.self_copy
+    assert loose.blob != exact.blob
 
 
 @given(st.integers(min_value=6, max_value=40), st.integers(min_value=0, max_value=2**32 - 1))
