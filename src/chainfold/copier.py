@@ -13,12 +13,13 @@ opposite direction. The push-down mover measures how far it protrudes:
 With both sides of the marking row spared, a reversed match lies flush
 too and is glued, which is the mutation pathway.
 
-Both entry points read one rule table per sparing and registry,
-`_table`, whose bytes hold the stick-out, the mutation flag and the glued
-entry's slot code of every draw at every slot. `run_copy` draws from numpy
-and gathers the copy and the stick-out log through numpy views of those
-bytes; `seeded_copy` draws the same stream from `pcg64` and gathers only
-the copy, its cycles and mutations, slot by slot, so it never loads numpy.
+The copier reads the paper's six kinds, the default registry. Both entry
+points read one rule table per sparing, `_table`, whose bytes hold the
+stick-out, the mutation flag and the glued entry's slot code of every
+draw at every slot. `run_copy` draws from numpy and gathers the copy and
+the stick-out log through numpy views of those bytes; `seeded_copy` draws
+the same stream from `pcg64` and gathers only the copy, its cycles and
+mutations, slot by slot, so it never loads numpy.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ class PresentationCase(IntEnum):
     FLIPPED = 1
     ON_SIDE = 2
     OPPOSITE = 3
-
-
-# the kernel's flat draw index, kind * cases + case, is one byte
-_MAX_KINDS = 256 // len(PresentationCase)
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ class CopyResult(NamedTuple):
 
 
 class _Table(NamedTuple):
-    """What the copier reads off one registry under one sparing: a slot
+    """What the copier reads off the registry under one sparing: a slot
     code is kind index * 2 + flip, a flat draw is kind index * cases +
     case, and `stick`, `mut` and `out` hold one byte per (slot code, flat
     draw) at slot code * width + draw."""
@@ -186,11 +183,12 @@ class _Table(NamedTuple):
 
 
 @functools.cache
-def _table(sparing: Sparing, registry: TypeRegistry) -> _Table:
-    """Built once per sparing and registry value, since only the sparing
-    enters the rule. A glue takes the drawn kind and lies in its slot's
-    flip frame, unless it is a mutation, which sits the other way up."""
+def _table(sparing: Sparing) -> _Table:
+    """Built once per sparing over the default registry. A glue takes the
+    drawn kind and lies in its slot's flip frame, unless it is a mutation,
+    which sits the other way up."""
     profile = SubunitProfile(sparing=sparing)
+    registry = default_registry()
     kinds = registry.kinds
     entries = tuple(TapeEntry(kind, flipped) for kind in kinds for flipped in (False, True))
     draws = [(k, kind, case) for k, kind in enumerate(kinds) for case in PresentationCase]
@@ -216,7 +214,7 @@ def _table(sparing: Sparing, registry: TypeRegistry) -> _Table:
 
 
 def _slot_codes(tape: Tape, table: _Table) -> bytes:
-    """One byte per slot, kind index * 2 + flip: codes < 2 * _MAX_KINDS."""
+    """One byte per slot, kind index * 2 + flip: codes below 2 * 6 = 12."""
     index = table.index
     try:  # a flip is a bool, and a bool is an int, so it adds as is
         return bytes([2 * index[e.kind] + e.flipped for e in tape])
@@ -250,9 +248,9 @@ def _pure_draws(seed: int, table: _Table):
     n_kinds = len(table.index)
 
     def draw(open_slots: int, budget: int) -> bytes:
-        # the same stream as `_seeded_draws`; a kind index < _MAX_KINDS
-        # times the case count stays below 256, so the byte strings add as
-        # two big-endian ints with no carry between bytes
+        # the same stream as `_seeded_draws`; a flat draw is at most
+        # 5 * 4 + 3 = 23, below 256, so the byte strings add as two
+        # big-endian ints with no carry between bytes
         kinds = int.from_bytes(stream.integers(n_kinds, FEED_CHUNK), "big")
         cases = int.from_bytes(stream.integers(len(PresentationCase), FEED_CHUNK), "big")
         return (kinds * len(PresentationCase) + cases).to_bytes(FEED_CHUNK, "big")[:budget]
@@ -287,7 +285,6 @@ def _walk(
     tape: Tape,
     profile: SubunitProfile | None,
     max_cycles: int | None,
-    registry: TypeRegistry | None,
     source,
 ) -> tuple[Sparing, _Table, bytes, bytearray, array, int]:
     """What both entry points share: check the settings, then feed chunks
@@ -300,16 +297,12 @@ def _walk(
     Stops with CycleLimitExceededError after `max_cycles` draws, or when
     the source runs dry first.
     """
-    reg = registry or default_registry()
-    n_kinds = len(reg.kinds)
-    if n_kinds > _MAX_KINDS:
-        raise ValueError(f"the copier takes at most {_MAX_KINDS} kinds, got {n_kinds}")
     if max_cycles is None:
         max_cycles = max(10_000, 2_000 * len(tape))
     elif max_cycles < 0:
         raise ValueError(f"max_cycles must not be negative, got {max_cycles}")
     sparing = (profile or SubunitProfile()).sparing
-    table = _table(sparing, reg)
+    table = _table(sparing)
     draw = source(table)
     codes = _slot_codes(tape, table)
     n = len(codes)
@@ -335,17 +328,16 @@ def run_copy(
     seed: int | np.random.SeedSequence = 0,
     max_cycles: int | None = None,
     feed=None,
-    registry: TypeRegistry | None = None,
 ) -> CopyRun:
     """Copy a tape; returns the produced (negative) tape and run statistics.
 
-    The default feed draws a kind uniformly from the registry and a
+    The default feed draws a kind uniformly from the default registry and a
     presentation case uniformly from the four cases, all from one seeded
     generator. Passing `feed` (iterable of (kind, case)) replaces the
     random stream entirely, for forced experiments. Either way the copy
     stops with CycleLimitExceededError after `max_cycles` draws, or when
-    a forced feed runs out first. Registries of more than 64 kinds and a
-    negative `max_cycles` raise ValueError.
+    a forced feed runs out first. A negative `max_cycles` raises
+    ValueError.
     """
     import numpy as np
 
@@ -353,14 +345,12 @@ def run_copy(
         source = functools.partial(_seeded_draws, seed)
     else:
         source = functools.partial(_forced_draws, feed)
-    sparing, table, codes, drawn, glue_cycles, cycles = _walk(
-        tape, profile, max_cycles, registry, source
-    )
+    sparing, table, codes, drawn, glue_cycles, cycles = _walk(tape, profile, max_cycles, source)
     # the copy is finished, so every slot has its glue: gather in one pass
     flat = np.frombuffer(drawn, dtype=np.uint8, count=cycles)
     ends = np.frombuffer(glue_cycles, dtype=np.int64)
-    # the tables are read at slot code * width + draw, which stays below
-    # 2 * _MAX_KINDS * 256 and so fits a uint16 index
+    # the tables are read at slot code * width + draw, at most
+    # 11 * 24 + 23 = 287, which needs a uint16 index
     rows = np.frombuffer(codes, dtype=np.uint8).astype(np.uint16) * table.width
     at = rows + flat[ends[1:]]
     mut = np.frombuffer(table.mut, dtype=np.uint8)[at]
@@ -382,16 +372,13 @@ def seeded_copy(
     profile: SubunitProfile | None = None,
     seed: int = 0,
     max_cycles: int | None = None,
-    registry: TypeRegistry | None = None,
 ) -> CopyResult:
     """`run_copy`'s output, cycles and mutations for an int seed >= 0,
     with the same errors, computed without numpy: the draws come from
     `pcg64.Pcg64`, and the copy is gathered slot by slot, with no
     stick-out log."""
     source = functools.partial(_pure_draws, seed)
-    _, table, codes, drawn, glue_cycles, cycles = _walk(
-        tape, profile, max_cycles, registry, source
-    )
+    _, table, codes, drawn, glue_cycles, cycles = _walk(tape, profile, max_cycles, source)
     glued = table.glued
     output = []
     mutations = []
@@ -403,47 +390,24 @@ def seeded_copy(
     return CopyResult(tuple(output), cycles, tuple(mutations))
 
 
-def copy_twice(
-    tape: Tape,
-    profile: SubunitProfile | None = None,
-    seed: int | np.random.SeedSequence = 0,
-    registry: TypeRegistry | None = None,
-) -> Tape:
-    """Copy the copy; with a mutation-free profile this returns the original.
-
-    The two copies draw from the two children that `seed.spawn(2)` would
-    give, `seed` being a SeedSequence or an int that seeds one. They are
-    spawned from a copy, so a given SeedSequence is left as it was and the
-    same seed copies the same way every call."""
+def copy_twice(tape: Tape, seed: int = 0) -> Tape:
+    """Copy the copy under one-side sparing, which never mutates, so this
+    returns the original. The two copies draw from the two children of
+    `SeedSequence(seed)`."""
     import numpy as np
 
-    if isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(
-            seed.entropy,
-            spawn_key=seed.spawn_key,
-            pool_size=seed.pool_size,
-            n_children_spawned=seed.n_children_spawned,
-        )
-    else:
-        seed = np.random.SeedSequence(seed)
-    s1, s2 = seed.spawn(2)
-    first = run_copy(tape, profile, seed=s1, registry=registry)
-    second = run_copy(first.output, profile, seed=s2, registry=registry)
-    return second.output
+    s1, s2 = np.random.SeedSequence(seed).spawn(2)
+    first = run_copy(tape, seed=s1)
+    return run_copy(first.output, seed=s2).output
 
 
-def analytic_cycle_stats(
-    tape: Tape,
-    profile: SubunitProfile | None = None,
-    registry: TypeRegistry | None = None,
-) -> dict:
+def analytic_cycle_stats(tape: Tape, profile: SubunitProfile | None = None) -> dict:
     """Exact per-slot acceptance odds and waiting-time moments.
 
     Enumerates the 4 x kinds equally likely (kind, case) draws against
     each slot; waiting times are geometric, so expectation is 1/p per slot.
     """
-    profile = profile or SubunitProfile()
-    table = _table(profile.sparing, registry or default_registry())
+    table = _table((profile or SubunitProfile()).sparing)
     width = table.width
     n_glue = [table.stick.count(0, row, row + width) for row in range(0, len(table.stick), width)]
     per_slot = [Fraction(n_glue[code], width) for code in _slot_codes(tape, table)]

@@ -76,17 +76,10 @@ _DEFAULT_ASSIGNMENT = (
 
 
 class TypeRegistry:
-    """Kind -> (role letter, pattern), with complement-partner lookup.
-
-    Two registries are equal when they assign the same roles and patterns
-    to the same kinds in the same order: kind order is part of the value,
-    since it numbers the kinds a copier draws.
-    """
+    """Kind -> (role letter, pattern), with complement-partner lookup."""
 
     def __init__(self, assignment: dict[str, tuple[str, MarkingPattern]]):
         self._by_kind = dict(assignment)
-        self._key = tuple(self._by_kind.items())  # ordered, unlike dict equality
-        self._hash = hash(self._key)
         self._partner: dict[str, str] = {}
         for kind, (_, pat) in self._by_kind.items():
             comp = complement(pat)
@@ -99,14 +92,6 @@ class TypeRegistry:
                     f"found {partners}"
                 )
             self._partner[kind] = partners[0]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TypeRegistry):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def default(cls) -> "TypeRegistry":
@@ -195,10 +180,10 @@ def tape_from_kinds(kinds, flips=None) -> Tape:
     return tuple(TapeEntry(k, bool(f)) for k, f in zip(kinds, flips))
 
 
-def negative_copy(tape: Tape, registry: TypeRegistry | None = None) -> Tape:
-    """Replace every entry's kind by its complement partner; flips survive."""
-    reg = registry or _DEFAULT_REGISTRY
-    return tuple(TapeEntry(reg.partner(e.kind), e.flipped) for e in tape)
+def negative_copy(tape: Tape) -> Tape:
+    """Replace every entry's kind by its complement partner in the default
+    registry; flips survive."""
+    return tuple(TapeEntry(_DEFAULT_REGISTRY.partner(e.kind), e.flipped) for e in tape)
 
 
 def flip_end_over_end(tape: Tape) -> Tape:

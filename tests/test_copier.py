@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +13,6 @@ from chainfold.copier import (
     Sparing,
     SubunitProfile,
     TapeExhaustedError,
-    _table,
     analytic_cycle_stats,
     copy_twice,
     run_copy,
@@ -23,9 +21,7 @@ from chainfold.copier import (
     stickout,
 )
 from chainfold.encoding import (
-    MarkingPattern,
     TapeEntry,
-    TypeRegistry,
     UnknownTapeKindError,
     default_registry,
     flip_end_over_end,
@@ -39,6 +35,7 @@ KINDS = REG.kinds
 ONE = SubunitProfile(sparing=Sparing.ONE_SIDE)
 BOTH = SubunitProfile(sparing=Sparing.BOTH_SIDES)
 U, F, S, O = PresentationCase  # noqa: E741 - readable case shorthand
+_entries = st.builds(TapeEntry, st.sampled_from(KINDS), st.booleans())
 
 # Hand-enumerated acceptance sets per unflipped slot, frozen from working
 # the pattern table by hand: a,b,e,f slots admit exactly their partner
@@ -172,27 +169,8 @@ def test_copy_twice_round_trips_with_flips():
         ["L__", "R__", "G0_", "b__", "H__", "M1x", "L__"],
         [True, False, True, False, True, False, True],
     )
-    assert copy_twice(tape, ONE, seed=5) == tape
-    assert copy_twice((), ONE, seed=5) == ()
-
-
-def test_copy_twice_spawns_from_a_given_seed_sequence():
-    tape = tape_from_kinds(KINDS, [False, True] * 3)
-    assert copy_twice(tape, ONE, seed=np.random.SeedSequence(3)) == tape
-    # an int seeds the SeedSequence that is spawned from, so both draw alike
-    doubled = tape * 4
-    seed = np.random.SeedSequence(3)
-    twice = copy_twice(doubled, BOTH, seed=seed)
-    assert twice == copy_twice(doubled, BOTH, seed=3)
-    # the children come from a copy, so the same object copies the same way
-    # again (both_sides mutates this tape, so the draws show in the output)
-    assert seed.n_children_spawned == 0
-    assert copy_twice(doubled, BOTH, seed=seed) == twice != doubled
-    # and one that has spawned before gives the children it would spawn next
-    seed.spawn(2)
-    s1, s2 = np.random.SeedSequence(3).spawn(4)[2:]
-    first = run_copy(doubled, BOTH, seed=s1).output
-    assert copy_twice(doubled, BOTH, seed=seed) == run_copy(first, BOTH, seed=s2).output
+    assert copy_twice(tape, seed=5) == tape
+    assert copy_twice((), seed=5) == ()
 
 
 @settings(max_examples=200, deadline=None)
@@ -203,7 +181,7 @@ def test_copy_twice_spawns_from_a_given_seed_sequence():
     seed=st.integers(0, 2**63 - 1),
 )
 def test_copy_twice_is_identity_for_any_tape_and_seed(tape, seed):
-    assert copy_twice(tape, ONE, seed=seed) == tape
+    assert copy_twice(tape, seed=seed) == tape
 
 
 def test_mutations_confined_to_partner_pairs():
@@ -252,122 +230,42 @@ def test_analytic_cycle_stats_frozen_values():
     assert analytic_cycle_stats(flipped, ONE)["per_slot"] == one
 
 
-def test_registry_in_another_kind_order_copies_alike():
-    again = TypeRegistry({k: (REG.role(k), REG.pattern(k)) for k in sorted(KINDS)})
-    assert again.kinds != KINDS  # sorted by kind, so M1x comes before R__
-    tape = tape_from_kinds(
-        ["G0_", "H__", "L__", "R__", "M1x", "b__"], [False, True] * 3
-    )
-    run = run_copy(tape, ONE, seed=9, registry=again)
-    assert run.output == negative_copy(tape)
-    assert run.mutations == ()
-    for profile in (ONE, BOTH):
-        assert analytic_cycle_stats(tape, profile, again) == analytic_cycle_stats(
-            tape, profile
-        )
-
-
-def test_equal_registries_share_one_rule_table():
-    _table.cache_clear()
-    loaded = [TypeRegistry.default() for _ in range(5)]
-    assert len({id(r) for r in loaded}) == 5  # equal values, built apart
-    tape = tape_from_kinds(KINDS, [False, True] * 3)
-    for reg in loaded:
-        for profile in (ONE, BOTH):
-            run_copy(tape, profile, seed=2, registry=reg)
-            seeded_copy(tape, profile, seed=2, registry=reg)
-            analytic_cycle_stats(tape, profile, reg)
-    assert _table.cache_info().currsize == 2  # one per sparing, not per registry
-    assert len(set(loaded)) == 1 and loaded[0] == REG
-    # so a seeded copy under a loaded registry draws the same kinds
-    doubled = tape_from_kinds(KINDS * 2)
-    a, b = (run_copy(doubled, seed=9, registry=r) for r in (loaded[0], REG))
-    assert (a.cycles, a.output) == (b.cycles, b.output)
-    # kind order numbers the draws, so the same kinds reordered are another value
-    reordered = TypeRegistry({k: (REG.role(k), REG.pattern(k)) for k in reversed(KINDS)})
-    assert reordered != REG and reordered != loaded[0]
-
-
-def _registry(patterns):
-    """Each pattern and its complement, as kinds named by their bits."""
-    bits = set(patterns) | {"".join("10"[int(c)] for c in p) for p in patterns}
-    return TypeRegistry({p: (p, MarkingPattern.from_string(p)) for p in sorted(bits)})
-
-
-FOUR_KINDS = _registry(["1100", "1001"])
-EIGHT_KINDS = _registry(["111000", "101100", "100110", "110010"])
-BALANCED_8 = [
-    "".join(b) for b in itertools.product("01", repeat=8) if b.count("1") == 4
-]
-
-
-@pytest.mark.parametrize("reg", [FOUR_KINDS, EIGHT_KINDS])
 @pytest.mark.parametrize("profile", [ONE, BOTH])
-def test_analytic_odds_count_every_draw_of_any_registry(reg, profile):
-    tape = tuple(TapeEntry(k, f) for k in reg.kinds for f in (False, True))
+def test_analytic_odds_count_every_draw_of_any_registry(profile):
+    tape = tuple(TapeEntry(k, f) for k in KINDS for f in (False, True))
     expected = [
         Fraction(
             sum(
-                stickout(cand, case, slot, profile, reg) == 0
-                for cand in reg.kinds
+                stickout(cand, case, slot, profile) == 0
+                for cand in KINDS
                 for case in PresentationCase
             ),
-            4 * len(reg.kinds),
+            4 * len(KINDS),
         )
         for slot in tape
     ]
-    assert analytic_cycle_stats(tape, profile, reg)["per_slot"] == expected
-
-
-SIXTY_FOUR_KINDS = _registry([p for p in BALANCED_8 if p[0] == "0"][:32])
-
-
-@pytest.mark.parametrize("reg", [FOUR_KINDS, EIGHT_KINDS, SIXTY_FOUR_KINDS])
-def test_registry_of_any_size_up_to_64_kinds_copies(reg):
-    assert len(reg.kinds) in (4, 8, 64)
-    tape = tuple(TapeEntry(k, f) for k, f in zip(reg.kinds, itertools.cycle((False, True))))
-    assert run_copy(tape, ONE, seed=4, registry=reg).output == negative_copy(tape, reg)
-    assert copy_twice(tape, ONE, seed=4, registry=reg) == tape
-
-
-ZERO_LED_8 = [p for p in BALANCED_8 if p[0] == "0"]
-
-
-@st.composite
-def _registry_copies(draw):
-    """A registry of 2-64 kinds, a tape over it, a sparing and a seed."""
-    picks = draw(st.lists(st.sampled_from(ZERO_LED_8), min_size=1, max_size=16, unique=True))
-    # a kind whose pattern is a partner's reversed is what a mutation glues
-    reg = _registry(picks + [p[::-1] for p in picks if draw(st.booleans())])
-    entries = st.builds(TapeEntry, st.sampled_from(reg.kinds), st.booleans())
-    tape = tuple(draw(st.lists(entries, min_size=1, max_size=12)))
-    return reg, tape, draw(st.sampled_from([ONE, BOTH])), draw(st.integers(0, 2**32 - 1))
+    assert analytic_cycle_stats(tape, profile)["per_slot"] == expected
 
 
 @settings(max_examples=40, deadline=None)
-@given(_registry_copies())
-@example((SIXTY_FOUR_KINDS, tuple(TapeEntry(k) for k in SIXTY_FOUR_KINDS.kinds), BOTH, 5))
-def test_mutations_confined_to_reversed_partners(case):
-    reg, tape, profile, seed = case
-    run = run_copy(tape, profile, seed=seed, registry=reg)
-    exact = negative_copy(tape, reg)
+@given(
+    tape=st.lists(_entries, min_size=1, max_size=12).map(tuple),
+    profile=st.sampled_from([ONE, BOTH]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(tape=tape_from_kinds(KINDS), profile=BOTH, seed=5)
+def test_mutations_confined_to_reversed_partners(tape, profile, seed):
+    run = run_copy(tape, profile, seed=seed)
+    exact = negative_copy(tape)
     differs = [i for i, (got, want) in enumerate(zip(run.output, exact)) if got.kind != want.kind]
     assert list(run.mutations) == differs
     if profile is ONE:
         assert run.mutations == ()
-        assert copy_twice(tape, ONE, seed=seed, registry=reg) == tape
-    seeded = seeded_copy(tape, profile, seed, registry=reg)
+        assert copy_twice(tape, seed=seed) == tape
+    seeded = seeded_copy(tape, profile, seed)
     assert seeded == (run.output, run.cycles, run.mutations)
     for i in run.mutations:
-        assert reg.pattern(run.output[i].kind) == reverse(reg.pattern(exact[i].kind))
-
-
-def test_registry_past_64_kinds_is_refused():
-    reg = _registry(BALANCED_8)
-    assert len(reg.kinds) == 70
-    for copy in (run_copy, seeded_copy):
-        with pytest.raises(ValueError, match="at most 64 kinds"):
-            copy(tape_from_kinds(reg.kinds[:2]), ONE, registry=reg)
+        assert REG.pattern(run.output[i].kind) == reverse(REG.pattern(exact[i].kind))
 
 
 def test_cycle_counts_within_three_sigma():
@@ -418,7 +316,6 @@ def test_kernel_path_matches_step_semantics():
     _assert_matches_step_loop(kernel_run, state, mutations, sticks)
 
 
-_entries = st.builds(TapeEntry, st.sampled_from(KINDS), st.booleans())
 # flush-able presentations weighted up so that most tapes finish
 _draws = st.tuples(st.sampled_from(KINDS), st.sampled_from([U, U, F, F, S, O]))
 

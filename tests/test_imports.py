@@ -1,7 +1,8 @@
 """Every name a chainfold or test module imports is used (a stdlib
 stand-in for F401), and every module-level `_private` name it defines is
 read in it. Every public function, class and method chainfold defines is
-named by chainfold, the benchmark or the acceptance tests. Every
+named by chainfold, the benchmark or the acceptance tests, and every
+optional parameter of its functions is passed by one of their calls. Every
 exception chainfold defines is one the CLI maps to an exit status, no
 chainfold module calls a BLAS-backed numpy routine, the CLI leaves the
 trace's JSON layout to kinematics, and only the CLI reads the
@@ -11,7 +12,8 @@ An import kept on purpose, such as a re-export, carries `# noqa: F401` on
 its statement. A private helper that no line of its own module reads is
 left over from a change that stopped calling it. A public name that only
 its own unit tests call is either deleted or listed in `_TEST_ONLY` with
-the reason it stays.
+the reason it stays, and so is an optional parameter that only they pass,
+in `_DEFAULT_ONLY`.
 """
 
 import ast
@@ -189,6 +191,110 @@ def test_the_check_sees_a_public_name_with_no_reader():
     }
     readers = ["from shapes import read as r\n", "import shapes\nshapes.Shape().area()\n"]
     assert _unread_publics(defining, readers) == ["shapes.orphan", "shapes.unread"]
+
+
+def _optional_params(source: str) -> list[tuple[str, int | None, str]]:
+    """(function, position, parameter) for each parameter with a default of
+    each function defined at any depth; a keyword-only one has no position,
+    and a method's positions leave out the `self` or `cls` a call binds."""
+    found = []
+    for scope in ast.walk(ast.parse(source)):
+        for node in ast.iter_child_nodes(scope):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            bound = isinstance(scope, ast.ClassDef) and not static
+            positional = (args.posonlyargs + args.args)[bound:]
+            first = len(positional) - len(args.defaults)
+            found += [(node.name, i, a.arg) for i, a in enumerate(positional) if i >= first]
+            kwonly = zip(args.kwonlyargs, args.kw_defaults)
+            found += [(node.name, None, a.arg) for a, d in kwonly if d is not None]
+    return found
+
+
+def _unpassed_optionals(defining: dict[str, str], readers: list[str]) -> list[str]:
+    """`module.function.parameter` for each parameter with a default that no
+    call in a reader passes to a function of that name, by keyword or by
+    position; a `*` argument reaches every later position, and a `**`
+    argument passes every parameter."""
+    reach: dict[str, float] = {}  # the most positions a call to that name fills
+    keywords = set()  # (name, keyword), and (name, None) for a `**`
+    for source in readers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            filled = float("inf") if starred else len(call.args)
+            reach[name] = max(reach.get(name, 0), filled)
+            keywords.update((name, k.arg) for k in call.keywords)
+    return sorted(
+        f"{module}.{function}.{param}"
+        for module, source in defining.items()
+        for function, position, param in _optional_params(source)
+        if not (
+            keywords & {(function, param), (function, None)}
+            or position is not None and reach.get(function, 0) > position
+        )
+    )
+
+
+# optional parameters that no command, benchmark or acceptance test passes,
+# and why each stays
+_DEFAULT_ONLY = {
+    "copier.run_copy.max_cycles": (
+        "the same budget and errors as `seeded_copy`, to which the CLI passes --max-cycles"
+    ),
+    "corpus.load_fixture.directory": "it mirrors `load_manifest`'s `directory`",
+    "kinematics.world_from_chain.fold_delay": "the static-fold congruence tests fold from tick 0",
+    "mdl.validate.profile": "README documents it",
+    "protoevolution.info_content.profile": "paper concept: a wider alphabet costs more bits",
+    "protoevolution.mhbbg_trial.forced_stream": "`mhbbg_trial` is on `_TEST_ONLY`",
+    "protoevolution.mhbbg_trial.rng": "`mhbbg_trial` is on `_TEST_ONLY`",
+}
+
+
+def test_every_optional_parameter_is_passed():
+    here = Path(__file__).parent
+    readers = MODULES + sorted((here.parent / "perfbench").glob("*.py"))
+    readers.append(here / "test_acceptance.py")
+    defining = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    unpassed = _unpassed_optionals(defining, [p.read_text(encoding="utf-8") for p in readers])
+    assert unpassed == sorted(_DEFAULT_ONLY)
+
+
+def test_the_check_sees_an_optional_parameter_no_call_passes():
+    defining = {
+        "shapes": (
+            "def scale(shape, factor=1, *, unit='cm', strict=False): ...\n"
+            "def draw(shape, colour=None, width=1): ...\n"
+            "def fill(shape, colour=None): ...\n"
+            "def _render(shape, dpi=72):\n"
+            "    def pad(margin=0): ...\n"
+            "class Shape:\n"
+            "    def area(self, exact=False): ...\n"
+            "    def grow(self, by=1): ...\n"
+            "    @staticmethod\n"
+            "    def unit(name='cm'): ...\n"
+        ),
+    }
+    readers = [
+        "from shapes import scale, draw, fill, Shape\n"
+        "scale(s, 2, strict=True)\n"
+        "draw(s, 'red')\n"
+        "fill(*args)\n"
+        "shapes._render(s, **opts)\n"
+        "Shape().area(True)\n"
+        "Shape.unit()\n"
+    ]
+    assert _unpassed_optionals(defining, readers) == [
+        "shapes.draw.width",
+        "shapes.grow.by",
+        "shapes.pad.margin",
+        "shapes.scale.unit",
+        "shapes.unit.name",
+    ]
 
 
 def test_every_exception_reaches_the_cli_as_an_exit_status():

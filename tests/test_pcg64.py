@@ -21,7 +21,7 @@ def _state(stream: Pcg64) -> dict:
 
 
 # the copier draws kinds with k = 6 (the default registry) and cases with
-# k = 4; a registry can have 2 to 64 kinds, and 1 and 256 are the edges
+# k = 4; `integers` takes any k from 1 to 256, and 1 and 256 are the edges
 _k = st.sampled_from([6, 4, 6, 4, 1, 2, 3, 7, 64, 256])
 _calls = st.lists(st.tuples(_k, st.sampled_from([1, 7, FEED_CHUNK, 0, 3])), min_size=1, max_size=4)
 
