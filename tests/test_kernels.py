@@ -7,7 +7,9 @@ flags, stick-out log) is checked at `run_copy` level against the
 `step()` loop.
 """
 
+import functools
 import itertools
+import re
 import tracemalloc
 from array import array
 
@@ -29,8 +31,18 @@ from chainfold.copier import (
     run_copy,
     seeded_copy,
     step,
+    stickout,
 )
-from chainfold.encoding import TapeEntry, default_registry, negative_copy
+from chainfold.encoding import (
+    MarkingPattern,
+    TapeEntry,
+    TypeRegistry,
+    complement,
+    default_registry,
+    negative_copy,
+    reverse,
+)
+from chainfold.errors import TapeExhaustedError
 
 
 def _count_matches_py(draws, target):
@@ -220,8 +232,7 @@ def _kinds_id(reg):
     return f"{len(reg.kinds)}kinds"
 
 
-def _chunk_inputs(seed, n_slots=40, m=1200):
-    n_kinds = len(default_registry().kinds)
+def _chunk_inputs(seed, n_slots=40, m=1200, n_kinds=len(default_registry().kinds)):
     rng = np.random.default_rng(seed)
     slot_codes = rng.integers(0, 2 * n_kinds, size=n_slots).tolist()
     kinds = rng.integers(0, n_kinds, size=m, dtype=np.uint8)
@@ -282,6 +293,123 @@ def test_copier_chunk_resumes_mid_tape():
     assert 0 < head < n and used == cut
     head, rest = kernels.copier_chunk(seek, codes, head, flat[cut:], cut, glued)
     assert (head, cut + rest, glued.tolist()) == whole
+
+
+ZERO_LED_8 = [  # 35 patterns; each complement leads with a 1, so no two collide
+    "".join(b) for b in itertools.product("01", repeat=8) if b.count("1") == 4 and b[0] == "0"
+]
+
+
+def _random_registry(seed, pairs):
+    """`pairs` zero-led patterns and their complements, in a shuffled kind order."""
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(ZERO_LED_8, size=pairs, replace=False).tolist()
+    bits = picks + ["".join("10"[int(c)] for c in p) for p in picks]
+    rng.shuffle(bits)
+    return TypeRegistry({b: (b, MarkingPattern.from_string(b)) for b in bits})
+
+
+# `step`, `stickout` and the kernel walk stay generic over a registry: the
+# default and random registries of 2 to 64 kinds; with 12 or more kinds the
+# flat draws reach the byte-class metacharacters - (0x2d), \ (0x5c), ] and ^
+ANY_REGISTRIES = [default_registry()] + [
+    _random_registry(seed, pairs) for seed, pairs in enumerate([1, 2, 3, 6, 12, 20, 31, 32, 32])
+]
+
+
+@functools.cache
+def _rule_grid(sparing, reg):
+    """The stick-out of every flat draw at every slot code under `reg`, read
+    from `stickout`, and per slot code the byte class of the draws with
+    stick-out 0, as `copier_chunk` takes it."""
+    profile = SubunitProfile(sparing)
+    slots = [TapeEntry(k, f) for k in reg.kinds for f in (False, True)]
+    stick = np.array(
+        [
+            [stickout(k, case, slot, profile, reg) for k in reg.kinds for case in PresentationCase]
+            for slot in slots
+        ],
+        dtype=np.uint8,
+    )
+    stick.flags.writeable = False
+    glues = [np.flatnonzero(row == 0).tolist() for row in stick]
+    seek = [re.compile(b"[%s]" % b"".join(b"\\x%02x" % f for f in fs)) for fs in glues]
+    return stick, seek
+
+
+@pytest.mark.parametrize("reg", ANY_REGISTRIES, ids=_kinds_id)
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_copier_chunk_walks_the_rule_grid_of_any_registry(seed, reg):
+    stick, seek = _rule_grid(Sparing.BOTH_SIDES, reg)
+    slot_codes, kinds, cases = _chunk_inputs(seed, n_kinds=len(reg.kinds))
+    got = _kernel_walk(seek, slot_codes, 0, kinds, cases)
+    assert got == _walk_py(stick, slot_codes, 0, kinds, cases)
+    assert got[0] > 0
+    if len(reg.kinds) == 64:  # the metacharacters that a glue can be
+        glue_bytes = set(np.flatnonzero((stick == 0).any(axis=0)).tolist())
+        assert {0x2D, 0x5C, 0x5D} <= glue_bytes
+
+
+def _paper_rule(kind, case, slot, sparing, reg):
+    """(stick-out, mutation) as the module docstring states the rule: the
+    presented pattern against the complement of the slot's."""
+    if case is PresentationCase.ON_SIDE:
+        return 1, False
+    if case is PresentationCase.OPPOSITE:
+        return 2, False
+    turned = (case is PresentationCase.FLIPPED) != slot.flipped
+    pattern = reg.pattern(kind)
+    if (reverse(pattern) if turned else pattern) != complement(reg.pattern(slot.kind)):
+        return 2, False
+    if not turned or pattern.palindromic:
+        return 0, False
+    return (0, True) if sparing is Sparing.BOTH_SIDES else (1, False)
+
+
+@pytest.mark.parametrize("sparing", list(Sparing), ids=lambda s: s.value)
+@pytest.mark.parametrize("reg", ANY_REGISTRIES, ids=_kinds_id)
+def test_step_follows_the_paper_rule_on_any_registry(reg, sparing):
+    """Every draw at every slot, fed to `step` on a one-slot tape: the
+    stick-out, the mutation flag and the glued entry the rule gives."""
+    profile = SubunitProfile(sparing)
+    mutations = 0
+    for slot in (TapeEntry(k, f) for k in reg.kinds for f in (False, True)):
+        glues = 0
+        for kind, case in itertools.product(reg.kinds, PresentationCase):
+            state = CopierState(tape=(slot,), profile=profile, registry=reg)
+            outcome = step(state, kind, case)
+            s, mutation = _paper_rule(kind, case, slot, sparing, reg)
+            assert (outcome.stickout, outcome.mutation) == (s, mutation)
+            assert stickout(kind, case, slot, profile, reg) == s
+            assert outcome.accepted == state.done == (s == 0)
+            assert state.output == ([TapeEntry(kind, slot.flipped != mutation)] if s == 0 else [])
+            assert state.cycle_log == [outcome]
+            glues += s == 0
+            mutations += mutation
+        assert glues >= 1  # the partner in the slot's frame always glues
+    assert sparing is Sparing.BOTH_SIDES or mutations == 0
+
+
+@pytest.mark.parametrize("sparing", list(Sparing), ids=lambda s: s.value)
+@pytest.mark.parametrize("reg", ANY_REGISTRIES, ids=_kinds_id)
+def test_step_loop_copies_a_tape_of_any_registry(reg, sparing):
+    """A tape of every entry, each slot fed two rejects and then its
+    partner in the slot's frame, copies to the negative under `reg`."""
+    rng = np.random.default_rng(len(reg.kinds))
+    tape = [TapeEntry(k, f) for k in reg.kinds for f in (False, True)]
+    rng.shuffle(tape)
+    state = CopierState(tape=tuple(tape), profile=SubunitProfile(sparing), registry=reg)
+    for slot in tape:
+        partner = reg.partner(slot.kind)
+        for case in (PresentationCase.ON_SIDE, PresentationCase.OPPOSITE):
+            assert not step(state, partner, case).accepted
+        case = PresentationCase.FLIPPED if slot.flipped else PresentationCase.UPRIGHT
+        outcome = step(state, partner, case)
+        assert outcome.accepted and not outcome.mutation
+    assert state.done and len(state.cycle_log) == 3 * len(tape)
+    assert state.output == [TapeEntry(reg.partner(e.kind), e.flipped) for e in tape]
+    with pytest.raises(TapeExhaustedError):
+        step(state, reg.kinds[0], PresentationCase.UPRIGHT)
 
 
 def _seeded_stream(seed, chunks):
