@@ -172,7 +172,7 @@ class _Table(NamedTuple):
     mut: bytes  # 1 where gluing that draw there is a mutation
     out: bytes  # the slot code of the entry that gluing that draw there leaves
     # per slot code, a byte class (never empty: every kind has a partner) of
-    # the draws with stick-out 0 there; \xNN escapes keep -, \, ] and ^ literal
+    # the draws with stick-out 0 there; draws are below 24, so none is -, \, ] or ^
     seek: tuple[re.Pattern[bytes], ...]
 
     def glued(self, code: int, glue: int) -> tuple[TapeEntry, int]:
@@ -209,7 +209,7 @@ def _table(sparing: Sparing) -> _Table:
         stick=bytes(stick),
         mut=bytes(mut),
         out=bytes(out),
-        seek=tuple(re.compile(b"[%s]" % b"".join(b"\\x%02x" % f for f in fs)) for fs in glues),
+        seek=tuple(re.compile(b"[" + bytes(fs) + b"]") for fs in glues),
     )
 
 

@@ -15,10 +15,12 @@ where numpy leaves it. It takes numpy's four steps on Python ints:
   scales it by Lemire's method and rejects the few low remainders that
   would bias it. The buffer starts empty at every `integers` call.
 
-A 64-bit step costs about half a microsecond in Python ints, against
-about 2 ns in numpy, so this pays where importing numpy would cost more
-than the draws: in a CLI `copy` of a short tape. `tests/test_pcg64.py`
-checks the bytes and the state against the installed numpy.
+The last two steps, `Draws`, read any source of 64-bit draws: `evolve`
+feeds them numpy's own, and one `bytes.translate` per piece takes about
+half the time of `Generator.integers`. A Python-int step of `Pcg64`
+costs about half a microsecond, against about 2 ns in numpy, so it pays
+where importing numpy would cost more than the draws: in a CLI `copy`
+of a short tape. `tests/test_pcg64.py` checks both against numpy.
 """
 
 from __future__ import annotations
@@ -79,7 +81,51 @@ def _lemire(k: int) -> tuple[bytes, bytes]:
     )
 
 
-class Pcg64:
+# 32-bit draws per piece: at 128 KiB, `bytes.translate` ran 1.6x faster per
+# byte than at 512 KiB, whose words and draws spill out of cache
+_PIECE = 1 << 15
+
+
+class Draws:
+    """numpy's 32-bit and uint8 draws over `raw(n)`, the next `n` 64-bit
+    draws of a bit generator as a buffer of little-endian bytes, such as
+    numpy's `random_raw(n)` on a little-endian host; `has_uint32` and
+    `uinteger` are numpy's state fields."""
+
+    has_uint32 = uinteger = 0
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def _uint32_bytes(self, n: int) -> bytes:
+        """The next `n` 32-bit draws, as little-endian bytes."""
+        head = b""
+        if n and self.has_uint32:
+            head = self.uinteger.to_bytes(4, "little")
+            self.has_uint32 = 0
+            n -= 1
+        # a 64-bit draw's little-endian bytes are its low 32-bit draw, then its high one
+        out = bytes(self.raw(n + 1 >> 1))
+        if out:  # numpy keeps the high half after handing it out
+            self.uinteger = int.from_bytes(out[-4:], "little")
+        if n & 1:
+            self.has_uint32 = 1
+            out = out[:-4]
+        return head + out
+
+    def uint8_pieces(self, k: int, size: int):
+        """The bytes of `integers(0, k, size=size, dtype=np.uint8)` for
+        2 <= k <= 256, in pieces of at most `_PIECE` 32-bit draws each."""
+        scale, rejected = _lemire(k)
+        while size > 0:
+            # each 32-bit draw yields at most four bytes, so this many can
+            # overshoot only inside the last one, whose rest numpy drops too
+            out = self._uint32_bytes(min(_PIECE, -(-size // 4))).translate(scale, rejected)[:size]
+            size -= len(out)
+            yield out
+
+
+class Pcg64(Draws):
     """numpy's `default_rng(seed)` for uint8 draws; its attributes are
     numpy's `bit_generator.state` fields."""
 
@@ -89,40 +135,19 @@ class Pcg64:
         s0, s1, i0, i1 = _seed_words(seed)
         self.inc = ((i0 << 64 | i1) << 1 | 1) & _M128
         self.state = ((self.inc + (s0 << 64 | s1)) * _MULTIPLIER + self.inc) & _M128
-        self.has_uint32 = 0
-        self.uinteger = 0
 
-    def _uint32_bytes(self, n: int) -> bytes:
-        """The next `n` 32-bit draws, as little-endian bytes."""
-        head = b""
-        if n and self.has_uint32:
-            head = self.uinteger.to_bytes(4, "little")
-            self.has_uint32 = 0
-            n -= 1
-        steps = n + 1 >> 1
+    def raw(self, n: int) -> bytes:
+        """The next `n` 64-bit draws: each steps the LCG and outputs XSL-RR."""
         state, inc = self.state, self.inc
-        draws = [0] * steps
-        for i in range(steps):
+        draws = [0] * n
+        for i in range(n):
             state = (state * _MULTIPLIER + inc) & _M128
             draws[i] = ((state >> 64 ^ state) & _M64) * _DOUBLED >> (state >> 122) & _M64
         self.state = state
-        # a 64-bit draw's little-endian bytes are its low 32-bit draw, then its high one
-        out = struct.pack(f"<{steps}Q", *draws)
-        if steps:
-            self.uinteger = draws[-1] >> 32  # numpy keeps it after handing it out
-        if n & 1:
-            self.has_uint32 = 1
-            out = out[:-4]
-        return head + out
+        return struct.pack(f"<{n}Q", *draws)
 
     def integers(self, k: int, size: int) -> bytes:
         """`integers(0, k, size=size, dtype=np.uint8)` for 1 <= k <= 256."""
         if k == 1:  # numpy draws nothing for a range of one value
             return bytes(size)
-        scale, rejected = _lemire(k)
-        out = b""
-        while len(out) < size:
-            # each 32-bit draw yields at most four bytes, so this many can
-            # overshoot only inside the last one, whose rest numpy drops too
-            out += self._uint32_bytes(-((len(out) - size) // 4)).translate(scale, rejected)
-        return out[:size]
+        return b"".join(self.uint8_pieces(k, size))

@@ -5,7 +5,8 @@ asks whether they spell Mover, Hinge, block, block, Gluer in order (plus
 a trailing dissolvable when a separator is required). The analytic rate
 is (1/|A|)^k, and the Monte Carlo estimate must sit within sampling error
 of it. Counting runs through the array kernels so large trial counts
-stay cheap. numpy loads in the functions that draw, so a rejected
+stay cheap; draws come a piece at a time, so memory stays flat in the
+trials. numpy loads in the functions that draw, so a rejected
 experiment never pays for it.
 """
 
@@ -148,25 +149,32 @@ _CHUNK_TRIALS = 1_000_000
 def mhbbg_probability(exp: StreamExperiment) -> ProbabilityReport:
     """Monte Carlo self-copy frequency next to the closed form.
 
-    Draws come in fixed-size chunks from one seeded generator, so the
-    count is a pure function of the seed. No name holds a chunk while
-    the next is drawn, so one chunk of m x k bytes is live at a time.
+    Each chunk of m <= 10^6 trials draws what one `integers(0, |A|,
+    size=(m, k), dtype=np.uint8)` call on `default_rng(seed)` would, so
+    the count is a pure function of the seed; `pcg64.Draws` makes those
+    bytes from numpy's raw words, and each piece's whole rows are counted
+    before the next piece is drawn.
     """
     import numpy as np
 
-    from . import kernels
+    from . import kernels, pcg64
 
     k = exp.target_length
     target = exp.target_indices()
     analytic = analytic_self_copy_probability(len(exp.alphabet), k)
-    rng = np.random.default_rng(exp.seed)
+    draws = pcg64.Draws(np.random.default_rng(exp.seed).bit_generator.random_raw)
     hits = 0
     remaining = exp.trials
     while remaining > 0:
         m = min(remaining, _CHUNK_TRIALS)
-        hits += kernels.count_matches(
-            rng.integers(0, len(exp.alphabet), size=(m, k), dtype=np.uint8), target
-        )
+        row = b""  # the draws of a row that straddles two pieces
+        for piece in draws.uint8_pieces(len(exp.alphabet), m * k):
+            row += piece
+            rows = len(row) // k  # no name keeps a piece's array past its count
+            hits += kernels.count_matches(
+                np.frombuffer(row, np.uint8, rows * k).reshape(rows, k), target
+            )
+            row = row[rows * k :]
         remaining -= m
     p = float(analytic)
     stderr = math.sqrt(p * (1.0 - p) / exp.trials)

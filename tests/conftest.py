@@ -23,3 +23,24 @@ def reference_scenario():
         return runs[key]
 
     return run
+
+
+@pytest.fixture(scope="session")
+def integers_hits():
+    """The hits of an evolve experiment as numpy's `Generator.integers`
+    draws them: one `integers(0, |A|, size=(m, k), dtype=np.uint8)` call
+    per 10^6-trial chunk, each row compared with the target in full."""
+    import numpy as np
+
+    def hits(exp):
+        rng = np.random.default_rng(exp.seed)
+        target = exp.target_indices()
+        found, left = 0, exp.trials
+        while left:
+            m = min(left, 1_000_000)
+            draws = rng.integers(0, len(exp.alphabet), size=(m, exp.target_length), dtype=np.uint8)
+            found += int((draws == target).all(axis=1).sum())
+            left -= m
+        return found
+
+    return hits

@@ -469,6 +469,26 @@ def test_evolve_reports_analytic_and_hits(capsys):
     assert data["backend"] == "numpy"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--alphabet-size", "16", "--trials", "3000000", "--seed", "2"),
+        ("--alphabet-size", "46", "--separator", "--seed", "9"),
+        ("--alphabet-size", "7", "--separator", "--trials", "2000000", "--seed", "2"),
+    ],
+    ids=["16", "46-separator", "7-separator"],
+)
+def test_evolve_prints_the_hits_of_numpys_integers(capsys, integers_hits, argv):
+    from chainfold.protoevolution import StreamExperiment, build_alphabet
+
+    code, out, _ = run_cli(capsys, "evolve", *argv)
+    assert code == 0
+    config = json.loads(out)["config"]
+    alphabet = build_alphabet(config["alphabet_size"], include_separator=config["separator"])
+    exp = StreamExperiment(alphabet, config["separator"], config["trials"], config["seed"])
+    assert json.loads(out)["hits"] == integers_hits(exp)
+
+
 def test_evolve_rejects_tiny_alphabet(capsys):
     code, _, err = run_cli(capsys, "evolve", "--alphabet-size", "3")
     assert code == 1

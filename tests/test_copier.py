@@ -184,26 +184,6 @@ def test_copy_twice_is_identity_for_any_tape_and_seed(tape, seed):
     assert copy_twice(tape, seed=seed) == tape
 
 
-def test_mutations_confined_to_partner_pairs():
-    rng = np.random.default_rng(23)
-    mutated_runs = 0
-    for trial in range(40):
-        n = int(rng.integers(4, 24))
-        tape = tape_from_kinds(
-            [KINDS[i] for i in rng.integers(0, 6, n)],
-            [bool(b) for b in rng.integers(0, 2, n)],
-        )
-        run = run_copy(tape, BOTH, seed=int(rng.integers(0, 2**31)))
-        expected = negative_copy(tape)
-        diffs = [i for i in range(n) if run.output[i].kind != expected[i].kind]
-        assert diffs == list(run.mutations)
-        for i in run.mutations:
-            roles = {REG.role(run.output[i].kind), REG.role(expected[i].kind)}
-            assert roles in ({"a", "f"}, {"b", "e"})
-        mutated_runs += bool(run.mutations)
-    assert mutated_runs > 5  # both-sides sparing does mutate in practice
-
-
 def test_tape_fed_backwards_still_copies():
     tape = tape_from_kinds(["G0_", "H__", "L__", "b__"], [False, True, False, False])
     wrong_way = flip_end_over_end(tape)
@@ -247,14 +227,10 @@ def test_analytic_odds_count_every_draw_of_any_registry(profile):
     assert analytic_cycle_stats(tape, profile)["per_slot"] == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    tape=st.lists(_entries, min_size=1, max_size=12).map(tuple),
-    profile=st.sampled_from([ONE, BOTH]),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(tape=tape_from_kinds(KINDS), profile=BOTH, seed=5)
-def test_mutations_confined_to_reversed_partners(tape, profile, seed):
+def _mutations_confined(tape, profile, seed) -> bool:
+    """Checks one copy: its mutations are exactly the slots whose kind
+    differs from the negative copy, each the reversed partner of the exact
+    kind, roles (a,f) or (b,e); returns whether it mutated."""
     run = run_copy(tape, profile, seed=seed)
     exact = negative_copy(tape)
     differs = [i for i, (got, want) in enumerate(zip(run.output, exact)) if got.kind != want.kind]
@@ -266,6 +242,34 @@ def test_mutations_confined_to_reversed_partners(tape, profile, seed):
     assert seeded == (run.output, run.cycles, run.mutations)
     for i in run.mutations:
         assert REG.pattern(run.output[i].kind) == reverse(REG.pattern(exact[i].kind))
+        roles = {REG.role(run.output[i].kind), REG.role(exact[i].kind)}
+        assert roles in ({"a", "f"}, {"b", "e"})
+    return bool(run.mutations)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tape=st.lists(_entries, min_size=1, max_size=12).map(tuple),
+    profile=st.sampled_from([ONE, BOTH]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(tape=tape_from_kinds(KINDS), profile=BOTH, seed=5)
+def _mutations_confined_for_any_tape(tape, profile, seed):
+    _mutations_confined(tape, profile, seed)
+
+
+def test_mutations_confined_to_reversed_partners():
+    rng = np.random.default_rng(23)
+    mutated_runs = 0
+    for _ in range(40):
+        n = int(rng.integers(4, 24))
+        tape = tape_from_kinds(
+            [KINDS[i] for i in rng.integers(0, 6, n)],
+            [bool(b) for b in rng.integers(0, 2, n)],
+        )
+        mutated_runs += _mutations_confined(tape, BOTH, int(rng.integers(0, 2**31)))
+    assert mutated_runs > 5  # both-sides sparing does mutate in practice
+    _mutations_confined_for_any_tape()
 
 
 def test_cycle_counts_within_three_sigma():

@@ -1,5 +1,6 @@
 """`pcg64.Pcg64` against the installed numpy: the same bytes from each
-`integers` call, and the bit generator left in the same state after it."""
+`integers` call, and the bit generator left in the same state after it;
+and `pcg64.Draws` fed numpy's own raw words, as `evolve` feeds it."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainfold.copier import FEED_CHUNK
-from chainfold.pcg64 import Pcg64
+from chainfold.pcg64 import _PIECE, Draws, Pcg64
 
 
 def _state(stream: Pcg64) -> dict:
@@ -39,6 +40,28 @@ def test_integers_and_state_match_numpy(seed, calls):
         want = rng.integers(0, k, size=size, dtype=np.uint8).tobytes()
         assert stream.integers(k, size) == want, (k, size)
         assert _state(stream) == rng.bit_generator.state, (k, size)
+
+
+# sizes past one piece of 32-bit draws, up to the odd one out on either side
+_edges = [1, 3, 5, 4 * _PIECE - 1, 4 * _PIECE + 1, 9 * _PIECE + 2]
+_sizes = st.sampled_from(_edges) | st.integers(1, 9 * _PIECE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**128),
+    calls=st.lists(st.tuples(st.integers(2, 256), _sizes), min_size=1, max_size=4),
+)
+@example(seed=7, calls=[(6, 5_000_000), (7, 3), (46, 4 * _PIECE + 1)])
+def test_draws_turn_numpys_raw_words_into_its_integers(seed, calls):
+    rng = np.random.default_rng(seed)
+    draws = Draws(np.random.default_rng(seed).bit_generator.random_raw)
+    for k, size in calls:
+        pieces = list(draws.uint8_pieces(k, size))
+        assert all(len(p) <= 4 * _PIECE for p in pieces)
+        assert b"".join(pieces) == rng.integers(0, k, size=size, dtype=np.uint8).tobytes()
+        state = rng.bit_generator.state
+        assert (draws.has_uint32, draws.uinteger) == (state["has_uint32"], state["uinteger"])
 
 
 def test_a_negative_seed_is_refused():

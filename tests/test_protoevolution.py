@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainfold.mdl import SIX_TYPE_PROFILE, AlphabetProfile, parse_mdl
+from chainfold.pcg64 import _PIECE
 from chainfold.protoevolution import (
     _CHUNK_TRIALS,
     JACOBSON_LIMIT_BITS,
@@ -101,9 +102,9 @@ def test_monte_carlo_within_three_sigma_of_analytic():
     assert report.hits == round(report.monte_carlo * report.trials)
 
 
-def test_evolve_holds_one_chunk_at_a_time():
+def test_evolve_holds_one_piece_at_a_time():
     exp = StreamExperiment(trials=3 * _CHUNK_TRIALS, seed=1)
-    chunk_bytes = _CHUNK_TRIALS * exp.target_length  # one uint8 per draw
+    piece_bytes = 4 * _PIECE  # the 32-bit draws of one piece
     mhbbg_probability(StreamExperiment(trials=10, seed=1))  # imports outside the trace
     tracemalloc.start()
     try:
@@ -111,9 +112,44 @@ def test_evolve_holds_one_chunk_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * chunk_bytes
+    # a piece's raw words, their bytes and draws, and a row buffer; a whole
+    # chunk's m x k bytes would be 5 MB
+    assert peak < 4 * piece_bytes
     # a count that moves means the draws moved, whatever the kernel
     assert report.hits == 381
+
+
+# trial counts at the stream's edges: one row, a chunk and a trial either
+# side, two chunks, and the rows around one and two pieces' worth of draws
+# at k = 5 and 6
+_EDGE_TRIALS = [1, 2, 3, _CHUNK_TRIALS - 1, _CHUNK_TRIALS + 1, 2 * _CHUNK_TRIALS] + [
+    pieces * 4 * _PIECE // k + d for pieces in (1, 2) for k in (5, 6) for d in (-1, 0, 1)
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # hits are rare past a few types, so the smallest alphabets come up often
+    size=st.sampled_from([6, 7]) | st.integers(6, 46),
+    separator=st.booleans(),
+    trials=st.sampled_from(_EDGE_TRIALS) | st.integers(1, 3 * _PIECE),
+    seed=st.integers(0, 2**128),
+)
+# the first chunk ends mid-64-bit word and mid-32-bit word, so the second
+# chunk's hits move if either the kept half or the dropped bytes slip
+@example(size=6, separator=False, trials=2 * _CHUNK_TRIALS, seed=0)
+@example(size=7, separator=True, trials=2 * _CHUNK_TRIALS, seed=2)
+@example(size=6, separator=False, trials=_CHUNK_TRIALS + 1, seed=2**128)
+@example(size=46, separator=True, trials=2 * _CHUNK_TRIALS + 3, seed=5)
+def test_hits_match_numpys_integers(integers_hits, size, separator, trials, seed):
+    assume(size > 6 or not separator)  # a separator needs a seventh entry
+    exp = StreamExperiment(
+        alphabet=build_alphabet(size, include_separator=separator),
+        require_separator=separator,
+        trials=trials,
+        seed=seed,
+    )
+    assert mhbbg_probability(exp).hits == integers_hits(exp)
 
 
 def test_separator_count_is_pinned():

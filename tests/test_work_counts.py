@@ -13,6 +13,7 @@ import pytest
 from chainfold import kernels, kinematics, protoevolution
 from chainfold.copier import run_copy, seeded_copy
 from chainfold.encoding import default_registry, tape_from_kinds
+from chainfold.pcg64 import _PIECE
 
 KINDS = default_registry().kinds
 
@@ -73,10 +74,10 @@ def _seeded_chunks(monkeypatch, n):
 
 
 def _matched_rows(monkeypatch, trials):
-    """The rows of draws that each `count_matches` call of a seed-7 evolve gets."""
+    """`count_matches` calls of a seed-7 evolve, and the most rows one gets."""
     calls = _spy(monkeypatch, kernels, "count_matches")
     protoevolution.mhbbg_probability(protoevolution.StreamExperiment(trials=trials, seed=7))
-    return [len(draws) for draws, _ in calls]
+    return len(calls), max(len(draws) for draws, _ in calls)
 
 
 WORK_COUNTS = [
@@ -111,9 +112,10 @@ WORK_COUNTS = [
     (_chunks, (4096,), (21, 82_271)),
     (_seeded_chunks, (8,), (1, 138)),
     (_seeded_chunks, (4096,), (21, 82_271)),
-    # an evolve of the default experiment
-    (_matched_rows, (1_000_000,), [1_000_000]),
-    (_matched_rows, (2_500_000,), [1_000_000, 1_000_000, 500_000]),
+    # an evolve of the default experiment: a call per piece of draws, and
+    # a few short ones at a chunk's end, where rejected bytes are redrawn
+    (_matched_rows, (1_000_000,), (41, 25_825)),
+    (_matched_rows, (2_500_000,), (105, 25_825)),
 ]
 
 
@@ -137,6 +139,16 @@ def test_how_scenario_steps_scale():
     for n in lengths:
         for extra in extras:
             assert steps["retainer", n, extra] == _default_ticks("retainer", n) + extra
+
+
+def test_how_evolve_calls_scale():
+    rows = {args[0]: want for count, args, want in WORK_COUNTS if count is _matched_rows}
+    for trials, (calls, most) in rows.items():
+        # no call gets more rows than one piece of draws fills, with the row
+        # carried over from the piece before
+        assert most <= -(-4 * _PIECE // 5)
+        # calls per chunk do not grow with the trials
+        assert calls <= -(-trials // protoevolution._CHUNK_TRIALS) * rows[1_000_000][0]
 
 
 def test_how_scenario_worlds_relate(monkeypatch):
