@@ -16,9 +16,11 @@ too and is glued, which is the mutation pathway.
 The copier reads the paper's six kinds, the default registry. Both entry
 points read one rule table per sparing, `_table`, whose bytes hold the
 stick-out, the mutation flag and the glued entry's slot code of every
-draw at every slot. `run_copy` draws from numpy and gathers the copy and
-the stick-out log through numpy views of those bytes; `seeded_copy` draws
-the same stream from `pcg64` and gathers only the copy, its cycles and
+draw at every slot, and one seeded draw source, `_stream_draws`, which
+turns 64-bit words into numpy's uint8 stream through `pcg64.Draws`.
+`run_copy` reads numpy's own PCG64 words and gathers the copy and the
+stick-out log through numpy views of those bytes; `seeded_copy` reads the
+same words from `pcg64.Pcg64` and gathers only the copy, its cycles and
 mutations, slot by slot, so it never loads numpy.
 """
 
@@ -36,12 +38,15 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import kernels
 from .encoding import FitResult, Tape, TapeEntry, TypeRegistry, default_registry, fit
 from .errors import CycleLimitExceededError, TapeExhaustedError, UnknownTapeKindError
-from .pcg64 import Pcg64
+from .pcg64 import Draws, Pcg64
 
 if TYPE_CHECKING:
     import numpy as np
 
 FEED_CHUNK = 4096
+# kind -> kind index in the default registry, the one registry the copier reads
+_KIND_INDEX = {kind: i for i, kind in enumerate(default_registry().kinds)}
+_N_KINDS = len(_KIND_INDEX)
 
 
 class Sparing(Enum):
@@ -166,7 +171,6 @@ class _Table(NamedTuple):
     draw) at slot code * width + draw."""
 
     entries: tuple[TapeEntry, ...]  # the tape entry at each slot code
-    index: dict[str, int]  # kind -> kind index; shared, so never written
     width: int  # flat draws per slot code
     stick: bytes  # stick-out of each draw at each slot
     mut: bytes  # 1 where gluing that draw there is a mutation
@@ -204,7 +208,6 @@ def _table(sparing: Sparing) -> _Table:
     glues = [[f for f in range(width) if not stick[row + f]] for row in rows]
     return _Table(
         entries=entries,
-        index={kind: i for i, kind in enumerate(kinds)},
         width=width,
         stick=bytes(stick),
         mut=bytes(mut),
@@ -213,54 +216,33 @@ def _table(sparing: Sparing) -> _Table:
     )
 
 
-def _slot_codes(tape: Tape, table: _Table) -> bytes:
+def _slot_codes(tape: Tape) -> bytes:
     """One byte per slot, kind index * 2 + flip: codes below 2 * 6 = 12."""
-    index = table.index
     try:  # a flip is a bool, and a bool is an int, so it adds as is
-        return bytes([2 * index[e.kind] + e.flipped for e in tape])
+        return bytes([2 * _KIND_INDEX[e.kind] + e.flipped for e in tape])
     except KeyError as exc:
         raise UnknownTapeKindError(exc.args[0]) from None
 
 
-# A draw source is made from a seed or feed and the `_Table`; it is called
-# once per chunk with (open slots, cycles left) and returns that chunk's
-# flat draws, kind * cases + case, as `bytes`.
+# A draw source is called once per chunk with (open slots, cycles left)
+# and returns that chunk's flat draws, kind * cases + case, as `bytes`.
 
 
-def _seeded_draws(seed: int | np.random.SeedSequence, table: _Table):
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    n_kinds = len(table.index)
-
+def _stream_draws(stream: Draws):
     def draw(open_slots: int, budget: int) -> bytes:
         # Draw a full chunk regardless of budget so the stream is a pure
-        # function of the seed, then cap what the kernel may consume.
-        kinds = rng.integers(0, n_kinds, size=FEED_CHUNK, dtype=np.uint8)
-        cases = rng.integers(0, len(PresentationCase), size=FEED_CHUNK, dtype=np.uint8)
-        return (kinds[:budget] * len(PresentationCase) + cases[:budget]).tobytes()
-
-    return draw
-
-
-def _pure_draws(seed: int, table: _Table):
-    stream = Pcg64(seed)
-    n_kinds = len(table.index)
-
-    def draw(open_slots: int, budget: int) -> bytes:
-        # the same stream as `_seeded_draws`; a flat draw is at most
-        # 5 * 4 + 3 = 23, below 256, so the byte strings add as two
-        # big-endian ints with no carry between bytes
-        kinds = int.from_bytes(stream.integers(n_kinds, FEED_CHUNK), "big")
+        # function of the seed, then cap what the kernel may consume. A flat
+        # draw is at most 5 * 4 + 3 = 23, below 256, so the byte strings add
+        # as two big-endian ints with no carry between bytes.
+        kinds = int.from_bytes(stream.integers(_N_KINDS, FEED_CHUNK), "big")
         cases = int.from_bytes(stream.integers(len(PresentationCase), FEED_CHUNK), "big")
         return (kinds * len(PresentationCase) + cases).to_bytes(FEED_CHUNK, "big")[:budget]
 
     return draw
 
 
-def _forced_draws(feed, table: _Table):
+def _forced_draws(feed):
     items = iter(feed)
-    index = table.index
     # a dict, so a case is looked up by equality as a set member would be
     case_values = {int(case): int(case) for case in PresentationCase}
 
@@ -269,7 +251,7 @@ def _forced_draws(feed, table: _Table):
         # size never reads past the draw that finishes the tape.
         batch = list(itertools.islice(items, min(open_slots, budget)))
         try:
-            kinds = [index[kind] for kind, _ in batch]
+            kinds = [_KIND_INDEX[kind] for kind, _ in batch]
         except KeyError as exc:
             raise UnknownTapeKindError(exc.args[0]) from None
         try:
@@ -285,11 +267,11 @@ def _walk(
     tape: Tape,
     profile: SubunitProfile | None,
     max_cycles: int | None,
-    source,
+    draw,
 ) -> tuple[Sparing, _Table, bytes, bytearray, array, int]:
-    """What both entry points share: check the settings, then feed chunks
-    from the draw source that `source(table)` makes to the kernel until
-    every slot is glued.
+    """What both entry points share: check the settings, then feed the
+    chunks of the draw source `draw` to the kernel until every slot is
+    glued.
 
     Returns the sparing, the `_Table`, the slot codes, every draw fed,
     each as its flat index (only the last chunk can end unused), the cycle
@@ -303,8 +285,7 @@ def _walk(
         raise ValueError(f"max_cycles must not be negative, got {max_cycles}")
     sparing = (profile or SubunitProfile()).sparing
     table = _table(sparing)
-    draw = source(table)
-    codes = _slot_codes(tape, table)
+    codes = _slot_codes(tape)
     n = len(codes)
     drawn = bytearray()
     glue_cycles = array("q", [-1])
@@ -332,20 +313,20 @@ def run_copy(
     """Copy a tape; returns the produced (negative) tape and run statistics.
 
     The default feed draws a kind uniformly from the default registry and a
-    presentation case uniformly from the four cases, all from one seeded
-    generator. Passing `feed` (iterable of (kind, case)) replaces the
-    random stream entirely, for forced experiments. Either way the copy
-    stops with CycleLimitExceededError after `max_cycles` draws, or when
-    a forced feed runs out first. A negative `max_cycles` raises
-    ValueError.
+    presentation case uniformly from the four cases, as
+    `np.random.default_rng(seed).integers` draws them. Passing `feed`
+    (iterable of (kind, case)) replaces the random stream entirely, for
+    forced experiments. Either way the copy stops with
+    CycleLimitExceededError after `max_cycles` draws, or when a forced
+    feed runs out first. A negative `max_cycles` raises ValueError.
     """
     import numpy as np
 
     if feed is None:
-        source = functools.partial(_seeded_draws, seed)
+        draw = _stream_draws(Draws(np.random.PCG64(seed).random_raw))
     else:
-        source = functools.partial(_forced_draws, feed)
-    sparing, table, codes, drawn, glue_cycles, cycles = _walk(tape, profile, max_cycles, source)
+        draw = _forced_draws(feed)
+    sparing, table, codes, drawn, glue_cycles, cycles = _walk(tape, profile, max_cycles, draw)
     # the copy is finished, so every slot has its glue: gather in one pass
     flat = np.frombuffer(drawn, dtype=np.uint8, count=cycles)
     ends = np.frombuffer(glue_cycles, dtype=np.int64)
@@ -374,11 +355,11 @@ def seeded_copy(
     max_cycles: int | None = None,
 ) -> CopyResult:
     """`run_copy`'s output, cycles and mutations for an int seed >= 0,
-    with the same errors, computed without numpy: the draws come from
-    `pcg64.Pcg64`, and the copy is gathered slot by slot, with no
-    stick-out log."""
-    source = functools.partial(_pure_draws, seed)
-    _, table, codes, drawn, glue_cycles, cycles = _walk(tape, profile, max_cycles, source)
+    with the same errors, computed without numpy: the same draw source
+    reads its words from `pcg64.Pcg64`, and the copy is gathered slot by
+    slot, with no stick-out log."""
+    draw = _stream_draws(Pcg64(seed))
+    _, table, codes, drawn, glue_cycles, cycles = _walk(tape, profile, max_cycles, draw)
     glued = table.glued
     output = []
     mutations = []
@@ -410,7 +391,7 @@ def analytic_cycle_stats(tape: Tape, profile: SubunitProfile | None = None) -> d
     table = _table((profile or SubunitProfile()).sparing)
     width = table.width
     n_glue = [table.stick.count(0, row, row + width) for row in range(0, len(table.stick), width)]
-    per_slot = [Fraction(n_glue[code], width) for code in _slot_codes(tape, table)]
+    per_slot = [Fraction(n_glue[code], width) for code in _slot_codes(tape)]
     expected = sum((1 / p for p in per_slot), Fraction(0))
     variance = sum(((1 - p) / p**2 for p in per_slot), Fraction(0))
     return {"per_slot": per_slot, "expected_cycles": expected, "variance": variance}

@@ -1,7 +1,7 @@
 """numpy's seeded byte stream, reproduced bit for bit without numpy.
 
 `Pcg64(seed)` is `np.random.default_rng(seed)` for an int seed >= 0, and
-`Pcg64.integers(k, size)` returns the bytes of
+its `integers(k, size)` returns the bytes of
 `integers(0, k, size=size, dtype=np.uint8)`, leaving the bit generator
 where numpy leaves it. It takes numpy's four steps on Python ints:
 
@@ -15,12 +15,15 @@ where numpy leaves it. It takes numpy's four steps on Python ints:
   scales it by Lemire's method and rejects the few low remainders that
   would bias it. The buffer starts empty at every `integers` call.
 
-The last two steps, `Draws`, read any source of 64-bit draws: `evolve`
-feeds them numpy's own, and one `bytes.translate` per piece takes about
-half the time of `Generator.integers`. A Python-int step of `Pcg64`
-costs about half a microsecond, against about 2 ns in numpy, so it pays
-where importing numpy would cost more than the draws: in a CLI `copy`
-of a short tape. `tests/test_pcg64.py` checks both against numpy.
+The last two steps, `Draws`, read any source of 64-bit draws, and
+`Pcg64` is the one that makes its own. `evolve` and the copier's
+`run_copy` feed `Draws` numpy's own `PCG64` words; one `bytes.translate`
+per piece takes about half the time of `Generator.integers` on evolve's
+128 KiB pieces, and about as long on the copier's 4 KiB chunks. A
+Python-int step of `Pcg64` costs about half a microsecond, against about
+2 ns in numpy, so it pays where importing numpy would cost more than the
+draws: in a CLI `copy` of a short tape, through `seeded_copy`.
+`tests/test_pcg64.py` checks both against numpy.
 """
 
 from __future__ import annotations
@@ -124,6 +127,12 @@ class Draws:
             size -= len(out)
             yield out
 
+    def integers(self, k: int, size: int) -> bytes:
+        """`integers(0, k, size=size, dtype=np.uint8)` for 1 <= k <= 256."""
+        if k == 1:  # numpy draws nothing for a range of one value
+            return bytes(size)
+        return b"".join(self.uint8_pieces(k, size))
+
 
 class Pcg64(Draws):
     """numpy's `default_rng(seed)` for uint8 draws; its attributes are
@@ -145,9 +154,3 @@ class Pcg64(Draws):
             draws[i] = ((state >> 64 ^ state) & _M64) * _DOUBLED >> (state >> 122) & _M64
         self.state = state
         return struct.pack(f"<{n}Q", *draws)
-
-    def integers(self, k: int, size: int) -> bytes:
-        """`integers(0, k, size=size, dtype=np.uint8)` for 1 <= k <= 256."""
-        if k == 1:  # numpy draws nothing for a range of one value
-            return bytes(size)
-        return b"".join(self.uint8_pieces(k, size))

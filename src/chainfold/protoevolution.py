@@ -162,7 +162,7 @@ def mhbbg_probability(exp: StreamExperiment) -> ProbabilityReport:
     k = exp.target_length
     target = exp.target_indices()
     analytic = analytic_self_copy_probability(len(exp.alphabet), k)
-    draws = pcg64.Draws(np.random.default_rng(exp.seed).bit_generator.random_raw)
+    draws = pcg64.Draws(np.random.PCG64(exp.seed).random_raw)
     hits = 0
     remaining = exp.trials
     while remaining > 0:

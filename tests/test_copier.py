@@ -306,9 +306,12 @@ def _assert_matches_step_loop(run, state, mutations, sticks):
     assert run.stickout_log.tolist() == sticks
 
 
-def test_kernel_path_matches_step_semantics():
+# an int seed, and a `SeedSequence` child as `copy_twice` passes
+@pytest.mark.parametrize(
+    "seed", [77, np.random.SeedSequence(77).spawn(2)[1]], ids=["int", "seed_sequence_child"]
+)
+def test_kernel_path_matches_step_semantics(seed):
     tape = tape_from_kinds(["G0_", "L__", "H__", "b__"], [False, True, False, True])
-    seed = 77
     kernel_run = run_copy(tape, BOTH, seed=seed)
     assert kernel_run.cycles < FEED_CHUNK  # single chunk, replayable below
     rng = np.random.default_rng(seed)

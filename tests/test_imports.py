@@ -4,9 +4,9 @@ read in it. Every public function, class and method chainfold defines is
 named by chainfold, the benchmark or the acceptance tests, and every
 optional parameter of its functions is passed by one of their calls. Every
 exception chainfold defines is one the CLI maps to an exit status, no
-chainfold module calls a BLAS-backed numpy routine, the CLI leaves the
-trace's JSON layout to kinematics, and only the CLI reads the
-environment.
+chainfold module calls a BLAS-backed numpy routine or draws numpy's
+typed integers itself, the CLI leaves the trace's JSON layout to
+kinematics, and only the CLI reads the environment.
 
 An import kept on purpose, such as a re-export, carries `# noqa: F401` on
 its statement. A private helper that no line of its own module reads is
@@ -358,6 +358,38 @@ def test_the_check_sees_blas_routines():
         (2, "einsum"), (4, "numpy.linalg"), (5, "numpy.linalg"),
         (7, "@"), (8, "@"), (9, "dot"), (9, "linalg"),
     ]
+
+
+def _typed_integers(source: str) -> list[int]:
+    """Lines of `.integers(...)` calls that pass a `dtype`: numpy's uint8
+    stream is spelled once, by `pcg64.Draws`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "integers"
+        and any(kw.arg == "dtype" for kw in node.keywords)
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_draws_typed_integers_from_numpy(path):
+    assert _typed_integers(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_typed_integers():
+    src = (
+        "import numpy as np\n"
+        "rng = np.random.default_rng(3)\n"
+        "a = rng.integers(0, 6, size=4, dtype=np.uint8)\n"
+        "b = rng.integers(0, 10)\n"
+        "c = np.random.default_rng(4).integers(\n"
+        "    0, 4, size=9, dtype='u1'\n"
+        ")\n"
+        "d = integers(0, 6, dtype=np.uint8) + stream.integers(6, 4)\n"
+    )
+    assert _typed_integers(src) == [3, 5]
 
 
 def _imported(source: str) -> set[str]:

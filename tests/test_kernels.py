@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from chainfold import kernels
 from chainfold.copier import (
     FEED_CHUNK,
+    _KIND_INDEX,
     CopierState,
     PresentationCase,
     Sparing,
@@ -523,7 +524,7 @@ def test_tables_built_once_and_read_only(monkeypatch):
         assert not np.any(mut.astype(bool) & (stick != 0))
         assert mut.any() == (sparing is Sparing.BOTH_SIDES)
         assert len(table.seek) == n_codes  # one search pattern per slot code
-        assert [table.entries[2 * table.index[k]] for k in reg.kinds] == [
+        assert [table.entries[2 * _KIND_INDEX[k]] for k in reg.kinds] == [
             TapeEntry(k) for k in reg.kinds
         ]
         # `run_copy` reads the three tables through views it cannot write

@@ -1,6 +1,7 @@
 """`pcg64.Pcg64` against the installed numpy: the same bytes from each
 `integers` call, and the bit generator left in the same state after it;
-and `pcg64.Draws` fed numpy's own raw words, as `evolve` feeds it."""
+and `pcg64.Draws` fed numpy's own raw words, as `evolve` and the copier's
+`run_copy` feed it: the same `integers` bytes, and the same pieces."""
 
 import numpy as np
 import pytest
@@ -27,19 +28,29 @@ _k = st.sampled_from([6, 4, 6, 4, 1, 2, 3, 7, 64, 256])
 _calls = st.lists(st.tuples(_k, st.sampled_from([1, 7, FEED_CHUNK, 0, 3])), min_size=1, max_size=4)
 
 
+def _numpy_words(seed: int) -> Draws:
+    return Draws(np.random.PCG64(seed).random_raw)
+
+
+# `Pcg64` makes its own words, and its state is numpy's to the field;
+# `Draws` over numpy's words has only the 32-bit buffer of a state
+@pytest.mark.parametrize("source", [Pcg64, _numpy_words], ids=["pcg64", "random_raw"])
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**256), calls=_calls)
 @example(seed=0, calls=[(6, FEED_CHUNK), (4, FEED_CHUNK)])
 @example(seed=2**32 + 5, calls=[(6, 7), (4, 1), (4, 7), (6, 1)])
 @example(seed=2**128 - 1, calls=[(6, 1), (256, FEED_CHUNK)])
-def test_integers_and_state_match_numpy(seed, calls):
+@example(seed=11, calls=[(1, 7), (6, 3), (1, FEED_CHUNK), (4, 5)])
+def test_integers_and_state_match_numpy(source, seed, calls):
     rng = np.random.default_rng(seed)
-    stream = Pcg64(seed)
-    assert _state(stream) == rng.bit_generator.state
+    stream = source(seed)
+    if source is Pcg64:
+        assert _state(stream) == rng.bit_generator.state
     for k, size in calls:
         want = rng.integers(0, k, size=size, dtype=np.uint8).tobytes()
         assert stream.integers(k, size) == want, (k, size)
-        assert _state(stream) == rng.bit_generator.state, (k, size)
+        if source is Pcg64:
+            assert _state(stream) == rng.bit_generator.state, (k, size)
 
 
 # sizes past one piece of 32-bit draws, up to the odd one out on either side
@@ -55,7 +66,7 @@ _sizes = st.sampled_from(_edges) | st.integers(1, 9 * _PIECE)
 @example(seed=7, calls=[(6, 5_000_000), (7, 3), (46, 4 * _PIECE + 1)])
 def test_draws_turn_numpys_raw_words_into_its_integers(seed, calls):
     rng = np.random.default_rng(seed)
-    draws = Draws(np.random.default_rng(seed).bit_generator.random_raw)
+    draws = _numpy_words(seed)
     for k, size in calls:
         pieces = list(draws.uint8_pieces(k, size))
         assert all(len(p) <= 4 * _PIECE for p in pieces)
