@@ -10,6 +10,7 @@ byte-identical run to run.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -27,6 +28,26 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; our contract reserves 2 for domain errors
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+class _ClosedStream:
+    """What a command sees for a standard stream whose fd is closed, where
+    Python leaves None: each write fails as one to the closed fd would."""
+
+    closed = True  # so the interpreter does not flush it at exit
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
+def _report(line: str, code: int) -> int:
+    """Write `line` to stderr, if stderr takes it, and return exit `code`:
+    a closed or full stderr changes no exit code."""
+    try:
+        sys.stderr.write(line)
+    except OSError:
+        pass
+    return code
 
 
 def _emit(payload: dict) -> None:
@@ -263,23 +284,22 @@ def main(argv=None) -> int:
     # chainfold calls no BLAS routine, so numpy need not start a worker pool
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv)  # argparse drops a write that fails itself
+    # a closed stdout is an unwritable output, as a full disk is
+    sys.stdout = sys.stdout or _ClosedStream()
+    sys.stderr = sys.stderr or _ClosedStream()
     try:
         return args.func(args)
     except DomainError as exc:
-        sys.stderr.write(f"chainfold: {exc}\n")
-        return 2
+        return _report(f"chainfold: {exc}\n", 2)
     except (OSError, ValueError) as exc:  # MdlError and JSONDecodeError included
         if len(name := str(getattr(exc, "filename", ""))) > 200:
             exc.filename = name[:200] + "..."  # a 60 kB path, say, is not echoed whole
-        sys.stderr.write(f"chainfold: {exc}\n")
-        return 1
+        return _report(f"chainfold: {exc}\n", 1)
     except MemoryError:  # a constant, so that writing it allocates next to nothing
-        sys.stderr.write("chainfold: out of memory\n")
-        return 1
+        return _report("chainfold: out of memory\n", 1)
     except KeyboardInterrupt:
-        sys.stderr.write("chainfold: interrupted\n")
-        return 130
+        return _report("chainfold: interrupted\n", 130)
 
 
 if __name__ == "__main__":

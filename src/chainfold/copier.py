@@ -14,25 +14,24 @@ With both sides of the marking row spared, a reversed match lies flush
 too and is glued, which is the mutation pathway.
 
 The copier reads the paper's six kinds, the default registry. Both entry
-points read one rule table per sparing, `_table`, whose bytes hold the
-stick-out, the mutation flag and the glued entry's slot code of every
-draw at every slot, and one seeded draw source, `_stream_draws`, which
-turns 64-bit words into numpy's uint8 stream through `pcg64.Draws`.
-`run_copy` reads numpy's own PCG64 words and gathers the copy and the
-stick-out log through numpy views of those bytes; `seeded_copy` reads the
-same words from `pcg64.Pcg64` and gathers only the copy, its cycles and
-mutations, slot by slot, so it never loads numpy.
+points read one rule table per sparing, `_table`, which holds the
+stick-out of every draw at every slot and what each glue leaves there,
+and one seeded draw source, `_stream_draws`, which turns 64-bit words
+into numpy's uint8 stream through `pcg64.Draws`: numpy's own PCG64 words
+in `run_copy`, the same words from `pcg64.Pcg64` in `seeded_copy`, which
+never loads numpy. Both gather the copy and its mutations in `_gather`;
+`run_copy` also logs every draw's stick-out through a numpy view.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
@@ -167,23 +166,21 @@ class CopyResult(NamedTuple):
 class _Table(NamedTuple):
     """What the copier reads off the registry under one sparing: a slot
     code is kind index * 2 + flip, a flat draw is kind index * cases +
-    case, and `stick`, `mut` and `out` hold one byte per (slot code, flat
-    draw) at slot code * width + draw."""
+    case, and `stick` holds one byte per (slot code, flat draw) at slot
+    code * width + draw. Only upright and flipped draws glue, so a glue is
+    one of 12, kind index * 2 + case: `glue` maps a flat draw that glues to
+    glue * 12, and `out` and `mut` hold one byte per (glue, slot code) at
+    glue * 12 + slot code, below 144."""
 
     entries: tuple[TapeEntry, ...]  # the tape entry at each slot code
     width: int  # flat draws per slot code
     stick: bytes  # stick-out of each draw at each slot
-    mut: bytes  # 1 where gluing that draw there is a mutation
-    out: bytes  # the slot code of the entry that gluing that draw there leaves
+    glue: bytes  # a `bytes.translate` table: flat draw -> glue * 12
+    out: bytes  # the slot code of the entry that the glue leaves at that slot
+    mut: bytes  # 1 where the glue at that slot is a mutation
     # per slot code, a byte class (never empty: every kind has a partner) of
     # the draws with stick-out 0 there; draws are below 24, so none is -, \, ] or ^
     seek: tuple[re.Pattern[bytes], ...]
-
-    def glued(self, code: int, glue: int) -> tuple[TapeEntry, int]:
-        """The entry that flat draw `glue` leaves glued in a slot of `code`,
-        and 1 if that glue is a mutation, else 0."""
-        i = code * self.width + glue
-        return self.entries[self.out[i]], self.mut[i]
 
 
 @functools.cache
@@ -196,24 +193,39 @@ def _table(sparing: Sparing) -> _Table:
     kinds = registry.kinds
     entries = tuple(TapeEntry(kind, flipped) for kind in kinds for flipped in (False, True))
     draws = [(k, kind, case) for k, kind in enumerate(kinds) for case in PresentationCase]
-    stick, mut, out = bytearray(), bytearray(), bytearray()
-    for slot in entries:
+    stick, glue, mut, out = bytearray(), bytearray(256), bytearray(256), bytearray(256)
+    for code, slot in enumerate(entries):
         for k, kind, case in draws:
             s, m = _classify(kind, case, slot, profile, registry)
             stick.append(s)
-            mut.append(m)
-            out.append(2 * k + (slot.flipped != m))
+            if not s:  # an upright or flipped draw, glue 2 * k + case
+                row = glue[k * len(PresentationCase) + case] = (2 * k + case) * len(entries)
+                mut[row + code], out[row + code] = m, 2 * k + (slot.flipped != m)
     width = len(draws)
     rows = range(0, len(stick), width)
     glues = [[f for f in range(width) if not stick[row + f]] for row in rows]
-    return _Table(
-        entries=entries,
-        width=width,
-        stick=bytes(stick),
-        mut=bytes(mut),
-        out=bytes(out),
-        seek=tuple(re.compile(b"[" + bytes(fs) + b"]") for fs in glues),
-    )
+    seek = tuple(re.compile(b"[" + bytes(fs) + b"]") for fs in glues)
+    return _Table(entries, width, bytes(stick), bytes(glue), bytes(out), bytes(mut), seek)
+
+
+def _items(seq, keys) -> tuple:
+    """`seq[k]` for each of `keys`, in one C call where one serves: an
+    itemgetter refuses no keys, and returns the item of one key bare."""
+    if len(keys) > 1:
+        return operator.itemgetter(*keys)(seq)
+    return tuple(seq[k] for k in keys)
+
+
+def _gather(table: _Table, codes: bytes, glues: bytes) -> tuple[Tape, tuple[int, ...]]:
+    """The copy and its mutated slots, from each slot's code and the flat
+    draw that glued it. A glue * 12 and a slot code add below 144, so the
+    two byte strings add as big-endian ints with no carry between bytes."""
+    n = len(codes)
+    at = int.from_bytes(glues.translate(table.glue), "big") + int.from_bytes(codes, "big")
+    at = at.to_bytes(n, "big")
+    flags = at.translate(table.mut)  # none under one-side sparing: no walk of the slots
+    mutations = tuple(itertools.compress(range(n), flags)) if 1 in flags else ()
+    return _items(table.entries, at.translate(table.out)), mutations
 
 
 def _slot_codes(tape: Tape) -> bytes:
@@ -327,25 +339,18 @@ def run_copy(
     else:
         draw = _forced_draws(feed)
     sparing, table, codes, drawn, glue_cycles, cycles = _walk(tape, profile, max_cycles, draw)
-    # the copy is finished, so every slot has its glue: gather in one pass
+    # the copy is finished, so every slot has its glue, the draw at its cycle
     flat = np.frombuffer(drawn, dtype=np.uint8, count=cycles)
     ends = np.frombuffer(glue_cycles, dtype=np.int64)
-    # the tables are read at slot code * width + draw, at most
-    # 11 * 24 + 23 = 287, which needs a uint16 index
+    output, mutations = _gather(table, codes, flat[ends[1:]].tobytes())
+    # each slot met the draws after the glue before it, up to its own glue;
+    # `stick` is read at slot code * width + draw, at most 11 * 24 + 23 =
+    # 287, which needs a uint16 index
     rows = np.frombuffer(codes, dtype=np.uint8).astype(np.uint16) * table.width
-    at = rows + flat[ends[1:]]
-    mut = np.frombuffer(table.mut, dtype=np.uint8)[at]
-    entries = np.array(table.entries, dtype=object)
-    # each slot met the draws after the glue before it, up to its own glue
     met = np.repeat(rows, np.diff(ends))
     met += flat
-    return CopyRun(
-        output=tuple(entries.take(np.frombuffer(table.out, dtype=np.uint8)[at]).tolist()),
-        cycles=cycles,
-        mutations=tuple(np.flatnonzero(mut).tolist()),
-        stickout_log=np.frombuffer(table.stick, dtype=np.uint8)[met],
-        sparing=sparing,
-    )
+    log = np.frombuffer(table.stick, dtype=np.uint8)[met]
+    return CopyRun(output, cycles, mutations, log, sparing)
 
 
 def seeded_copy(
@@ -355,20 +360,13 @@ def seeded_copy(
     max_cycles: int | None = None,
 ) -> CopyResult:
     """`run_copy`'s output, cycles and mutations for an int seed >= 0,
-    with the same errors, computed without numpy: the same draw source
-    reads its words from `pcg64.Pcg64`, and the copy is gathered slot by
-    slot, with no stick-out log."""
+    with the same errors and the same gather, computed without numpy: the
+    same draw source reads its words from `pcg64.Pcg64`, and there is no
+    stick-out log."""
     draw = _stream_draws(Pcg64(seed))
     _, table, codes, drawn, glue_cycles, cycles = _walk(tape, profile, max_cycles, draw)
-    glued = table.glued
-    output = []
-    mutations = []
-    for slot, (code, end) in enumerate(zip(codes, itertools.islice(glue_cycles, 1, None))):
-        entry, mut = glued(code, drawn[end])
-        output.append(entry)
-        if mut:
-            mutations.append(slot)
-    return CopyResult(tuple(output), cycles, tuple(mutations))
+    output, mutations = _gather(table, codes, bytes(_items(drawn, glue_cycles[1:])))
+    return CopyResult(output, cycles, mutations)
 
 
 def copy_twice(tape: Tape, seed: int = 0) -> Tape:
@@ -388,6 +386,8 @@ def analytic_cycle_stats(tape: Tape, profile: SubunitProfile | None = None) -> d
     Enumerates the 4 x kinds equally likely (kind, case) draws against
     each slot; waiting times are geometric, so expectation is 1/p per slot.
     """
+    from fractions import Fraction
+
     table = _table((profile or SubunitProfile()).sparing)
     width = table.width
     n_glue = [table.stick.count(0, row, row + width) for row in range(0, len(table.stick), width)]

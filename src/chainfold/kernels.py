@@ -9,9 +9,9 @@ function of them, and both cost time linear in their input:
 - `copier_chunk` only walks: one C-level byte-class search per glue
   skips the rejected draws between glues, which cost no Python step,
   and it records the run-wide cycle of each glue into the caller's
-  `array('q')`. Once the tape is finished, `copier.run_copy` and
-  `copier.seeded_copy` gather the copy from those cycles, each glue's
-  entry read from the copier's one rule table.
+  `array('q')`. Once the tape is finished, both copier entry points
+  gather the copy from the draws at those cycles in one function,
+  `copier._gather`, which reads the copier's one rule table.
 
 `tests/test_kernels.py` holds plain-Python loop versions of each as the
 reference they must match element for element. numpy loads inside

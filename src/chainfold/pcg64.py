@@ -91,14 +91,14 @@ _PIECE = 1 << 15
 
 class Draws:
     """numpy's 32-bit and uint8 draws over `raw(n)`, the next `n` 64-bit
-    draws of a bit generator as a buffer of little-endian bytes, such as
-    numpy's `random_raw(n)` on a little-endian host; `has_uint32` and
+    draws of a bit generator as little-endian bytes: numpy's native-order
+    `random_raw` words, cast to `<u8` on any host; `has_uint32` and
     `uinteger` are numpy's state fields."""
 
     has_uint32 = uinteger = 0
 
-    def __init__(self, raw):
-        self.raw = raw
+    def __init__(self, random_raw):
+        self.raw = lambda n: random_raw(n).astype("<u8", copy=False)
 
     def _uint32_bytes(self, n: int) -> bytes:
         """The next `n` 32-bit draws, as little-endian bytes."""

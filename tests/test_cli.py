@@ -658,13 +658,14 @@ def test_module_entry_point_runs():
     assert json.loads(proc.stdout)["fixture_count"] == 48
 
 
-def _fresh(script: str, *args: str) -> subprocess.CompletedProcess:
-    """`script` run in a fresh interpreter that imports this chainfold."""
+def _fresh(script: str, *args: str, **run) -> subprocess.CompletedProcess:
+    """`script` run in a fresh interpreter that imports this chainfold;
+    `run` holds more `subprocess.run` options."""
     src = str(Path(chainfold.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, **run
     )
 
 
@@ -673,6 +674,34 @@ def _run_fresh(script: str, *args: str) -> str:
     proc = _fresh(script, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+@pytest.mark.parametrize("fd", [1, 2], ids=["stdout_closed", "stderr_closed"])
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        pytest.param(("fold", FIG4A), 0, id="fold"),
+        pytest.param(("corpus", "verify"), 0, id="corpus_verify"),
+        pytest.param(("corpus", "stats"), 0, id="corpus_stats"),
+        pytest.param(("copy", "--tape", TAPE8), 0, id="copy"),
+        pytest.param(("evolve", "--trials", "1000"), 0, id="evolve"),
+        pytest.param(("scenario", "--name", "walker"), 0, id="scenario"),
+        pytest.param(("scenario", "--name", "nope"), 2, id="scenario_unknown"),
+    ],
+)
+def test_a_closed_standard_stream_keeps_the_contract(argv, code, fd):
+    """A closed stdout is an unwritable output: a command that gets as far
+    as writing exits 1, and an error before that keeps its code. A closed
+    stderr changes no exit code. Either way stderr holds at most one line."""
+    script = "import sys; from chainfold.cli import main; sys.exit(main())"
+    proc = _fresh(script, *argv, preexec_fn=lambda: os.close(fd))
+    if fd == 1:
+        assert (proc.returncode, proc.stdout) == (code or 1, "")
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert code or proc.stderr == "chainfold: [Errno 9] Bad file descriptor\n"
+    else:
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert bool(proc.stdout) == (code == 0)
 
 
 def test_commands_that_draw_nothing_never_load_numpy(tmp_path):
@@ -819,6 +848,12 @@ def test_each_command_loads_only_the_modules_it_runs(argv, absent):
     loaded = _chainfold_modules_after(*argv)
     assert loaded >= CLI_ONLY
     assert not loaded & {f"chainfold.{m}" for m in absent}, sorted(loaded)
+
+
+def test_a_copy_leaves_fractions_unloaded():
+    # only `analytic_cycle_stats` makes a Fraction; fractions brings decimal
+    # and numbers, about 3 ms of a copy's start-up
+    assert not _modules_after("copy", "--tape", TAPE8) & {"fractions", "decimal", "numbers"}
 
 
 def usage_error(capsys, *argv):

@@ -3,8 +3,8 @@
 Every kernel takes pre-drawn inputs, so each must agree with its loop
 version element for element, not just statistically. The copier kernel
 only walks, so the copy gathered from its walk (kinds, flips, mutation
-flags, stick-out log) is checked at `run_copy` level against the
-`step()` loop.
+flags, stick-out log) is checked at `run_copy` and `seeded_copy` level
+against the `step()` loop.
 """
 
 import functools
@@ -252,13 +252,17 @@ def _kernel_walk(seek, slot_codes, head, kinds, cases, cycles=0):
 
 
 def _grids(sparing):
-    """`_table(sparing)`, and its stick-out and mutation bytes as
-    read-only arrays indexed (slot code, flat draw), as the loop oracles
-    read them."""
+    """`_table(sparing)`, and its stick-out and mutation flags as arrays
+    indexed (slot code, flat draw), as the loop oracles read them: `stick`
+    a read-only view, and `mut` read at glue * 12 + slot code for the
+    draws that glue, 0 for the rest."""
     table = _table(sparing)
     shape = (len(table.entries), table.width)
-    stick, mut = (np.frombuffer(b, dtype=np.uint8) for b in (table.stick, table.mut))
-    return table, stick.reshape(shape), mut.reshape(shape)
+    stick = np.frombuffer(table.stick, dtype=np.uint8).reshape(shape)
+    glue = np.frombuffer(table.glue, dtype=np.uint8)[: table.width]
+    at = glue[None, :] + np.arange(shape[0])[:, None]
+    mut = np.frombuffer(table.mut, dtype=np.uint8)[at] * (stick == 0)
+    return table, stick, mut
 
 
 def _both_walks(sparing, slot_codes, head, kinds, cases, cycles=0):
@@ -426,23 +430,38 @@ def _seeded_stream(seed, chunks):
     return np.concatenate([k for k, _ in parts]), np.concatenate([c for _, c in parts])
 
 
-@pytest.mark.parametrize("forced", [False, True], ids=["seeded", "forced"])
-@pytest.mark.parametrize("sparing", list(Sparing), ids=lambda s: s.value)
-def test_run_copy_matches_the_step_loop(sparing, forced):
-    """`run_copy`, over several chunks, against the step() loop."""
+# (sparing, source, slots): `run_copy` seeded or fed, or `seeded_copy`, on a
+# 600-slot tape over several chunks, and on tapes of 0 to 2 slots
+STEP_LOOP_CASES = [
+    pytest.param(
+        sparing, source, n, id=f"{sparing.value}-{source}" + (f"-{n}slots" if n < 600 else "")
+    )
+    for n in (600, 0, 1, 2)
+    for sparing in Sparing
+    for source in ("seeded", "forced", "pure")
+]
+
+
+@pytest.mark.parametrize("sparing,source,n", STEP_LOOP_CASES)
+def test_run_copy_matches_the_step_loop(sparing, source, n):
+    """`run_copy`, and `seeded_copy`, which shares its gather but not its
+    bit source, against the step() loop."""
     reg = default_registry()
     rng = np.random.default_rng(21)
-    slot_codes = rng.integers(0, 12, size=600).tolist()
+    slot_codes = rng.integers(0, 12, size=600).tolist()[:n]
     tape = tuple(_table(sparing).entries[c] for c in slot_codes)
     kinds, cases = _seeded_stream(4, chunks=6)
     feed = [(reg.kinds[k], PresentationCase(int(c))) for k, c in zip(kinds, cases)]
     profile = SubunitProfile(sparing)
-    if forced:
+    if source == "forced":
         run = run_copy(tape, profile, feed=feed)
-    else:
+    elif source == "seeded":
         run = run_copy(tape, profile, seed=4)
-    assert run.cycles > FEED_CHUNK  # more than one seeded chunk
-    assert run.mutations or sparing is Sparing.ONE_SIDE
+    else:
+        run = seeded_copy(tape, profile, seed=4)
+    if n == 600:
+        assert run.cycles > FEED_CHUNK  # more than one seeded chunk
+        assert run.mutations or sparing is Sparing.ONE_SIDE
     state = CopierState(tape=tape, profile=profile, registry=reg)
     for kind, case in feed[: run.cycles]:
         step(state, kind, case)
@@ -450,8 +469,9 @@ def test_run_copy_matches_the_step_loop(sparing, forced):
     # the replayed stream finishes the copy
     assert state.done and run.output == tuple(state.output)
     assert run.mutations == tuple(i for i, o in enumerate(accepted) if o.mutation)
-    assert run.stickout_log.dtype == np.uint8
-    assert run.stickout_log.tolist() == [o.stickout for o in state.cycle_log]
+    if source != "pure":
+        assert run.stickout_log.dtype == np.uint8
+        assert run.stickout_log.tolist() == [o.stickout for o in state.cycle_log]
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["seeded", "forced"])
@@ -515,19 +535,26 @@ def test_tables_built_once_and_read_only(monkeypatch):
     for sparing in Sparing:
         table, stick, mut = _grids(sparing)
         assert _table(sparing) is table
-        # one byte per (slot code, flat draw), one row of `width` per slot code
+        # `stick` holds one byte per (slot code, flat draw), one row of
+        # `width` per slot code; `glue`, `out` and `mut` are translate tables
         assert (len(table.entries), table.width) == (n_codes, width)
-        assert all(type(tab) is bytes for tab in (table.stick, table.mut, table.out))
-        assert len(table.stick) == len(table.mut) == len(table.out) == n_codes * width
+        tables = (table.stick, table.glue, table.out, table.mut)
+        assert all(type(tab) is bytes for tab in tables)
+        assert len(table.stick) == n_codes * width
+        assert len(table.glue) == len(table.out) == len(table.mut) == 256
+        # a glue, kind * 2 + case, is one of n_codes, so glue * n_codes +
+        # slot code stays below n_codes ** 2 = 144
+        assert max(table.glue) + n_codes <= n_codes**2
         assert max(table.out) < n_codes  # a glue leaves an entry of the table
         # a mutation is always a glue, and only both-sides sparing has any
         assert not np.any(mut.astype(bool) & (stick != 0))
-        assert mut.any() == (sparing is Sparing.BOTH_SIDES)
+        assert mut.any() == any(table.mut) == (sparing is Sparing.BOTH_SIDES)
         assert len(table.seek) == n_codes  # one search pattern per slot code
         assert [table.entries[2 * _KIND_INDEX[k]] for k in reg.kinds] == [
             TapeEntry(k) for k in reg.kinds
         ]
-        # `run_copy` reads the three tables through views it cannot write
+        # `run_copy` reads only the stick-out table through a numpy view,
+        # which it cannot write
         views = []
 
         def recorded(buffer, *args, **kwargs):
@@ -537,11 +564,12 @@ def test_tables_built_once_and_read_only(monkeypatch):
         monkeypatch.setattr(np, "frombuffer", recorded)
         run_copy(tuple(table.entries), SubunitProfile(sparing), seed=5)
         monkeypatch.undo()
-        tables = (table.stick, table.mut, table.out)
-        read = [v for b, v in views if any(b is tab for tab in tables)]
-        assert len(read) == 3 and not any(v.flags.writeable for v in read)
+        read = [(b, v) for b, v in views if any(b is tab for tab in tables)]
+        assert len(read) == 1 and read[0][0] is table.stick
+        view = read[0][1]
+        assert not view.flags.writeable
         with pytest.raises(ValueError):
-            read[0][0] = 1
+            view[0] = 1
     # every entry point reads the same two tables, one per sparing
     tape = tuple(table.entries)
     for sparing in Sparing:
@@ -557,23 +585,26 @@ def test_tables_built_once_and_read_only(monkeypatch):
 @pytest.mark.parametrize("reg", REGISTRIES, ids=_kinds_id)
 def test_table_glue_rule_matches_step(reg, sparing):
     """Every glue in the table leaves the entry, and the mutation flag,
-    that `step` gives on a one-slot tape fed that draw."""
+    that `step` gives on a one-slot tape fed that draw, read as `_gather`
+    reads them: at glue * 12 + slot code, the glue kind * 2 + case."""
     table = _table(sparing)
     profile = SubunitProfile(sparing)
+    n_codes = len(table.entries)
     glues = 0
     for code, slot in enumerate(table.entries):
         for draw in range(table.width):
-            i = code * table.width + draw
-            if table.stick[i]:
+            if table.stick[code * table.width + draw]:
                 continue
             state = CopierState(tape=(slot,), profile=profile, registry=reg)
             kind, case = divmod(draw, len(PresentationCase))
             outcome = step(state, reg.kinds[kind], PresentationCase(case))
+            assert case in (PresentationCase.UPRIGHT, PresentationCase.FLIPPED)
+            assert table.glue[draw] == (2 * kind + case) * n_codes
+            i = table.glue[draw] + code
             assert outcome.accepted and state.output == [table.entries[table.out[i]]]
             assert outcome.mutation == table.mut[i]
-            assert table.glued(code, draw) == (state.output[0], table.mut[i])
             glues += 1
-    assert glues >= len(table.entries)  # every slot code has a glue
+    assert glues >= n_codes  # every slot code has a glue
     assert sparing is Sparing.BOTH_SIDES or not any(table.mut)
 
 
