@@ -29,6 +29,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    # argparse drops a message that its stream refuses; `main` reports it,
+    # so --help to an unwritable stdout fails as a command's output would
+    def _print_message(self, message, file):
+        if message:
+            file.write(message)
+
 
 class _ClosedStream:
     """What a command sees for a standard stream whose fd is closed, where
@@ -283,12 +289,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     # chainfold calls no BLAS routine, so numpy need not start a worker pool
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
-    args = parser.parse_args(argv)  # argparse drops a write that fails itself
     # a closed stdout is an unwritable output, as a full disk is
     sys.stdout = sys.stdout or _ClosedStream()
     sys.stderr = sys.stderr or _ClosedStream()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DomainError as exc:
         return _report(f"chainfold: {exc}\n", 2)

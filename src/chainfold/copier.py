@@ -15,8 +15,9 @@ too and is glued, which is the mutation pathway.
 
 The copier reads the paper's six kinds, the default registry. Both entry
 points read one rule table per sparing, `_table`, which holds the
-stick-out of every draw at every slot and what each glue leaves there,
-and one seeded draw source, `_stream_draws`, which turns 64-bit words
+stick-out of every draw at every slot, what each glue leaves there, and
+the glue class of every draw and slot that the kernel's walk finds glues
+by, and one seeded draw source, `_stream_draws`, which turns 64-bit words
 into numpy's uint8 stream through `pcg64.Draws`: numpy's own PCG64 words
 in `run_copy`, the same words from `pcg64.Pcg64` in `seeded_copy`, which
 never loads numpy. Both gather the copy and its mutations in `_gather`;
@@ -28,7 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import re
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -178,9 +178,26 @@ class _Table(NamedTuple):
     glue: bytes  # a `bytes.translate` table: flat draw -> glue * 12
     out: bytes  # the slot code of the entry that the glue leaves at that slot
     mut: bytes  # 1 where the glue at that slot is a mutation
-    # per slot code, a byte class (never empty: every kind has a partner) of
-    # the draws with stick-out 0 there; draws are below 24, so none is -, \, ] or ^
-    seek: tuple[re.Pattern[bytes], ...]
+    classes: bytes  # a `bytes.translate` table: flat draw -> its glue class
+    key: bytes  # a `bytes.translate` table: slot code -> the class that glues there
+
+
+def _glue_classes(stick: bytes, width: int) -> tuple[bytes, bytes]:
+    """(classes, key), two `bytes.translate` tables read off `stick`, one
+    row of `width` stick-outs per slot code. A slot code's glue set is the
+    draws with stick-out 0 there, and a class is one glue set: `classes`
+    maps a draw to its class, 255 where it glues nowhere, and `key` maps a
+    slot code to its own. Raises ValueError where two glue sets overlap
+    unequal, so that a draw would name two classes."""
+    classes, key, sets = bytearray(b"\xff" * 256), bytearray(256), {}
+    for code, row in enumerate(range(0, len(stick), width)):
+        fs = bytes(f for f in range(width) if not stick[row + f])
+        c = key[code] = sets.setdefault(fs, len(sets))
+        for f in fs:
+            if classes[f] not in (255, c):
+                raise ValueError(f"slot code {code} shares draw {f} with another glue set")
+            classes[f] = c
+    return bytes(classes), bytes(key)
 
 
 @functools.cache
@@ -201,11 +218,9 @@ def _table(sparing: Sparing) -> _Table:
             if not s:  # an upright or flipped draw, glue 2 * k + case
                 row = glue[k * len(PresentationCase) + case] = (2 * k + case) * len(entries)
                 mut[row + code], out[row + code] = m, 2 * k + (slot.flipped != m)
-    width = len(draws)
-    rows = range(0, len(stick), width)
-    glues = [[f for f in range(width) if not stick[row + f]] for row in rows]
-    seek = tuple(re.compile(b"[" + bytes(fs) + b"]") for fs in glues)
-    return _Table(entries, width, bytes(stick), bytes(glue), bytes(out), bytes(mut), seek)
+    classes, key = _glue_classes(stick, len(draws))
+    tables = bytes(stick), bytes(glue), bytes(out), bytes(mut), classes, key
+    return _Table(entries, len(draws), *tables)
 
 
 def _items(seq, keys) -> tuple:
@@ -298,6 +313,7 @@ def _walk(
     sparing = (profile or SubunitProfile()).sparing
     table = _table(sparing)
     codes = _slot_codes(tape)
+    keys = codes.translate(table.key)
     n = len(codes)
     drawn = bytearray()
     glue_cycles = array("q", [-1])
@@ -309,7 +325,7 @@ def _walk(
         flat = draw(n - head, max_cycles - cycles)
         if not flat:  # a forced feed ran dry
             raise CycleLimitExceededError(cycles, head, n)
-        head, used = kernels.copier_chunk(table.seek, codes, head, flat, cycles, glue_cycles)
+        head, used = kernels.copier_chunk(table.classes, keys, head, flat, cycles, glue_cycles)
         drawn += flat
         cycles += used
     return sparing, table, codes, drawn, glue_cycles, cycles

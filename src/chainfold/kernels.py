@@ -6,7 +6,8 @@ function of them, and both cost time linear in their input:
   word, then checks only the few rows that match on the later columns.
   It works through 2^16-row blocks, so its scratch arrays stay small
   next to the draws it counts.
-- `copier_chunk` only walks: one C-level byte-class search per glue
+- `copier_chunk` only walks: it maps a chunk's draws to their glue
+  classes with one `bytes.translate`, then one `bytes.find` per glue
   skips the rejected draws between glues, which cost no Python step,
   and it records the run-wide cycle of each glue into the caller's
   `array('q')`. Once the tape is finished, both copier entry points
@@ -66,29 +67,30 @@ def count_matches(draws: np.ndarray, target: np.ndarray) -> int:
     return hits
 
 
-def copier_chunk(seek, slot_codes, head, flat, cycles, glued) -> tuple[int, int]:
+def copier_chunk(classes, slot_keys, head, flat, cycles, glued) -> tuple[int, int]:
     """Walk one chunk of draws from slot `head`; returns (new_head,
     draws_used) and appends to `glued` the run-wide cycle of each draw
     that glued, where `cycles` is the run's cycle count before `flat`.
 
-    A draw is one flat byte, kind * cases + case, `slot_codes` holds one
-    byte per slot, kind index * 2 + flip, and `seek[code]` is a compiled
-    bytes pattern, one byte class, that matches exactly the draws with
-    stick-out 0 at a slot of that code. Every draw costs a cycle; a glue
-    advances the head, and the walk stops at the draw that finishes the
-    tape. Each glue costs one search, plus one that finds none when the
-    chunk ends first, and each search reads each byte it passes once, so
-    a call costs time linear in the draws it reads. `flat` is `bytes`:
-    `re` searches a `bytearray` about twice as slowly.
+    A draw is one flat byte, kind * cases + case. `classes` is a
+    `bytes.translate` table that maps each draw to its glue class, the
+    one set of draws with stick-out 0 at the slots where it glues, and
+    `slot_keys` holds one byte per slot, the class that glues there, so
+    a draw glues at a slot exactly where the two bytes are equal. Every
+    draw costs a cycle; a glue advances the head, and the walk stops at
+    the draw that finishes the tape. `flat` is translated once per call,
+    then each glue costs one `bytes.find` (memchr), plus one that finds
+    none when the chunk ends first, and each find reads each byte it
+    passes once, so a call costs time linear in the draws it reads.
     """
-    n = len(slot_codes)
-    base = cycles - 1  # a match ends one past its draw
+    n = len(slot_keys)
+    find = flat.translate(classes).find
+    base = cycles - 1  # `p` is one past the draw found, where the next find starts
     p = 0
     while head < n:
-        m = seek[slot_codes[head]].search(flat, p)
-        if m is None:
+        p = find(slot_keys[head], p) + 1
+        if not p:  # found none
             return head, len(flat)
-        p = m.end()  # a match is one byte: go on from the next draw
         glued.append(base + p)
         head += 1
     return head, p

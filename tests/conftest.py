@@ -8,6 +8,30 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 
+class CountedDraws(bytes):
+    """A chunk of flat draws that logs what `kernels.copier_chunk` does with
+    it: a `translate` through the class map as None, then each `find` in
+    the translated chunk as the position it starts from."""
+
+    def __new__(cls, draws: bytes, log: list):
+        self = super().__new__(cls, draws)
+        self.log = log
+        return self
+
+    def translate(self, table):
+        self.log.append(None)
+        return _LoggedFinds(super().translate(table), self.log)
+
+
+class _LoggedFinds:
+    def __init__(self, mapped: bytes, log: list):
+        self.mapped, self.log = mapped, log
+
+    def find(self, sub, start):
+        self.log.append(start)
+        return self.mapped.find(sub, start)
+
+
 @pytest.fixture(scope="session")
 def reference_scenario():
     """`kinematics_reference.run_scenario`, run once per (name, length, ticks,

@@ -687,12 +687,16 @@ def _run_fresh(script: str, *args: str) -> str:
         pytest.param(("evolve", "--trials", "1000"), 0, id="evolve"),
         pytest.param(("scenario", "--name", "walker"), 0, id="scenario"),
         pytest.param(("scenario", "--name", "nope"), 2, id="scenario_unknown"),
+        pytest.param(("--help",), 0, id="help"),
+        pytest.param(("copy", "--help"), 0, id="copy_help"),
+        pytest.param(("frobnicate",), 1, id="usage_error"),
     ],
 )
 def test_a_closed_standard_stream_keeps_the_contract(argv, code, fd):
     """A closed stdout is an unwritable output: a command that gets as far
-    as writing exits 1, and an error before that keeps its code. A closed
-    stderr changes no exit code. Either way stderr holds at most one line."""
+    as writing, --help included, exits 1, and an error before that keeps
+    its code. A closed stderr changes no exit code, a usage error's
+    included. Either way stderr holds at most one line."""
     script = "import sys; from chainfold.cli import main; sys.exit(main())"
     proc = _fresh(script, *argv, preexec_fn=lambda: os.close(fd))
     if fd == 1:

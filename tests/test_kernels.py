@@ -9,7 +9,6 @@ against the `step()` loop.
 
 import functools
 import itertools
-import re
 import tracemalloc
 from array import array
 
@@ -26,6 +25,7 @@ from chainfold.copier import (
     PresentationCase,
     Sparing,
     SubunitProfile,
+    _glue_classes,
     _table,
     analytic_cycle_stats,
     copy_twice,
@@ -44,6 +44,7 @@ from chainfold.encoding import (
     reverse,
 )
 from chainfold.errors import TapeExhaustedError
+from conftest import CountedDraws
 
 
 def _count_matches_py(draws, target):
@@ -224,8 +225,7 @@ def test_count_matches_copies_nothing_on_a_contiguous_chunk():
     assert peak < 256 * 1024
 
 
-# the registry the copier reads; its flat draws stay below 24, so none is a
-# byte-class metacharacter
+# the registry the copier reads
 REGISTRIES = [default_registry()]
 
 
@@ -241,12 +241,16 @@ def _chunk_inputs(seed, n_slots=40, m=1200, n_kinds=len(default_registry().kinds
     return slot_codes, kinds, cases
 
 
-def _kernel_walk(seek, slot_codes, head, kinds, cases, cycles=0):
-    """The kernel's (head, used, glued), `glued` read back from the array
-    it appends to after a glue recorded before this chunk."""
+def _kernel_walk(classes, key, slot_codes, head, kinds, cases, cycles=0, log=None):
+    """The kernel's (head, used, glued) under the class map `classes` and
+    `key`, `glued` read back from the array it appends to after a glue
+    recorded before this chunk; with a `log`, the chunk is `CountedDraws`."""
     glued = array("q", [-1])
     flat = _flat(kinds, cases).tobytes()
-    new_head, used = kernels.copier_chunk(seek, bytes(slot_codes), head, flat, cycles, glued)
+    if log is not None:
+        flat = CountedDraws(flat, log)
+    keys = bytes(slot_codes).translate(key)
+    new_head, used = kernels.copier_chunk(classes, keys, head, flat, cycles, glued)
     assert glued[0] == -1  # the earlier glue stays
     return new_head, used, glued[1:].tolist()
 
@@ -268,7 +272,7 @@ def _grids(sparing):
 def _both_walks(sparing, slot_codes, head, kinds, cases, cycles=0):
     """The loop oracle's and the kernel's (head, used, glued)."""
     table, stick, _ = _grids(sparing)
-    got = _kernel_walk(table.seek, slot_codes, head, kinds, cases, cycles)
+    got = _kernel_walk(table.classes, table.key, slot_codes, head, kinds, cases, cycles)
     return _walk_py(stick, slot_codes, head, kinds, cases, cycles), got
 
 
@@ -291,12 +295,12 @@ def test_copier_chunk_resumes_mid_tape():
     whole, _ = _both_walks(Sparing.BOTH_SIDES, slot_codes, 0, kinds, cases)
     # split the draw stream in two; the head carries across the boundary
     cut = 40
-    seek = _table(Sparing.BOTH_SIDES).seek
-    codes, flat = bytes(slot_codes), _flat(kinds, cases).tobytes()
+    table = _table(Sparing.BOTH_SIDES)
+    keys, flat = bytes(slot_codes).translate(table.key), _flat(kinds, cases).tobytes()
     glued = array("q")  # one array across both calls, as `run_copy` keeps it
-    head, used = kernels.copier_chunk(seek, codes, 0, flat[:cut], 0, glued)
+    head, used = kernels.copier_chunk(table.classes, keys, 0, flat[:cut], 0, glued)
     assert 0 < head < n and used == cut
-    head, rest = kernels.copier_chunk(seek, codes, head, flat[cut:], cut, glued)
+    head, rest = kernels.copier_chunk(table.classes, keys, head, flat[cut:], cut, glued)
     assert (head, cut + rest, glued.tolist()) == whole
 
 
@@ -315,8 +319,8 @@ def _random_registry(seed, pairs):
 
 
 # `step`, `stickout` and the kernel walk stay generic over a registry: the
-# default and random registries of 2 to 64 kinds; with 12 or more kinds the
-# flat draws reach the byte-class metacharacters - (0x2d), \ (0x5c), ] and ^
+# default and random registries of 2 to 64 kinds; with 64 kinds the flat
+# draws fill every byte value, up to 0xFF
 ANY_REGISTRIES = [default_registry()] + [
     _random_registry(seed, pairs) for seed, pairs in enumerate([1, 2, 3, 6, 12, 20, 31, 32, 32])
 ]
@@ -325,8 +329,8 @@ ANY_REGISTRIES = [default_registry()] + [
 @functools.cache
 def _rule_grid(sparing, reg):
     """The stick-out of every flat draw at every slot code under `reg`, read
-    from `stickout`, and per slot code the byte class of the draws with
-    stick-out 0, as `copier_chunk` takes it."""
+    from `stickout`, and the class map `copier_chunk` takes, built as
+    `_table` builds it."""
     profile = SubunitProfile(sparing)
     slots = [TapeEntry(k, f) for k in reg.kinds for f in (False, True)]
     stick = np.array(
@@ -337,22 +341,19 @@ def _rule_grid(sparing, reg):
         dtype=np.uint8,
     )
     stick.flags.writeable = False
-    glues = [np.flatnonzero(row == 0).tolist() for row in stick]
-    seek = [re.compile(b"[%s]" % b"".join(b"\\x%02x" % f for f in fs)) for fs in glues]
-    return stick, seek
+    return stick, *_glue_classes(stick.tobytes(), stick.shape[1])
 
 
 @pytest.mark.parametrize("reg", ANY_REGISTRIES, ids=_kinds_id)
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_copier_chunk_walks_the_rule_grid_of_any_registry(seed, reg):
-    stick, seek = _rule_grid(Sparing.BOTH_SIDES, reg)
+    stick, classes, key = _rule_grid(Sparing.BOTH_SIDES, reg)
     slot_codes, kinds, cases = _chunk_inputs(seed, n_kinds=len(reg.kinds))
-    got = _kernel_walk(seek, slot_codes, 0, kinds, cases)
+    got = _kernel_walk(classes, key, slot_codes, 0, kinds, cases)
     assert got == _walk_py(stick, slot_codes, 0, kinds, cases)
     assert got[0] > 0
-    if len(reg.kinds) == 64:  # the metacharacters that a glue can be
-        glue_bytes = set(np.flatnonzero((stick == 0).any(axis=0)).tolist())
-        assert {0x2D, 0x5C, 0x5D} <= glue_bytes
+    if len(reg.kinds) == 64:  # the draws reach 0xFF, which glues nowhere
+        assert _flat(kinds, cases).max() == 0xFF and classes[0xFF] == 255
 
 
 def _paper_rule(kind, case, slot, sparing, reg):
@@ -486,8 +487,8 @@ def test_kernel_calls_account_for_every_cycle_of_a_copy(monkeypatch, sparing, fo
     calls = []
     walk = kernels.copier_chunk
 
-    def recorded(seek, codes, head, flat, cycles, glued):
-        calls.append((cycles, walk(seek, codes, head, flat, cycles, glued), glued))
+    def recorded(classes, keys, head, flat, cycles, glued):
+        calls.append((cycles, walk(classes, keys, head, flat, cycles, glued), glued))
         return calls[-1][1]
 
     monkeypatch.setattr(kernels, "copier_chunk", recorded)
@@ -536,12 +537,12 @@ def test_tables_built_once_and_read_only(monkeypatch):
         table, stick, mut = _grids(sparing)
         assert _table(sparing) is table
         # `stick` holds one byte per (slot code, flat draw), one row of
-        # `width` per slot code; `glue`, `out` and `mut` are translate tables
+        # `width` per slot code; the rest are translate tables
         assert (len(table.entries), table.width) == (n_codes, width)
-        tables = (table.stick, table.glue, table.out, table.mut)
+        tables = (table.stick, table.glue, table.out, table.mut, table.classes, table.key)
         assert all(type(tab) is bytes for tab in tables)
         assert len(table.stick) == n_codes * width
-        assert len(table.glue) == len(table.out) == len(table.mut) == 256
+        assert all(len(tab) == 256 for tab in tables[1:])
         # a glue, kind * 2 + case, is one of n_codes, so glue * n_codes +
         # slot code stays below n_codes ** 2 = 144
         assert max(table.glue) + n_codes <= n_codes**2
@@ -549,7 +550,9 @@ def test_tables_built_once_and_read_only(monkeypatch):
         # a mutation is always a glue, and only both-sides sparing has any
         assert not np.any(mut.astype(bool) & (stick != 0))
         assert mut.any() == any(table.mut) == (sparing is Sparing.BOTH_SIDES)
-        assert len(table.seek) == n_codes  # one search pattern per slot code
+        # every slot code's key is a class below 255, and some draw names it
+        classes = set(table.key[:n_codes])
+        assert max(classes) < 255 and set(table.classes) == classes | {255}
         assert [table.entries[2 * _KIND_INDEX[k]] for k in reg.kinds] == [
             TapeEntry(k) for k in reg.kinds
         ]
@@ -610,16 +613,41 @@ def test_table_glue_rule_matches_step(reg, sparing):
 
 @pytest.mark.parametrize("sparing", list(Sparing), ids=lambda s: s.value)
 @pytest.mark.parametrize("reg", REGISTRIES, ids=_kinds_id)
-def test_seek_matches_exactly_the_draws_that_glue(reg, sparing):
+def test_class_map_matches_exactly_the_draws_that_glue(reg, sparing):
     table, stick, _ = _grids(sparing)
     width = 4 * len(reg.kinds)
     assert stick.shape == (2 * len(reg.kinds), width)
-    for code, pattern in enumerate(table.seek):
-        # every byte value, one at a time and inside a run of other bytes;
-        # so no byte at or past the table's width matches either
-        hits = [b for b in range(256) if pattern.fullmatch(bytes([b]))]
+    # every byte value, so no byte at or past the table's width glues either
+    classes = np.frombuffer(table.classes, dtype=np.uint8)
+    for code in range(len(stick)):
+        hits = np.flatnonzero(classes == table.key[code]).tolist()
         assert hits == np.flatnonzero(stick[code] == 0).tolist()
-        assert [m.start() for m in pattern.finditer(bytes(range(256)))] == hits
+    assert set(table.classes[width:]) == {255}
+
+
+@pytest.mark.parametrize("sparing", list(Sparing), ids=lambda s: s.value)
+@pytest.mark.parametrize("reg", ANY_REGISTRIES, ids=_kinds_id)
+def test_glue_sets_are_equal_or_disjoint_on_any_registry(reg, sparing):
+    """The class map holds on any registry: no draw glues at two slot codes
+    with different glue sets, so each draw names one class."""
+    stick, classes, key = _rule_grid(sparing, reg)
+    glue_sets = {frozenset(np.flatnonzero(row == 0).tolist()) for row in stick}
+    assert all(a == b or not a & b for a in glue_sets for b in glue_sets)
+    assert len(glue_sets) == len(set(key[: len(stick)])) < 255
+    for code, row in enumerate(stick):
+        glues = np.flatnonzero(row == 0).tolist()
+        assert [d for d in range(256) if classes[d] == key[code]] == glues
+
+
+def test_glue_classes_refuse_overlapping_glue_sets():
+    # three slot codes over four draws: {0, 1}, {1, 2}, and {0, 1} again
+    stick = bytes([0, 0, 2, 1, 2, 0, 0, 1, 0, 0, 1, 2])
+    with pytest.raises(ValueError, match="slot code 1 shares draw 1"):
+        _glue_classes(stick, 4)
+    # a glue set inside another overlaps too
+    with pytest.raises(ValueError):
+        _glue_classes(bytes([0, 0, 2, 2, 2, 0, 2, 2]), 4)
+    assert _glue_classes(stick[:4] + stick[8:], 4) == (bytes([0, 0]) + b"\xff" * 254, bytes(256))
 
 
 def _oracle_inputs(stick, n, head_frac, m, mode, seed):
@@ -671,17 +699,6 @@ def test_copier_chunk_matches_loop_oracle(sparing, n, head_frac, m, mode, seed, 
     assert got == want
 
 
-class _CountingSearch:
-    """A seek pattern that counts the searches made through it."""
-
-    def __init__(self, pattern, calls):
-        self.pattern, self.calls = pattern, calls
-
-    def search(self, flat, pos):
-        self.calls.append(pos)
-        return self.pattern.search(flat, pos)
-
-
 @settings(max_examples=150, deadline=None)
 @given(**ORACLE_CASES)
 @_case(Sparing.ONE_SIDE, n=4, head_frac=1.0, m=30, mode="uniform", seed=0)
@@ -689,9 +706,10 @@ class _CountingSearch:
 def test_copier_chunk_searches_once_per_glue(sparing, n, head_frac, m, mode, seed, cycles):
     table, stick, _ = _grids(sparing)
     slot_codes, head, kinds, cases = _oracle_inputs(stick, n, head_frac, m, mode, seed)
-    calls = []
-    seek = [_CountingSearch(p, calls) for p in table.seek]
-    new_head, used, glued = _kernel_walk(seek, slot_codes, head, kinds, cases, cycles)
+    log, walk = [], (slot_codes, head, kinds, cases, cycles)
+    new_head, used, glued = _kernel_walk(table.classes, table.key, *walk, log=log)
+    assert log[0] is None and None not in log[1:]  # one class map per call
+    calls = log[1:]  # where each find starts
     if head >= n:
         assert calls == [] and (new_head, used, glued) == (head, 0, [])
     else:

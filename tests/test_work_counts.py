@@ -14,6 +14,7 @@ from chainfold import kernels, kinematics, protoevolution
 from chainfold.copier import run_copy, seeded_copy
 from chainfold.encoding import default_registry, tape_from_kinds
 from chainfold.pcg64 import _PIECE
+from conftest import CountedDraws
 
 KINDS = default_registry().kinds
 
@@ -73,6 +74,23 @@ def _seeded_chunks(monkeypatch, n):
     return _chunks(monkeypatch, n, seeded_copy)
 
 
+def _finds(monkeypatch, n, copy=run_copy):
+    """Class-map translations and `find` calls that `copier_chunk` makes
+    in the same copy, read off each chunk it is given."""
+    log, walk = [], kernels.copier_chunk
+
+    def logged(classes, keys, head, flat, cycles, glued):
+        return walk(classes, keys, head, CountedDraws(flat, log), cycles, glued)
+
+    monkeypatch.setattr(kernels, "copier_chunk", logged)
+    copy(tape_from_kinds([KINDS[i % 6] for i in range(n)]), seed=7)
+    return log.count(None), len(log) - log.count(None)
+
+
+def _seeded_finds(monkeypatch, n):
+    return _finds(monkeypatch, n, seeded_copy)
+
+
 def _matched_rows(monkeypatch, trials):
     """`count_matches` calls of a seed-7 evolve, and the most rows one gets."""
     calls = _spy(monkeypatch, kernels, "count_matches")
@@ -112,6 +130,12 @@ WORK_COUNTS = [
     (_chunks, (4096,), (21, 82_271)),
     (_seeded_chunks, (8,), (1, 138)),
     (_seeded_chunks, (4096,), (21, 82_271)),
+    # the same copies: one class map per kernel call, and one find per glue
+    # plus one per call that ends before the tape is done
+    (_finds, (8,), (1, 8)),
+    (_finds, (4096,), (21, 4_116)),
+    (_seeded_finds, (8,), (1, 8)),
+    (_seeded_finds, (4096,), (21, 4_116)),
     # an evolve of the default experiment: a call per piece of draws, and
     # a few short ones at a chunk's end, where rejected bytes are redrawn
     (_matched_rows, (1_000_000,), (41, 25_825)),
@@ -139,6 +163,19 @@ def test_how_scenario_steps_scale():
     for n in lengths:
         for extra in extras:
             assert steps["retainer", n, extra] == _default_ticks("retainer", n) + extra
+
+
+def test_how_copier_finds_scale():
+    calls = {
+        (count is _seeded_chunks, args): want[0]
+        for count, args, want in WORK_COUNTS
+        if count in (_chunks, _seeded_chunks)
+    }
+    for count, args, want in WORK_COUNTS:
+        if count in (_finds, _seeded_finds):
+            chunks = calls[count is _seeded_finds, args]
+            # every call but the last ends before the tape is done
+            assert want == (chunks, args[0] + chunks - 1)
 
 
 def test_how_evolve_calls_scale():
