@@ -45,6 +45,9 @@ class _ClosedStream:
     def write(self, text: str) -> int:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
 
+    def flush(self) -> None:
+        pass
+
 
 def _report(line: str, code: int) -> int:
     """Write `line` to stderr, if stderr takes it, and return exit `code`:
@@ -54,6 +57,22 @@ def _report(line: str, code: int) -> int:
     except OSError:
         pass
     return code
+
+
+def _flush_stdout() -> None:
+    """Flush stdout, so that a buffered write to a full stdout fails here,
+    inside `main`'s `try`, as an unbuffered one fails at its write. After a
+    failure, stdout's fd points at os.devnull, so that the interpreter's
+    exit flush of the bytes still buffered has nothing left to fail on."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        raise
 
 
 def _emit(payload: dict) -> None:
@@ -293,8 +312,11 @@ def main(argv=None) -> int:
     sys.stdout = sys.stdout or _ClosedStream()
     sys.stderr = sys.stderr or _ClosedStream()
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:  # --help and usage errors leave by argparse's SystemExit
+            _flush_stdout()
     except DomainError as exc:
         return _report(f"chainfold: {exc}\n", 2)
     except (OSError, ValueError) as exc:  # MdlError and JSONDecodeError included

@@ -20,8 +20,10 @@ the glue class of every draw and slot that the kernel's walk finds glues
 by, and one seeded draw source, `_stream_draws`, which turns 64-bit words
 into numpy's uint8 stream through `pcg64.Draws`: numpy's own PCG64 words
 in `run_copy`, the same words from `pcg64.Pcg64` in `seeded_copy`, which
-never loads numpy. Both gather the copy and its mutations in `_gather`;
-`run_copy` also logs every draw's stick-out through a numpy view.
+never loads numpy. It draws each chunk whole but combines it as the walk
+reads it: a first piece sized to the open slots, then the rest. Both
+gather the copy and its mutations in `_gather`; `run_copy` also logs
+every draw's stick-out through a numpy view.
 """
 
 from __future__ import annotations
@@ -251,19 +253,29 @@ def _slot_codes(tape: Tape) -> bytes:
         raise UnknownTapeKindError(exc.args[0]) from None
 
 
-# A draw source is called once per chunk with (open slots, cycles left)
-# and returns that chunk's flat draws, kind * cases + case, as `bytes`.
+# A draw source is called with (open slots, cycles left) until the tape is
+# done and returns the next flat draws, kind * cases + case, as `bytes`. A
+# seeded chunk's first piece holds, per open slot, twice the 24 flat draws
+# in which a slot glues one under one-side sparing.
+_PIECE_PER_SLOT = 2 * _N_KINDS * len(PresentationCase)
 
 
 def _stream_draws(stream: Draws):
+    kinds, cases, at = b"", b"", 0  # the chunk, and its draws handed out
+
     def draw(open_slots: int, budget: int) -> bytes:
         # Draw a full chunk regardless of budget so the stream is a pure
-        # function of the seed, then cap what the kernel may consume. A flat
-        # draw is at most 5 * 4 + 3 = 23, below 256, so the byte strings add
-        # as two big-endian ints with no carry between bytes.
-        kinds = int.from_bytes(stream.integers(_N_KINDS, FEED_CHUNK), "big")
-        cases = int.from_bytes(stream.integers(len(PresentationCase), FEED_CHUNK), "big")
-        return (kinds * len(PresentationCase) + cases).to_bytes(FEED_CHUNK, "big")[:budget]
+        # function of the seed, but combine it a piece at a time, each capped
+        # at what the kernel may consume. A flat draw is at most 5 * 4 + 3 =
+        # 23, so the byte strings add as big-endian ints with no carry.
+        nonlocal kinds, cases, at
+        if at == len(kinds):
+            kinds = stream.integers(_N_KINDS, FEED_CHUNK)
+            cases = stream.integers(len(PresentationCase), FEED_CHUNK)
+            at, budget = 0, min(budget, _PIECE_PER_SLOT * open_slots)
+        start, at = at, min(at + budget, FEED_CHUNK)
+        flat = int.from_bytes(kinds[start:at], "big") * len(PresentationCase)
+        return (flat + int.from_bytes(cases[start:at], "big")).to_bytes(at - start, "big")
 
     return draw
 
@@ -363,7 +375,7 @@ def run_copy(
     # `stick` is read at slot code * width + draw, at most 11 * 24 + 23 =
     # 287, which needs a uint16 index
     rows = np.frombuffer(codes, dtype=np.uint8).astype(np.uint16) * table.width
-    met = np.repeat(rows, np.diff(ends))
+    met = np.repeat(rows, ends[1:] - ends[:-1])
     met += flat
     log = np.frombuffer(table.stick, dtype=np.uint8)[met]
     return CopyRun(output, cycles, mutations, log, sparing)

@@ -1,11 +1,25 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+import chainfold
+
 # Make the sibling oracles (fig6_reference, mdl_reference and
 # kinematics_reference) importable from any cwd.
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def child_env(**extra: str) -> dict:
+    """The environment of a child interpreter that imports this chainfold:
+    this one's without PYTHONUNBUFFERED, so that the child's stdout is
+    block-buffered as it is on a user's pipe or file, and `extra` on top."""
+    src = str(Path(chainfold.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, **extra}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 class CountedDraws(bytes):

@@ -13,6 +13,7 @@ import chainfold
 from chainfold import cli, kinematics
 from chainfold.cli import DEFAULT_SEED, main
 from chainfold.corpus import fixtures_dir
+from conftest import child_env
 
 FIG4A = str(fixtures_dir() / "fig4a.mdl")
 TAPE8 = str(fixtures_dir() / "tape8.json")
@@ -653,20 +654,17 @@ def test_module_entry_point_runs():
         [sys.executable, "-m", "chainfold.cli", "corpus", "stats"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["fixture_count"] == 48
 
 
 def _fresh(script: str, *args: str, **run) -> subprocess.CompletedProcess:
-    """`script` run in a fresh interpreter that imports this chainfold;
-    `run` holds more `subprocess.run` options."""
-    src = str(Path(chainfold.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, **run
-    )
+    """`script` run in a fresh interpreter that imports this chainfold,
+    with a buffered stdout; `run` holds more `subprocess.run` options."""
+    argv = [sys.executable, "-c", script, *args]
+    return subprocess.run(argv, capture_output=True, text=True, env=child_env(), **run)
 
 
 def _run_fresh(script: str, *args: str) -> str:
@@ -706,6 +704,26 @@ def test_a_closed_standard_stream_keeps_the_contract(argv, code, fd):
     else:
         assert (proc.returncode, proc.stderr) == (code, "")
         assert bool(proc.stdout) == (code == 0)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [("copy", "--tape", TAPE8), ("--help",), ("corpus", "stats")],
+    ids=["copy", "help", "corpus_stats"],
+)
+def test_a_full_buffered_stdout_exits_1_with_one_line(argv):
+    """The output fills stdout's buffer, so it fails only at the flush,
+    which `main` makes inside its `try`, not at interpreter exit."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainfold.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env(),
+        )
+    assert (proc.returncode, proc.stderr) == (1, "chainfold: [Errno 28] No space left on device\n")
 
 
 def test_commands_that_draw_nothing_never_load_numpy(tmp_path):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from chainfold import kernels
 from chainfold.copier import (
+    _PIECE_PER_SLOT,
     FEED_CHUNK,
     _KIND_INDEX,
     CopierState,
@@ -43,7 +44,7 @@ from chainfold.encoding import (
     negative_copy,
     reverse,
 )
-from chainfold.errors import TapeExhaustedError
+from chainfold.errors import CycleLimitExceededError, TapeExhaustedError
 from conftest import CountedDraws
 
 
@@ -418,16 +419,19 @@ def test_step_loop_copies_a_tape_of_any_registry(reg, sparing):
         step(state, reg.kinds[0], PresentationCase.UPRIGHT)
 
 
-def _seeded_stream(seed, chunks):
-    """The draws `run_copy` takes from `seed`: kinds, then cases, per chunk."""
+def _seeded_chunks(seed):
+    """The draws `run_copy` takes from `seed`, (kinds, cases) per chunk, without end."""
     rng = np.random.default_rng(seed)
-    parts = [
-        (
+    while True:
+        yield (
             rng.integers(0, 6, size=FEED_CHUNK, dtype=np.uint8),
             rng.integers(0, 4, size=FEED_CHUNK, dtype=np.uint8),
         )
-        for _ in range(chunks)
-    ]
+
+
+def _seeded_stream(seed, chunks):
+    """The kinds and the cases of the first `chunks` chunks from `seed`."""
+    parts = list(itertools.islice(_seeded_chunks(seed), chunks))
     return np.concatenate([k for k, _ in parts]), np.concatenate([c for _, c in parts])
 
 
@@ -473,6 +477,64 @@ def test_run_copy_matches_the_step_loop(sparing, source, n):
     if source != "pure":
         assert run.stickout_log.dtype == np.uint8
         assert run.stickout_log.tolist() == [o.stickout for o in state.cycle_log]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 3), st.integers(4, 300)),
+    sparing=st.sampled_from(list(Sparing)),
+    seed=st.integers(0, 2**32 - 1),
+    limit=st.sampled_from(["first_piece", "piece_end", "chunk_rest", "past_chunk", None]),
+    at=st.floats(0, 1, exclude_max=True),
+)
+# these seeds' walks outrun the first piece: 1 slot glued at cycle 60 (one
+# side) or 49 (both sides), 3 slots at 185, and 200 slots at 4157, when the
+# second chunk's first piece is 48 draws for the one open slot
+@example(n=1, sparing=Sparing.ONE_SIDE, seed=2, limit="first_piece", at=0.5)
+@example(n=1, sparing=Sparing.ONE_SIDE, seed=2, limit="piece_end", at=0.0)
+@example(n=1, sparing=Sparing.ONE_SIDE, seed=2, limit="chunk_rest", at=0.0)
+@example(n=1, sparing=Sparing.BOTH_SIDES, seed=2, limit="chunk_rest", at=0.5)
+@example(n=3, sparing=Sparing.ONE_SIDE, seed=2, limit=None, at=0.0)
+@example(n=200, sparing=Sparing.ONE_SIDE, seed=6, limit="past_chunk", at=0.0)
+@example(n=200, sparing=Sparing.ONE_SIDE, seed=6, limit=None, at=0.0)
+def test_a_seeded_copy_under_any_budget_matches_the_step_loop(n, sparing, seed, limit, at):
+    """A seeded chunk is drawn whole but combined piece by piece: its first
+    `_PIECE_PER_SLOT` draws per open slot, then the rest. Under a budget
+    that ends inside the first piece, at its end, in the rest of the chunk
+    or past it, both entry points match the step() loop over numpy's
+    stream, or stop where it stops."""
+    tape = tuple(_table(sparing).entries[c] for c in np.random.default_rng(seed).integers(0, 12, n))
+    piece = min(FEED_CHUNK, _PIECE_PER_SLOT * n)
+    max_cycles = {
+        "first_piece": int(at * piece),
+        "piece_end": piece,
+        "chunk_rest": piece + 1 + int(at * (FEED_CHUNK - piece)),
+        "past_chunk": FEED_CHUNK + 1 + int(at * 2 * FEED_CHUNK),
+        None: None,
+    }[limit]
+    reg, profile = default_registry(), SubunitProfile(sparing)
+    state = CopierState(tape=tape, profile=profile, registry=reg)
+    budget = max(10_000, 2_000 * n) if max_cycles is None else max_cycles
+    draws = (zip(k.tolist(), c.tolist()) for k, c in _seeded_chunks(seed))
+    for k, c in itertools.islice(itertools.chain.from_iterable(draws), budget):
+        if state.done:
+            break
+        step(state, reg.kinds[k], PresentationCase(c))
+    args = tape, profile, seed, max_cycles
+    if not state.done:
+        for copy in (run_copy, seeded_copy):
+            with pytest.raises(CycleLimitExceededError) as err:
+                copy(*args)
+            assert (err.value.cycles, err.value.head) == (len(state.cycle_log), state.head)
+            assert str(err.value).endswith(f"(head {state.head}/{n})")
+        return
+    accepted = [o for o in state.cycle_log if o.accepted]
+    mutations = tuple(i for i, o in enumerate(accepted) if o.mutation)
+    want = tuple(state.output), len(state.cycle_log), mutations
+    run = run_copy(*args)
+    assert (run.output, run.cycles, run.mutations) == want
+    assert run.stickout_log.tolist() == [o.stickout for o in state.cycle_log]
+    assert seeded_copy(*args) == want
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["seeded", "forced"])

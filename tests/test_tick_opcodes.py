@@ -14,15 +14,13 @@ purpose edits its row and gives the old and new values in CHANGES.md.
 """
 
 import json
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import pytest
+from conftest import child_env
 
-import chainfold
 
 # (template, length) -> opcodes over the 100 counted ticks
 OPCODES_PER_100_TICKS = {
@@ -76,8 +74,6 @@ _COUNT = textwrap.dedent(
     reason="the counts are pinned for CPython 3.11's bytecode",
 )
 def test_tick_opcodes_under_two_hash_seeds():
-    src = str(Path(chainfold.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     keys = json.dumps(list(OPCODES_PER_100_TICKS))
     # the two children run side by side, each in its own hash seed
     children = [
@@ -86,7 +82,7 @@ def test_tick_opcodes_under_two_hash_seeds():
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            env=child_env(PYTHONHASHSEED=seed),
         )
         for seed in ("0", "1")
     ]

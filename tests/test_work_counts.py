@@ -11,7 +11,7 @@ and why.
 import pytest
 
 from chainfold import kernels, kinematics, protoevolution
-from chainfold.copier import run_copy, seeded_copy
+from chainfold.copier import FEED_CHUNK, run_copy, seeded_copy
 from chainfold.encoding import default_registry, tape_from_kinds
 from chainfold.pcg64 import _PIECE
 from conftest import CountedDraws
@@ -74,6 +74,17 @@ def _seeded_chunks(monkeypatch, n):
     return _chunks(monkeypatch, n, seeded_copy)
 
 
+def _draws(monkeypatch, n, copy=run_copy):
+    """Flat draws combined and handed to `copier_chunk` in the same copy."""
+    chunks = _spy(monkeypatch, kernels, "copier_chunk")
+    copy(tape_from_kinds([KINDS[i % 6] for i in range(n)]), seed=7)
+    return sum(len(flat) for _, _, _, flat, _, _ in chunks)
+
+
+def _seeded_draws(monkeypatch, n):
+    return _draws(monkeypatch, n, seeded_copy)
+
+
 def _finds(monkeypatch, n, copy=run_copy):
     """Class-map translations and `find` calls that `copier_chunk` makes
     in the same copy, read off each chunk it is given."""
@@ -130,6 +141,12 @@ WORK_COUNTS = [
     (_chunks, (4096,), (21, 82_271)),
     (_seeded_chunks, (8,), (1, 138)),
     (_seeded_chunks, (4096,), (21, 82_271)),
+    # the same copies: flat draws handed to the kernel, whole chunks but the
+    # last, which ends in its first piece of 48 draws per open slot (8, and 15)
+    (_draws, (8,), 384),
+    (_draws, (4096,), 20 * 4096 + 720),
+    (_seeded_draws, (8,), 384),
+    (_seeded_draws, (4096,), 20 * 4096 + 720),
     # the same copies: one class map per kernel call, and one find per glue
     # plus one per call that ends before the tape is done
     (_finds, (8,), (1, 8)),
@@ -176,6 +193,20 @@ def test_how_copier_finds_scale():
             chunks = calls[count is _seeded_finds, args]
             # every call but the last ends before the tape is done
             assert want == (chunks, args[0] + chunks - 1)
+
+
+def test_how_copier_draws_scale():
+    chunks = {
+        (count is _seeded_chunks, args): want
+        for count, args, want in WORK_COUNTS
+        if count in (_chunks, _seeded_chunks)
+    }
+    for count, args, want in WORK_COUNTS:
+        if count in (_draws, _seeded_draws):
+            calls, cycles = chunks[count is _seeded_draws, args]
+            # the walk reads every draw but the last chunk's unread tail,
+            # and the kernel never gets that chunk whole
+            assert cycles <= want < calls * FEED_CHUNK
 
 
 def test_how_evolve_calls_scale():
