@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import io
 import json
 import os
 import sys
@@ -27,52 +28,36 @@ DEFAULT_SEED = 7
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; our contract reserves 2 for domain errors
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-    # argparse drops a message that its stream refuses; `main` reports it,
-    # so --help to an unwritable stdout fails as a command's output would
-    def _print_message(self, message, file):
-        if message:
-            file.write(message)
+        sys.exit(_report(f"{self.prog}: error: {message}\n", 1))
 
 
-class _ClosedStream:
-    """What a command sees for a standard stream whose fd is closed, where
-    Python leaves None: each write fails as one to the closed fd would."""
-
-    closed = True  # so the interpreter does not flush it at exit
-
-    def write(self, text: str) -> int:
+def _write(stream, text: str) -> None:
+    """Write `text` to `stream` and flush it. A closed stream, which Python
+    leaves as None, fails as a write to its closed fd would. After a failed
+    write, the stream's fd points at os.devnull, so that the interpreter's
+    exit flush of the bytes still buffered has nothing left to fail on."""
+    if stream is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-
-    def flush(self) -> None:
-        pass
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, stream.fileno())
+        finally:
+            os.close(devnull)
+        raise
 
 
 def _report(line: str, code: int) -> int:
     """Write `line` to stderr, if stderr takes it, and return exit `code`:
-    a closed or full stderr changes no exit code."""
+    a closed, full or reader-less stderr changes no exit code."""
     try:
-        sys.stderr.write(line)
+        _write(sys.stderr, line)
     except OSError:
         pass
     return code
-
-
-def _flush_stdout() -> None:
-    """Flush stdout, so that a buffered write to a full stdout fails here,
-    inside `main`'s `try`, as an unbuffered one fails at its write. After a
-    failure, stdout's fd points at os.devnull, so that the interpreter's
-    exit flush of the bytes still buffered has nothing left to fail on."""
-    try:
-        sys.stdout.flush()
-    except OSError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        try:
-            os.dup2(devnull, sys.stdout.fileno())
-        finally:
-            os.close(devnull)
-        raise
 
 
 def _emit(payload: dict) -> None:
@@ -308,25 +293,30 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     # chainfold calls no BLAS routine, so numpy need not start a worker pool
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    # a closed stdout is an unwritable output, as a full disk is
-    sys.stdout = sys.stdout or _ClosedStream()
-    sys.stderr = sys.stderr or _ClosedStream()
+    # a command's output is written once, when the command finishes, so a
+    # closed, full or reader-less stdout fails inside the `try` below
+    stdout, sys.stdout = sys.stdout, io.StringIO()
     try:
         try:
             args = build_parser().parse_args(argv)
             return args.func(args)
         finally:  # --help and usage errors leave by argparse's SystemExit
-            _flush_stdout()
+            # the caller's stream goes back before a MemoryError can end this
+            buffer, sys.stdout = sys.stdout, stdout
+            if text := buffer.getvalue():  # an error before any output keeps its code
+                _write(stdout, text)
     except DomainError as exc:
         return _report(f"chainfold: {exc}\n", 2)
     except (OSError, ValueError) as exc:  # MdlError and JSONDecodeError included
         if len(name := str(getattr(exc, "filename", ""))) > 200:
             exc.filename = name[:200] + "..."  # a 60 kB path, say, is not echoed whole
         return _report(f"chainfold: {exc}\n", 1)
-    except MemoryError:  # a constant, so that writing it allocates next to nothing
-        return _report("chainfold: out of memory\n", 1)
     except KeyboardInterrupt:
         return _report("chainfold: interrupted\n", 130)
+    except MemoryError:  # reported below, once the frames its traceback holds are freed
+        pass
+    # a constant, so that writing it allocates next to nothing
+    return _report("chainfold: out of memory\n", 1)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -5,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -526,6 +529,26 @@ def test_running_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "chainfold: out of memory\n")
 
 
+def test_the_out_of_memory_line_waits_for_the_failed_frames_to_be_freed(capsys, monkeypatch):
+    # writing the line needs memory that the failed command's frames may hold,
+    # and an exception being handled holds them through its traceback
+    held, still_held, report = [], [], cli._report
+
+    def exhausted(name, **kwargs):
+        allocated = set()
+        held.append(weakref.ref(allocated))
+        raise MemoryError
+
+    def reporting(line, code):
+        still_held.append(held[0]() is not None)
+        return report(line, code)
+
+    monkeypatch.setattr(kinematics, "run_scenario", exhausted)
+    monkeypatch.setattr(cli, "_report", reporting)
+    code, out, err = run_cli(capsys, "scenario", "--name", "shuttle")
+    assert (code, out, err, still_held) == (1, "", "chainfold: out of memory\n", [False])
+
+
 # a child that caps its own address space 64 MiB above what it has mapped
 # once chainfold is loaded; a shuttle replaying its period for 10^8 ticks
 # appends frames until an allocation fails, in about half a second
@@ -674,56 +697,90 @@ def _run_fresh(script: str, *args: str) -> str:
     return proc.stdout
 
 
-@pytest.mark.parametrize("fd", [1, 2], ids=["stdout_closed", "stderr_closed"])
-@pytest.mark.parametrize(
-    "argv,code",
-    [
-        pytest.param(("fold", FIG4A), 0, id="fold"),
-        pytest.param(("corpus", "verify"), 0, id="corpus_verify"),
-        pytest.param(("corpus", "stats"), 0, id="corpus_stats"),
-        pytest.param(("copy", "--tape", TAPE8), 0, id="copy"),
-        pytest.param(("evolve", "--trials", "1000"), 0, id="evolve"),
-        pytest.param(("scenario", "--name", "walker"), 0, id="scenario"),
-        pytest.param(("scenario", "--name", "nope"), 2, id="scenario_unknown"),
-        pytest.param(("--help",), 0, id="help"),
-        pytest.param(("copy", "--help"), 0, id="copy_help"),
-        pytest.param(("frobnicate",), 1, id="usage_error"),
-    ],
-)
-def test_a_closed_standard_stream_keeps_the_contract(argv, code, fd):
-    """A closed stdout is an unwritable output: a command that gets as far
-    as writing, --help included, exits 1, and an error before that keeps
-    its code. A closed stderr changes no exit code, a usage error's
-    included. Either way stderr holds at most one line."""
-    script = "import sys; from chainfold.cli import main; sys.exit(main())"
-    proc = _fresh(script, *argv, preexec_fn=lambda: os.close(fd))
+# (argv, exit code to writable streams, id); the first five take each exit
+# path: a success, --help, a usage error, a domain error and a missing file
+_EXIT_PATHS = [
+    (("copy", "--tape", TAPE8), 0, "copy"),
+    (("--help",), 0, "help"),
+    (("frobnicate",), 1, "usage_error"),
+    (("scenario", "--name", "nope"), 2, "scenario_unknown"),
+    (("fold", "no-such-chain.mdl"), 1, "missing_file"),
+]
+_MORE_COMMANDS = [
+    (("fold", FIG4A), 0, "fold"),
+    (("corpus", "verify"), 0, "corpus_verify"),
+    (("corpus", "stats"), 0, "corpus_stats"),
+    (("evolve", "--trials", "1000"), 0, "evolve"),
+    (("scenario", "--name", "walker"), 0, "scenario"),
+    (("copy", "--help"), 0, "copy_help"),
+]
+# the line a command that gets as far as writing its output leaves on stderr
+_UNWRITABLE = {
+    "closed": "chainfold: [Errno 9] Bad file descriptor\n",
+    "full": "chainfold: [Errno 28] No space left on device\n",
+    "no_reader": "chainfold: [Errno 32] Broken pipe\n",
+}
+
+
+def _stream_cases():
+    full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    for state, commands, marks in (
+        ("closed", _EXIT_PATHS + _MORE_COMMANDS, ()),
+        ("full", _EXIT_PATHS, full),
+        ("no_reader", _EXIT_PATHS, ()),
+    ):
+        for fd, stream in ((1, "stdout"), (2, "stderr")):
+            for argv, code, name in commands:
+                yield pytest.param(
+                    argv, code, fd, state, id=f"{name}-{stream}_{state}", marks=marks
+                )
+
+
+@pytest.mark.parametrize("argv,code,fd,state", _stream_cases())
+def test_a_closed_standard_stream_keeps_the_contract(tmp_path, argv, code, fd, state):
+    """A closed, full or reader-less stdout is an unwritable output: a
+    command that gets as far as writing, --help included, exits 1 with one
+    line, and an error before that keeps its code. Such a stderr changes no
+    exit code, a usage error's included. The child's stdout is buffered, as
+    on a user's pipe, so that a full one fails in `main`'s write of the
+    output, not in the interpreter's exit flush."""
+    run = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    stream = ("stdout", "stderr")[fd - 1]
+    with contextlib.ExitStack() as stack:
+        if state == "closed":
+            run["preexec_fn"] = lambda: os.close(fd)
+        elif state == "full":
+            run[stream] = stack.enter_context(open("/dev/full", "wb"))
+        else:
+            read, run[stream] = os.pipe()
+            os.close(read)
+            stack.callback(os.close, run[stream])
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainfold.cli", *argv],
+            cwd=tmp_path, text=True, env=child_env(), **run,
+        )
     if fd == 1:
-        assert (proc.returncode, proc.stdout) == (code or 1, "")
+        assert (proc.returncode, proc.stdout or "") == (code or 1, "")
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
-        assert code or proc.stderr == "chainfold: [Errno 9] Bad file descriptor\n"
+        assert code or proc.stderr == _UNWRITABLE[state]
     else:
-        assert (proc.returncode, proc.stderr) == (code, "")
+        assert (proc.returncode, proc.stderr or "") == (code, "")
         assert bool(proc.stdout) == (code == 0)
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",
-    [("copy", "--tape", TAPE8), ("--help",), ("corpus", "stats")],
-    ids=["copy", "help", "corpus_stats"],
+    [("copy", "--tape", TAPE8), ("scenario", "--name", "nope"), ("--help",), ("frobnicate",)],
+    ids=["success", "domain_error", "help", "usage_error"],
 )
-def test_a_full_buffered_stdout_exits_1_with_one_line(argv):
-    """The output fills stdout's buffer, so it fails only at the flush,
-    which `main` makes inside its `try`, not at interpreter exit."""
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "chainfold.cli", *argv],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=child_env(),
-        )
-    assert (proc.returncode, proc.stderr) == (1, "chainfold: [Errno 28] No space left on device\n")
+def test_main_gives_an_in_process_caller_its_streams_back(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.suppress(SystemExit):
+            cli.main(list(argv))
+        assert sys.stdout is out and sys.stderr is err
+    # the output, or the one error line, reached the caller's stream
+    assert bool(out.getvalue()) != bool(err.getvalue())
 
 
 def test_commands_that_draw_nothing_never_load_numpy(tmp_path):

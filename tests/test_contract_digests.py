@@ -8,7 +8,8 @@ its `--trace-out` writes. The grid:
 - `scenario` for each template at its minimum length, 8, 32 and 128,
   with `--ticks` 0, 1, 9 and the default;
 - `fold` of every fixture in ascii, json and obj;
-- `corpus verify` and `corpus stats`.
+- `corpus verify`, `corpus verify --json` and `corpus stats`;
+- `copy` of the `fig4a.mdl` chain as a tape, in both sparings.
 
 Each argv runs through `cli.main` in this process. A change that alters
 an output on purpose rewrites the file with
@@ -44,7 +45,9 @@ def contract_argvs() -> list[list[str]]:
     for fid in sorted(corpus.load_manifest()):
         for fmt in ("ascii", "json", "obj"):
             argvs.append(["fold", f"{workloads.FIXTURES}/{fid}.mdl", "--format", fmt])
-    return argvs + [["corpus", "verify"], ["corpus", "stats"]]
+    fig4a = f"{workloads.FIXTURES}/fig4a.mdl"
+    argvs += [["copy", "--tape", fig4a, "--sparing", s] for s in ("one_side", "both_sides")]
+    return argvs + [["corpus", "verify"], ["corpus", "verify", "--json"], ["corpus", "stats"]]
 
 
 def contract_digests(scratch: Path) -> dict[str, dict]:
