@@ -22,8 +22,10 @@ into numpy's uint8 stream through `pcg64.Draws`: numpy's own PCG64 words
 in `run_copy`, the same words from `pcg64.Pcg64` in `seeded_copy`, which
 never loads numpy. It draws each chunk whole but combines it as the walk
 reads it: a first piece sized to the open slots, then the rest. Both
-gather the copy and its mutations in `_gather`; `run_copy` also logs
-every draw's stick-out through a numpy view.
+gather the copy and its mutations in `_gather`, from the table's entries,
+which are the tape builders' shared entries of `encoding`, so a copy's
+output holds the same twelve objects; `run_copy` also logs every draw's
+stick-out through a numpy view.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from enum import Enum, IntEnum
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import kernels
-from .encoding import FitResult, Tape, TapeEntry, TypeRegistry, default_registry, fit
+from .encoding import (
+    FitResult, Tape, TapeEntry, TypeRegistry, default_registry, fit, tape_from_kinds
+)
 from .errors import CycleLimitExceededError, TapeExhaustedError, UnknownTapeKindError
 from .pcg64 import Draws, Pcg64
 
@@ -141,7 +145,7 @@ def step(state: CopierState, candidate_kind: str, case: PresentationCase) -> Cyc
     if accepted:
         # an exact fit is recorded in the slot's own flip frame; a reversed
         # fit physically sits the other way up
-        state.output.append(TapeEntry(candidate_kind, slot.flipped != mutation))
+        state.output.append(tape_from_kinds([candidate_kind], [slot.flipped != mutation])[0])
         state.head += 1
     outcome = CycleOutcome(candidate_kind, case, s, accepted, mutation)
     state.cycle_log.append(outcome)
@@ -210,7 +214,7 @@ def _table(sparing: Sparing) -> _Table:
     profile = SubunitProfile(sparing=sparing)
     registry = default_registry()
     kinds = registry.kinds
-    entries = tuple(TapeEntry(kind, flipped) for kind in kinds for flipped in (False, True))
+    entries = tape_from_kinds([kind for kind in kinds for _ in (0, 1)], (False, True) * len(kinds))
     draws = [(k, kind, case) for k, kind in enumerate(kinds) for case in PresentationCase]
     stick, glue, mut, out = bytearray(), bytearray(256), bytearray(256), bytearray(256)
     for code, slot in enumerate(entries):

@@ -157,6 +157,11 @@ def fit(
 
 @dataclass(frozen=True)
 class TapeEntry:
+    """One slot of a tape. The tape builders hand out one shared entry per
+    (kind, flip) of the default registry, twelve in all, and a new entry
+    for any other kind; entries compare by value, and which object a slot
+    holds is not part of the API."""
+
     kind: str
     flipped: bool = False
 
@@ -177,18 +182,18 @@ def tape_from_kinds(kinds, flips=None) -> Tape:
     flips = [False] * len(kinds) if flips is None else list(flips)
     if len(flips) != len(kinds):
         raise ValueError(f"{len(kinds)} kind(s) but {len(flips)} flip(s)")
-    return tuple(TapeEntry(k, bool(f)) for k, f in zip(kinds, flips))
+    return tuple(_entry(k, bool(f)) for k, f in zip(kinds, flips))
 
 
 def negative_copy(tape: Tape) -> Tape:
     """Replace every entry's kind by its complement partner in the default
     registry; flips survive."""
-    return tuple(TapeEntry(_DEFAULT_REGISTRY.partner(e.kind), e.flipped) for e in tape)
+    return tuple(_entry(_DEFAULT_REGISTRY.partner(e.kind), e.flipped) for e in tape)
 
 
 def flip_end_over_end(tape: Tape) -> Tape:
     """The tape as seen entering the machine from the wrong end."""
-    return tuple(TapeEntry(e.kind, not e.flipped) for e in reversed(tape))
+    return tuple(_entry(e.kind, not e.flipped) for e in reversed(tape))
 
 
 def tape_to_json_dict(tape: Tape) -> dict:
@@ -209,10 +214,17 @@ def tape_from_json_dict(raw: dict) -> Tape:
             raise ValueError(f'tape entry {i} must be an object with a string "kind"')
         if not isinstance(e.get("flipped", False), bool):
             raise ValueError(f'tape entry {i} has a "flipped" that is not true or false')
-    return tuple(TapeEntry(e["kind"], e.get("flipped", False)) for e in entries)
+    return tuple(_entry(e["kind"], e.get("flipped", False)) for e in entries)
 
 
 _DEFAULT_REGISTRY = TypeRegistry.default()
+# one entry per (kind, flip) of the default registry, which the builders share
+_ENTRIES = {(k, f): TapeEntry(k, f) for k in _DEFAULT_REGISTRY.kinds for f in (False, True)}
+
+
+def _entry(kind: str, flipped: bool) -> TapeEntry:
+    """The shared entry of a default-registry kind, a new one of any other."""
+    return _ENTRIES.get((kind, flipped)) or TapeEntry(kind, flipped)
 
 
 def default_registry() -> TypeRegistry:

@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainfold import cli, copier
 from chainfold.encoding import (
     FitResult,
     MarkingPattern,
@@ -212,6 +214,8 @@ def test_flip_end_over_end():
         (["b__", "H__"], [True], "2 kind(s) but 1 flip(s)"),
         (["b__"], [True, False], "1 kind(s) but 2 flip(s)"),
         (["b__"], [], "1 kind(s) but 0 flip(s)"),
+        # a kind outside the registry still builds, equal to a hand-built entry
+        (["zz", "b__"], [True], "2 kind(s) but 1 flip(s)"),
     ],
 )
 def test_tape_from_kinds_refuses_flips_that_do_not_pair_up(kinds, flips, message):
@@ -249,3 +253,57 @@ def test_tape_json_of_another_shape_is_a_value_error(raw):
 def test_tape_json_flipped_defaults_to_upright():
     raw = {"entries": [{"kind": "G0_"}, {"kind": "b__", "flipped": True}]}
     assert tape_from_json_dict(raw) == tape_from_kinds(["G0_", "b__"], [False, True])
+
+
+# every (kind, flip) of the default registry, at its slot code kind * 2 + flip
+SLOTS = [(kind, flip) for kind in KINDS for flip in (False, True)]
+
+
+@pytest.mark.parametrize("sparing", list(copier.Sparing), ids=lambda s: s.value)
+def test_every_builder_hands_out_the_copiers_entries(sparing, tmp_path):
+    """One object per (kind, flip): each builder, each copy entry point and
+    a loaded `.mdl` tape hand out the very entry the copier's table holds."""
+    entries = copier._table(sparing).entries
+    profile = copier.SubunitProfile(sparing)
+    for code, (kind, flip) in enumerate(SLOTS):
+        built = [
+            tape_from_kinds([kind], [flip]),
+            tape_from_json_dict({"entries": [{"kind": kind, "flipped": flip}]}),
+            negative_copy((TapeEntry(REG.partner(kind), flip),)),
+            flip_end_over_end((TapeEntry(kind, not flip),)),
+        ]
+        state = copier.CopierState((TapeEntry(REG.partner(kind), flip),), profile, REG)
+        copier.step(state, kind, copier.PresentationCase(flip))
+        assert [tape[0] for tape in built] + state.output == [entries[code]] * 5
+        assert all(e is entries[code] for tape in built for e in tape + tuple(state.output))
+    tape = negative_copy(entries)
+    for copy in (copier.run_copy, copier.seeded_copy):
+        output = copy(tape, profile, seed=3).output
+        assert len(output) == len(entries)
+        assert all(e is entries[2 * KINDS.index(e.kind) + e.flipped] for e in output)
+    path = tmp_path / "six.mdl"
+    path.write_text("".join(KINDS), encoding="utf-8")
+    loaded = cli._load_tape_file(str(path))
+    assert len(loaded) == len(KINDS) and all(e is entries[2 * k] for k, e in enumerate(loaded))
+
+
+def _retained(build, *args) -> int:
+    """The bytes that `build(*args)` allocates and its result still holds."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = build(*args)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        del held
+        return retained
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_tape_holds_one_pointer_per_slot():
+    """A 4,096-slot tuple of shared entries is 32 KiB of pointers; an entry
+    built per slot held 385.7 KiB."""
+    kinds, flips = zip(*(SLOTS * 342)[:4096])
+    tape = tape_from_kinds(kinds, flips)
+    assert _retained(tape_from_kinds, kinds, flips) <= 33 * 1024
+    assert _retained(negative_copy, tape) <= 33 * 1024

@@ -5,8 +5,9 @@ named by chainfold, the benchmark or the acceptance tests, and every
 optional parameter of its functions is passed by one of their calls. Every
 exception chainfold defines is one the CLI maps to an exit status, no
 chainfold module calls a BLAS-backed numpy routine or draws numpy's
-typed integers itself, the CLI leaves the trace's JSON layout to
-kinematics, and only the CLI reads the environment.
+typed integers itself, only `encoding` constructs a `TapeEntry`, the CLI
+leaves the trace's JSON layout to kinematics, and only the CLI reads the
+environment.
 
 An import kept on purpose, such as a re-export, carries `# noqa: F401` on
 its statement. A private helper that no line of its own module reads is
@@ -390,6 +391,38 @@ def test_the_check_sees_typed_integers():
         "d = integers(0, 6, dtype=np.uint8) + stream.integers(6, 4)\n"
     )
     assert _typed_integers(src) == [3, 5]
+
+
+def _entry_constructions(source: str) -> list[int]:
+    """Lines of `TapeEntry(...)` calls: `encoding` alone decides which
+    object stands for a (kind, flip), and hands out one shared entry each."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "TapeEntry" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "encoding.py"], ids=lambda p: p.name
+)
+def test_only_encoding_constructs_tape_entries(path):
+    assert _entry_constructions(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_tape_entry_constructions():
+    src = (
+        "from . import encoding\n"
+        "from .encoding import TapeEntry, tape_from_kinds\n"
+        "slot: TapeEntry = tape_from_kinds(['G0_'])[0]\n"
+        "a = TapeEntry('G0_', True)\n"
+        "b = encoding.TapeEntry(\n"
+        "    'b__'\n"
+        ")\n"
+        "c = isinstance(a, TapeEntry) and TapeEntryish('H__')\n"
+    )
+    assert _entry_constructions(src) == [4, 5]
 
 
 def _imported(source: str) -> set[str]:
