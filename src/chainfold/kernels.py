@@ -2,10 +2,10 @@
 copier cycle walk. Both read pre-drawn inputs, so a run is a pure
 function of them, and both cost time linear in their input:
 
-- `count_matches` compares the first bytes of each row as one machine
-  word, then checks only the few rows that match on the later columns.
-  It works through 2^16-row blocks, so its scratch arrays stay small
-  next to the draws it counts.
+- `count_matches` compares the first four bytes of each row as one
+  `uint32`, then checks only the few rows that match on the later
+  columns. It serves evolve, which hands it one piece of C-contiguous
+  uint8 draws at a time, in rows of 5 or 6 columns.
 - `copier_chunk` only walks: it maps a chunk's draws to their glue
   classes with one `bytes.translate`, then one `bytes.find` per glue
   skips the rejected draws between glues, which cost no Python step,
@@ -33,38 +33,21 @@ def active_backend() -> str:
     return "numpy"
 
 
-# rows per block of `count_matches`: its scratch arrays are sized to this
-_BLOCK_ROWS = 1 << 16
-
-
 def count_matches(draws: np.ndarray, target: np.ndarray) -> int:
-    """Rows of uint8 `draws` equal to `target`, counted.
+    """Rows of `draws` equal to `target`, counted, for C-contiguous uint8
+    `draws` and `target` of 4 or more columns.
 
-    Block by block, each row's first `w` bytes (`w` = 4, 2 or 1, the
-    widest word `target` fills) are compared as one unsigned word through
-    a zero-copy view; each later column only filters the few rows that
-    matched, about one in |alphabet|^w.
+    Each row's first four bytes are compared as one `uint32` through a
+    zero-copy view; each later column only filters the few rows that
+    matched, about one in |alphabet|^4.
     """
     import numpy as np
 
-    k = len(target)
-    if not k:
-        return draws.shape[0]
-    if draws.dtype != np.uint8:
-        raise TypeError(f"draws must be uint8, got {draws.dtype}")
-    if draws.strides[1] != 1:  # the word view needs adjacent columns
-        draws = np.ascontiguousarray(draws)
-    w = 4 if k >= 4 else 2 if k >= 2 else 1
-    word = np.dtype(f"u{w}")
-    key = np.ascontiguousarray(target[:w], dtype=np.uint8).view(word)[0]
-    hits = 0
-    for start in range(0, draws.shape[0], _BLOCK_ROWS):
-        block = draws[start : start + _BLOCK_ROWS]
-        rows = np.flatnonzero(block[:, :w].view(word)[:, 0] == key)
-        for j in range(w, k):
-            rows = rows[block[rows, j] == target[j]]
-        hits += rows.size
-    return hits
+    key = target[:4].view(np.uint32)[0]
+    rows = np.flatnonzero(draws[:, :4].view(np.uint32)[:, 0] == key)
+    for j in range(4, len(target)):
+        rows = rows[draws[rows, j] == target[j]]
+    return rows.size
 
 
 def copier_chunk(classes, slot_keys, head, flat, cycles, glued) -> tuple[int, int]:

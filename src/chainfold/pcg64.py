@@ -20,13 +20,13 @@ The last two steps, `Draws`, read any source of 64-bit draws, and
 `run_copy` feed `Draws` numpy's own `PCG64` words; one `bytes.translate`
 per piece takes about half the time of `Generator.integers` on evolve's
 128 KiB pieces, and about as long on the copier's 4 KiB chunks.
-`integers` returns its first piece as is, with no generator and no join,
-and reads more pieces only where the first falls short: past `_PIECE`
-32-bit draws, or where rejected bytes leave it a few draws short, as a
-range of 6 does on a 4 KiB chunk and a range of 4 never does. A
-Python-int step of `Pcg64` costs about half a microsecond, against about
-2 ns in numpy, so it pays where importing numpy would cost more than the
-draws: in a CLI `copy` of a short tape, through `seeded_copy`.
+`Draws` serves ranges of 2 to 256 values with one piece loop,
+`uint8_pieces`: evolve counts the pieces of its alphabet's range (6 to
+47) as they come, and `integers`, through which the copier draws its
+kinds and cases (6 and 4), joins them. A Python-int step of `Pcg64`
+costs about half a microsecond, against about 2 ns in numpy, so it pays
+where importing numpy would cost more than the draws: in a CLI `copy` of
+a short tape, through `seeded_copy`.
 `tests/test_pcg64.py` checks both against numpy.
 """
 
@@ -120,30 +120,21 @@ class Draws:
             out = out[:-4]
         return head + out
 
-    def _piece(self, k: int, size: int) -> bytes:
-        """The next at most `size` uint8 draws for 2 <= k <= 256, from at
-        most `_PIECE` 32-bit draws: fewer where bytes were rejected."""
-        scale, rejected = _lemire(k)
-        # each 32-bit draw yields at most four bytes, so this many can
-        # overshoot only inside the last one, whose rest numpy drops too
-        return self._uint32_bytes(min(_PIECE, -(-size // 4))).translate(scale, rejected)[:size]
-
     def uint8_pieces(self, k: int, size: int):
         """The bytes of `integers(0, k, size=size, dtype=np.uint8)` for
-        2 <= k <= 256, in pieces of at most `_PIECE` 32-bit draws each."""
+        2 <= k <= 256, in pieces of at most `_PIECE` 32-bit draws each:
+        fewer bytes where some were rejected."""
+        scale, rejected = _lemire(k)
         while size > 0:
-            out = self._piece(k, size)
+            # each 32-bit draw yields at most four bytes, so this many can
+            # overshoot only inside the last one, whose rest numpy drops too
+            out = self._uint32_bytes(min(_PIECE, -(-size // 4))).translate(scale, rejected)[:size]
             size -= len(out)
             yield out
 
     def integers(self, k: int, size: int) -> bytes:
-        """`integers(0, k, size=size, dtype=np.uint8)` for 1 <= k <= 256."""
-        if k == 1:  # numpy draws nothing for a range of one value
-            return bytes(size)
-        out = self._piece(k, size)
-        if len(out) < size:  # rejected bytes, or more than one piece
-            out += b"".join(self.uint8_pieces(k, size - len(out)))
-        return out
+        """`integers(0, k, size=size, dtype=np.uint8)` for 2 <= k <= 256."""
+        return b"".join(self.uint8_pieces(k, size))
 
 
 class Pcg64(Draws):

@@ -8,6 +8,7 @@ that moves a count on purpose edits its row and says which count moved
 and why.
 """
 
+import numpy as np
 import pytest
 
 from chainfold import kernels, kinematics, protoevolution
@@ -217,6 +218,31 @@ def test_how_evolve_calls_scale():
         assert most <= -(-4 * _PIECE // 5)
         # calls per chunk do not grow with the trials
         assert calls <= -(-trials // protoevolution._CHUNK_TRIALS) * rows[1_000_000][0]
+
+
+_EVOLVES = {
+    "default": protoevolution.StreamExperiment(trials=2_500_000, seed=7),
+    "separator-47": protoevolution.StreamExperiment(
+        alphabet=protoevolution.build_alphabet(47, include_separator=True),
+        require_separator=True,
+        trials=2_500_000,
+        seed=7,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _EVOLVES)
+def test_evolve_hands_count_matches_the_one_shape_it_serves(monkeypatch, name):
+    # `count_matches` checks none of this itself: its one caller keeps it so
+    calls = _spy(monkeypatch, kernels, "count_matches")
+    protoevolution.mhbbg_probability(_EVOLVES[name])
+    assert calls
+    for draws, target in calls:
+        assert draws.dtype == target.dtype == np.uint8
+        assert draws.flags.c_contiguous and target.flags.c_contiguous
+        assert draws.ndim == 2 and draws.shape[1] == len(target) in (5, 6)
+        assert len(draws) <= -(-4 * _PIECE // 5)
+    assert len(calls[0][1]) == 5 + _EVOLVES[name].require_separator
 
 
 def test_how_scenario_worlds_relate(monkeypatch):
