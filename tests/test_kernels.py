@@ -133,6 +133,17 @@ def test_count_matches_full_alphabet(k):
     assert kernels.count_matches(draws, draws[0]) >= 3
 
 
+@pytest.mark.parametrize("m", [1, 2, 4 * _PIECE // 5, -(-4 * _PIECE // 5)])
+def test_count_matches_hits_on_the_first_and_last_row(m):
+    # row counts from one row to the most that one evolve call gets
+    draws = _random_draws(m, m=m, k=5, high=3)
+    target = np.array([2, 0, 1, 2, 0], dtype=np.uint8)
+    draws[[0, m - 1]] = target
+    assert kernels.count_matches(draws, target) == _count_matches_py(draws, target)
+    draws[m - 1, 4] = 1  # the last row now misses in its last column only
+    assert kernels.count_matches(draws, target) == _count_matches_py(draws, target)
+
+
 def _planted(seed, m, k, high):
     """Draws over `high` values with a target planted on every 7th row."""
     draws = _random_draws(seed, m=m, k=k, high=high)

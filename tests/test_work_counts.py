@@ -220,14 +220,25 @@ def test_how_evolve_calls_scale():
         assert calls <= -(-trials // protoevolution._CHUNK_TRIALS) * rows[1_000_000][0]
 
 
+def _evolve(size, separator, trials):
+    return protoevolution.StreamExperiment(
+        alphabet=protoevolution.build_alphabet(size, include_separator=separator),
+        require_separator=separator,
+        trials=trials,
+        seed=7,
+    )
+
+
+# the alphabet's edges with and without a separator, one trial, and a last
+# chunk of one and of three trials
 _EVOLVES = {
     "default": protoevolution.StreamExperiment(trials=2_500_000, seed=7),
-    "separator-47": protoevolution.StreamExperiment(
-        alphabet=protoevolution.build_alphabet(47, include_separator=True),
-        require_separator=True,
-        trials=2_500_000,
-        seed=7,
-    ),
+    "separator-47": _evolve(47, True, 2_500_000),
+    "separator-7": _evolve(7, True, 2_500_000),
+    "fillers-46": _evolve(46, False, 2_500_000),
+    "one-trial": _evolve(6, False, 1),
+    "chunk-edge": _evolve(6, False, protoevolution._CHUNK_TRIALS + 1),
+    "separator-chunk-edge": _evolve(7, True, 2 * protoevolution._CHUNK_TRIALS + 3),
 }
 
 
@@ -243,6 +254,8 @@ def test_evolve_hands_count_matches_the_one_shape_it_serves(monkeypatch, name):
         assert draws.ndim == 2 and draws.shape[1] == len(target) in (5, 6)
         assert len(draws) <= -(-4 * _PIECE // 5)
     assert len(calls[0][1]) == 5 + _EVOLVES[name].require_separator
+    # every trial is counted once
+    assert sum(len(draws) for draws, _ in calls) == _EVOLVES[name].trials
 
 
 def test_how_scenario_worlds_relate(monkeypatch):
