@@ -17,21 +17,11 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import FoldError
-from .geometry import (
-    IDENTITY,
-    TOKEN_ROTATIONS,
-    Cell,
-    Rot,
-    add,
-    apply,
-    bounding_box,
-    compose,
-    dot,
-    sub,
-)
+from .geometry import PRODUCT, ROTATIONS, TURNS, Cell, Rot, add, apply, bounding_box, dot, sub
 from .mdl import SIX_TYPE_PROFILE, Chain, Token, parse_mdl
 
-_E_X: Cell = (1, 0, 0)
+# the image of e_x under each rotation, by its index in ROTATIONS
+_STEP: tuple[Cell, ...] = tuple(apply(r, (1, 0, 0)) for r in ROTATIONS)
 
 
 class CollisionError(FoldError):
@@ -101,13 +91,13 @@ def fold(chain: Chain | str, permissive: bool = False) -> FoldedStructure:
 
     finals: list[Cell] = [None] * n  # type: ignore[list-item]
     orients: list[Rot] = [None] * n  # type: ignore[list-item]
-    s: Rot = IDENTITY
+    s = 0  # the index of IDENTITY, the turn of a kind that does not turn
     t: Cell = (0, 0, 0)
     for j in range(n - 1, -1, -1):
         finals[j] = t
-        orients[j] = s
-        s = compose(s, TOKEN_ROTATIONS.get(chain[j].kind, IDENTITY))
-        t = add(t, apply(s, _E_X))
+        orients[j] = ROTATIONS[s]
+        s = PRODUCT[s][TURNS.get(chain[j].kind, 0)]
+        t = add(t, _STEP[s])
 
     seen: dict[Cell, int] = {}
     collisions: list[CollisionRecord] = []

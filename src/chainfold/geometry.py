@@ -2,9 +2,10 @@
 
 Every module does its cell and rotation arithmetic with these functions.
 
-Rotations are 3x3 integer matrices stored as nested tuples so they can be
-dict keys and set members. The two generators fix the handedness of every
-convention downstream:
+Rotations are 3x3 integer matrices stored as nested tuples at the API, and
+indices into `ROTATIONS` inside the fold and the tick, which look products,
+inverses and turns up in tables built once here. The two generators fix the
+handedness of every convention downstream:
 
     RX90: (x, y, z) -> (x, -z, y)
     RZ90: (x, y, z) -> (-y, x, z)
@@ -90,7 +91,8 @@ def rotation_group() -> frozenset[Rot]:
     """The proper rotation group of the cubic lattice, generated by closure.
 
     Starts from the two quarter-turn generators and multiplies until no new
-    elements appear. The result has exactly 24 elements; a test pins that.
+    elements appear. The result has exactly 24 elements, the very objects of
+    `ROTATIONS`; a test pins both.
     """
     group: set[Rot] = {IDENTITY, RX90, RZ90}
     frontier = list(group)
@@ -104,6 +106,18 @@ def rotation_group() -> frozenset[Rot]:
                     nxt.append(h)
         frontier = nxt
     return frozenset(group)
+
+
+# The 24 rotations in a fixed order, IDENTITY (the largest) first, and the
+# index of each rotation, of each product a @ b, of each inverse and of each
+# hinge token's turn. A rotation permutes the axes with signs, so its image
+# of (1, 2, 3) names it, and a @ b is named by a's image of b's name.
+ROTATIONS: tuple[Rot, ...] = tuple(sorted(rotation_group(), reverse=True))
+ROTATION_INDEX: dict[Rot, int] = {r: i for i, r in enumerate(ROTATIONS)}
+_NAMES = {apply(r, (1, 2, 3)): i for i, r in enumerate(ROTATIONS)}
+PRODUCT = tuple(tuple(_NAMES[apply(a, v)] for v in _NAMES) for a in ROTATIONS)
+INVERSE = tuple(ROTATION_INDEX[inverse(r)] for r in ROTATIONS)
+TURNS = {kind: ROTATION_INDEX[r] for kind, r in TOKEN_ROTATIONS.items()}
 
 
 def bounding_box(cells: Iterable[Cell]) -> tuple[Cell, Cell]:

@@ -27,7 +27,9 @@ import json
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import KinematicsError
-from .geometry import IDENTITY, TOKEN_ROTATIONS, Cell, Rot, add, apply, compose, inverse, sub
+from .geometry import (
+    IDENTITY, INVERSE, PRODUCT, ROTATION_INDEX, ROTATIONS, TURNS, Cell, Rot, add, apply, sub,
+)
 
 if TYPE_CHECKING:
     from .mdl import Chain
@@ -40,6 +42,8 @@ FACE_VECTORS: tuple[Cell, ...] = (
     (0, 0, 1),
     (0, 0, -1),
 )
+# FACE_TURNS[r][f]: the index in FACE_VECTORS of face f turned by ROTATIONS[r]
+FACE_TURNS = tuple(tuple(FACE_VECTORS.index(apply(r, f)) for f in FACE_VECTORS) for r in ROTATIONS)
 
 MOVER_PERIOD = 10
 DEFAULT_FOLD_DELAY = 50
@@ -82,10 +86,12 @@ class BlockInstance(_BlockFields):
             raise KinematicsError(f"phase {self.mover_phase} out of range")
         if self.dissolve_due is not None and self.kind != "d":
             raise KinematicsError("only d blocks dissolve")
+        if self.orientation not in ROTATIONS:
+            raise KinematicsError(f"orientation {self.orientation!r} is not a proper rotation")
         return self
 
     def absolute_face(self) -> Cell:
-        return apply(self.orientation, FACE_VECTORS[self.face])
+        return FACE_VECTORS[FACE_TURNS[ROTATION_INDEX[self.orientation]][self.face]]
 
 
 class FoldEvent(NamedTuple):
@@ -122,7 +128,7 @@ def check_world(world: World) -> None:
     kinds = {b.chain_index: b.kind for b in world.blocks.values()} if world.pending_folds else {}
     for ev in world.pending_folds:
         kind = kinds.get(ev.chain_index)
-        if kind is not None and kind not in TOKEN_ROTATIONS:
+        if kind is not None and kind not in TURNS:
             raise KinematicsError(f"fold at chain index {ev.chain_index} names a {kind} block")
     for bond in world.bonds:
         if not (isinstance(bond, frozenset) and len(bond) == 2):
@@ -161,7 +167,7 @@ def world_from_chain(
     folds = []
     hinge_no = 0
     for j, t in enumerate(chain):
-        if t.kind in TOKEN_ROTATIONS:
+        if t.kind in TURNS:
             folds.append(FoldEvent(chain_index=j, due_tick=fold_delay + hinge_no))
             hinge_no += 1
     completion = (folds[-1].due_tick + 2) if folds else fold_delay
@@ -234,15 +240,13 @@ def _try_fold(
     """Rotate chain ids below the hinge about its cell; False, changing
     nothing, when one of them is anchored, a block is in the way or a
     bond would tear."""
-    w = compose(
-        compose(hinge.orientation, TOKEN_ROTATIONS[hinge.kind]),
-        inverse(hinge.orientation),
-    )
-    pivot = hinge.cell
+    h = ROTATION_INDEX[hinge.orientation]
+    w = PRODUCT[PRODUCT[h][TURNS[hinge.kind]]][INVERSE[h]]
+    pivot, rot, turn = hinge.cell, ROTATIONS[w], PRODUCT[w]
     turned = [
         b._replace(
-            cell=add(pivot, apply(w, sub(b.cell, pivot))),
-            orientation=compose(w, b.orientation),
+            cell=add(pivot, apply(rot, sub(b.cell, pivot))),
+            orientation=ROTATIONS[turn[ROTATION_INDEX[b.orientation]]],
         )
         for b in blocks.values()
         if b.chain_index is not None and b.chain_index < hinge.chain_index
@@ -262,7 +266,7 @@ def _due_movers(blocks: dict[int, BlockInstance], now: int) -> list[tuple[int, i
     """(face index, id) of the movers on this tick's phase, in firing order.
     Pushes only translate, so no face changes while the movers fire."""
     return sorted(
-        (FACE_VECTORS.index(b.absolute_face()), b.id)
+        (FACE_TURNS[ROTATION_INDEX[b.orientation]][b.face], b.id)
         for b in blocks.values()
         if b.kind == "M" and b.mover_phase == now % MOVER_PERIOD
     )

@@ -35,13 +35,12 @@ from chainfold.encoding import (
     tape_from_kinds,
 )
 from chainfold.folding import (
-    TOKEN_ROTATIONS,
     CollisionError,
     bend_axis,
     fold,
     swap_lr,
 )
-from chainfold.geometry import MIRROR_Z, apply, compose
+from chainfold.geometry import MIRROR_Z, TOKEN_ROTATIONS, apply, compose
 from chainfold.kinematics import run_scenario
 from chainfold.mdl import parse_mdl
 from chainfold.protoevolution import (

@@ -3,10 +3,16 @@ import pytest
 
 from chainfold.geometry import (
     IDENTITY,
+    INVERSE,
     MIRROR_Y,
     MIRROR_Z,
+    PRODUCT,
+    ROTATION_INDEX,
+    ROTATIONS,
     RX90,
     RZ90,
+    TOKEN_ROTATIONS,
+    TURNS,
     add,
     apply,
     bounding_box,
@@ -17,6 +23,7 @@ from chainfold.geometry import (
     rotation_group,
     sub,
 )
+from chainfold.kinematics import FACE_TURNS, FACE_VECTORS
 
 
 def _matmul(a, b):
@@ -81,6 +88,23 @@ def test_group_has_24_elements():
         assert compose(a, inverse(a)) == IDENTITY
         for b in g:
             assert compose(a, b) in g
+
+
+def test_tables_agree_with_matrix_arithmetic():
+    assert ROTATIONS[0] is IDENTITY
+    assert len(ROTATIONS) == 24 and rotation_group() == frozenset(ROTATIONS)
+    assert ROTATION_INDEX == {r: i for i, r in enumerate(ROTATIONS)}
+    assert [len(row) for row in PRODUCT] == [24] * 24 and len(INVERSE) == 24
+    assert [len(row) for row in FACE_TURNS] == [6] * 24
+    for i, a in enumerate(ROTATIONS):
+        assert ROTATIONS[INVERSE[i]] == inverse(a)
+        for j, b in enumerate(ROTATIONS):
+            assert ROTATIONS[PRODUCT[i][j]] == compose(a, b)
+        for f, face in enumerate(FACE_VECTORS):
+            assert FACE_TURNS[i][f] == FACE_VECTORS.index(apply(a, face))
+    assert sorted(TURNS) == sorted(TOKEN_ROTATIONS)
+    for kind, rot in TOKEN_ROTATIONS.items():
+        assert ROTATIONS[TURNS[kind]] == rot
 
 
 def test_rotations_are_lattice_bijections():

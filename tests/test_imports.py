@@ -5,7 +5,8 @@ named by chainfold, the benchmark or the acceptance tests, and every
 optional parameter of its functions is passed by one of their calls. Every
 exception chainfold defines is one the CLI maps to an exit status, no
 chainfold module calls a BLAS-backed numpy routine or draws numpy's
-typed integers itself, only `encoding` constructs a `TapeEntry`, the CLI
+typed integers itself, only `encoding` constructs a `TapeEntry`, only
+`geometry` multiplies or inverts rotation matrices, the CLI
 leaves the trace's JSON layout to kinematics, and only the CLI reads the
 environment.
 
@@ -160,7 +161,6 @@ _TEST_ONLY = {
     "encoding.flip_end_over_end": "paper concept: a tape entering the machine from the wrong end",
     "folding.structure_stats": "paper concept: a structure's kind histogram and information content",
     "folding.swap_hinges_and_lr": "paper concept: the hinge-and-handedness mirror of a chain",
-    "geometry.rotation_group": "paper concept: the 24 proper rotations of the cubic lattice",
     "mdl.validate": "the chain-language lint that README documents",
     "protoevolution.mhbbg_trial": "paper concept: one glued blob of the self-copy experiment",
 }
@@ -423,6 +423,39 @@ def test_the_check_sees_tape_entry_constructions():
         "c = isinstance(a, TapeEntry) and TapeEntryish('H__')\n"
     )
     assert _entry_constructions(src) == [4, 5]
+
+
+def _matrix_arithmetic(source: str) -> list[int]:
+    """Lines of `compose(...)` and `inverse(...)` calls: `geometry` builds
+    the rotation tables with them once, and everyone else looks rotations up."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+        & {"compose", "inverse"}
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "geometry.py"], ids=lambda p: p.name
+)
+def test_only_geometry_does_rotation_arithmetic(path):
+    assert _matrix_arithmetic(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_rotation_arithmetic():
+    src = (
+        "from . import geometry\n"
+        "from .geometry import PRODUCT, compose, inverse\n"
+        "w = PRODUCT[0][1]\n"
+        "a = compose(r, s)\n"
+        "b = geometry.inverse(\n"
+        "    r\n"
+        ")\n"
+        "c = composed(r) + inverse_of(r) + compose\n"
+    )
+    assert _matrix_arithmetic(src) == [4, 5]
 
 
 def _imported(source: str) -> set[str]:

@@ -12,7 +12,16 @@ from chainfold import kinematics
 from chainfold.cli import DEFAULT_SEED
 from chainfold.corpus import load_fixture, load_manifest
 from chainfold.folding import CollisionError, fold
-from chainfold.geometry import add, apply, bounding_box, rotation_group, sub
+from chainfold.geometry import (
+    IDENTITY,
+    MIRROR_Z,
+    ROTATIONS,
+    add,
+    apply,
+    bounding_box,
+    rotation_group,
+    sub,
+)
 from chainfold.mdl import parse_mdl, validate
 from chainfold.kinematics import (
     FACE_VECTORS,
@@ -261,6 +270,14 @@ def test_mover_fields_rejected_on_plain_blocks():
 def test_mover_face_and_phase_out_of_range_rejected(face, phase, message):
     with pytest.raises(KinematicsError, match=f"^{message} out of range$"):
         _mover(0, (0, 0, 0), face, phase)
+
+
+@pytest.mark.parametrize(
+    "orientation", [MIRROR_Z, "up", None, ((1, 0, 0), (0, 1, 0)), [list(r) for r in IDENTITY]]
+)
+def test_orientation_outside_the_rotation_group_rejected(orientation):
+    with pytest.raises(KinematicsError, match=r" is not a proper rotation$"):
+        BlockInstance(id=0, kind="b", cell=(0, 0, 0), orientation=orientation)
 
 
 def test_absolute_face_refused_on_a_block_without_one():
@@ -926,3 +943,11 @@ def test_inworld_run_matches_pinned_digest(fixture_id):
         ]
         h.update(json.dumps(state).encode())
     assert h.hexdigest() == INWORLD_DIGESTS[fixture_id]
+
+
+@pytest.mark.parametrize("fixture_id", ["fig19", "fig20", "fig21", "fig22a", "fig22c"])
+def test_inworld_orientations_are_the_shared_rotations(fixture_id):
+    """Every fold hands out `ROTATIONS`' own tuples, never a fresh matrix."""
+    w = run_world(world_from_chain(load_fixture(fixture_id).mdl), 150)
+    assert any(b.orientation != IDENTITY for b in w.blocks.values())
+    assert all(any(b.orientation is r for r in ROTATIONS) for b in w.blocks.values())

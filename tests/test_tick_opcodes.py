@@ -24,12 +24,12 @@ from conftest import child_env
 
 # (template, length) -> opcodes over the 100 counted ticks
 OPCODES_PER_100_TICKS = {
-    ("walker", 64): 248_668,
-    ("walker", 256): 895_708,
-    ("retainer", 64): 502_998,
-    ("retainer", 256): 1_797_078,
-    ("shuttle", 64): 704_068,
-    ("shuttle", 256): 2_750_788,
+    ("walker", 64): 247_818,
+    ("walker", 256): 894_858,
+    ("retainer", 64): 501_298,
+    ("retainer", 256): 1_795_378,
+    ("shuttle", 64): 702_368,
+    ("shuttle", 256): 2_749_088,
 }
 
 # argv[1]: a JSON list of [template, length]; prints their counts as JSON
