@@ -8,12 +8,13 @@ recorded expectations instead of trusting the manifest.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
-from .folding import CollisionError, FoldedStructure, fold
-from .geometry import MIRROR_Z, apply, bounding_box, cross, dot, sub
 from .mdl import Chain, MdlError, parse_mdl
+
+if TYPE_CHECKING:  # the folder loads only when a fixture is verified
+    from .folding import FoldedStructure
 
 # the builder's hand-made counterpart fills a 4 x 5 x 7 scaffold
 BUILD_VOLUME_BLOCKS = 140
@@ -27,8 +28,7 @@ def fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     id: str
     mdl: str
     curated: bool
@@ -122,15 +122,13 @@ def load_fixture(fixture_id: str, directory: str | Path | None = None) -> Fixtur
         ) from None
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     fixture_id: str
     checks: tuple[Check, ...]
 
@@ -141,12 +139,16 @@ class VerifyReport:
 
 def _helix_strides(structure: FoldedStructure, lead: int, unit: int):
     """Net displacement between successive repeat-unit anchors."""
+    from .geometry import sub
+
     cells = structure.cells_by_index()
     starts = list(range(lead, len(cells), unit))
     return [sub(cells[b], cells[a]) for a, b in zip(starts, starts[1:])]
 
 
 def _coplanar(cells) -> bool:
+    from .geometry import cross, dot, sub
+
     cells = list(cells)
     if len(cells) < 4:
         return True
@@ -170,6 +172,8 @@ def _coplanar(cells) -> bool:
 
 
 def _mirrored_cells(structure: FoldedStructure) -> dict[int, tuple]:
+    from .geometry import MIRROR_Z, apply, bounding_box, sub
+
     raw = {i: apply(MIRROR_Z, c) for i, c in structure.cells_by_index().items()}
     if not raw:
         return raw
@@ -180,6 +184,8 @@ def _mirrored_cells(structure: FoldedStructure) -> dict[int, tuple]:
 def verify_fixture(fixture: Fixture, corpus: dict[str, Fixture]) -> VerifyReport:
     """Re-derive every recorded expectation, reading a `mirror_of` partner
     from `corpus`; failures are reported, not raised."""
+    from .folding import CollisionError, fold
+
     checks: list[Check] = []
     try:
         chain = parse_mdl(fixture.mdl)

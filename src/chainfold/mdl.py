@@ -11,7 +11,7 @@ lenient scanner accepts all of that. Strict mode insists on canonical
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 KIND_CHARS = "bdSGMHhRLZ12"
 PARAM_CHARS = "0123456789x_"
@@ -49,17 +49,32 @@ def _params_ok(params: str) -> bool:
     return len(params) == 2 and params[0] in PARAM_CHARS and params[1] in PARAM_CHARS
 
 
-@dataclass(frozen=True)
-class Token:
+class _TokenFields(NamedTuple):
     kind: str
-    params: str = "__"
-    offset: int = field(default=-1, compare=False)
+    params: str
+    offset: int
 
-    def __post_init__(self) -> None:
-        if len(self.kind) != 1 or self.kind not in KIND_CHARS:
-            raise UnknownKindError(self.offset, self.kind)
-        if not _params_ok(self.params):
-            raise MdlError(f"bad params {self.params!r} for kind {self.kind!r}")
+
+class Token(_TokenFields):
+    """Equality and hashing leave out `offset`, where its text held the token."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, params: str = "__", offset: int = -1):
+        if len(kind) != 1 or kind not in KIND_CHARS:
+            raise UnknownKindError(offset, kind)
+        if not _params_ok(params):
+            raise MdlError(f"bad params {params!r} for kind {kind!r}")
+        return tuple.__new__(cls, (kind, params, offset))
+
+    def __eq__(self, other):
+        return isinstance(other, Token) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
     # A token's fields, read here and nowhere else: the face digit 0-5 of a
     # mover or gluer (None if it has none), a mover's phase digit (None if
@@ -121,16 +136,20 @@ def write_canonical(chain: Chain) -> str:
     return "".join(t.canonical for t in chain)
 
 
-@dataclass(frozen=True)
-class AlphabetProfile:
-    """A declared token alphabet; 'x' in an entry's parameters is a wildcard."""
-
+class _ProfileFields(NamedTuple):
     entries: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        for e in self.entries:
+
+class AlphabetProfile(_ProfileFields):
+    """A declared token alphabet; 'x' in an entry's parameters is a wildcard."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[str, ...]):
+        for e in entries:
             if not (len(e) == 3 and e[0] in KIND_CHARS and _params_ok(e[1:])):
                 raise MdlError(f"bad profile entry {e!r}")
+        return tuple.__new__(cls, (entries,))
 
     @property
     def size(self) -> int:
@@ -148,8 +167,7 @@ class AlphabetProfile:
 SIX_TYPE_PROFILE = AlphabetProfile(("G0_", "H__", "L__", "R__", "b__", "M1x"))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     index: int
     message: str

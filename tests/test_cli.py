@@ -870,8 +870,15 @@ _LOADED_BY = textwrap.dedent(
 CLI_ONLY = {"chainfold", "chainfold.cli", "chainfold.errors"}
 
 
-def _modules_after(*argv: str) -> set[str]:
-    return set(json.loads(_run_fresh(_LOADED_BY, *argv)))
+# the set-up code of perfbench's `replicate`, then the modules loaded
+_READS_THE_MANIFEST = (
+    "import json, sys, chainfold.corpus as c; c.load_manifest(); "
+    "print(json.dumps(sorted(sys.modules)))"
+)
+
+
+def _modules_after(*argv: str, script: str = _LOADED_BY) -> set[str]:
+    return set(json.loads(_run_fresh(script, *argv)))
 
 
 def _chainfold_modules_after(*argv: str) -> set[str]:
@@ -883,8 +890,12 @@ def test_importing_the_cli_loads_no_other_chainfold_module():
 
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():
-    # `fold`, `corpus`, `copy` and `evolve` load it with their records; a usage
-    # error, --help or a missing file, and `scenario`, never do
+    # `fold` and `corpus verify` load it with `folding`'s records, `copy` with
+    # `encoding`'s and `copier`'s, and `evolve` with `protoevolution`'s:
+    # perfbench calls `dataclasses.replace` on a `PlacedBlock`, a
+    # `FoldedStructure` and a `CopyRun`, and a NamedTuple `TapeEntry` slowed
+    # the copier. A usage error, --help or a missing file, `scenario` and
+    # `corpus stats` never load it
     script = "import sys, chainfold.cli; print('dataclasses' in sys.modules)"
     assert _run_fresh(script) == "False\n"
 
@@ -894,6 +905,19 @@ def test_a_scenario_leaves_dataclasses_unloaded(name):
     # kinematics' records are NamedTuples, and it loads no module with dataclasses
     loaded = _modules_after("scenario", "--name", name, "--length", "8")
     assert not loaded & {"dataclasses", "chainfold.mdl", "chainfold.folding"}
+
+
+@pytest.mark.parametrize(
+    "script,argv",
+    [(_READS_THE_MANIFEST, ()), (_LOADED_BY, ("corpus", "stats"))],
+    ids=["load_manifest", "corpus_stats"],
+)
+def test_reading_the_manifest_leaves_dataclasses_and_the_folder_unloaded(script, argv):
+    # mdl's and corpus' records are NamedTuples, and only `verify_fixture`
+    # loads the folder and the geometry
+    loaded = _modules_after(*argv, script=script)
+    assert "chainfold.corpus" in loaded
+    assert not loaded & {"dataclasses", "chainfold.folding", "chainfold.geometry"}
 
 
 @pytest.mark.parametrize(

@@ -24,10 +24,10 @@ import pytest
 from conftest import child_env
 
 # (stage, repeats of the unit) -> opcodes of one call; per token past the
-# first 60 tokens, parse takes 105, fold 168 and json 1,993
+# first 60 tokens, parse takes 79, fold 168 and json 1,993
 FOLD_PATH_OPCODES = {
-    ("parse", 10): 6_314,
-    ("parse", 100): 63_014,
+    ("parse", 10): 4_754,
+    ("parse", 100): 47_414,
     ("fold", 10): 10_272,
     ("fold", 100): 100_992,
     ("json", 10): 121_447,

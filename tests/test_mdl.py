@@ -78,8 +78,14 @@ def test_strict_mode():
 
 
 def test_token_equality_ignores_offset():
-    assert Token("b", "__", offset=0) == Token("b", "__", offset=9)
+    a, b = Token("b", "__", offset=0), Token("b", "__", offset=9)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert a != Token("d", "__", offset=0) and a != ("b", "__", 0)
     assert parse_mdl("b_ b_") == parse_mdl("b__b__")
+    # a token is immutable
+    for name in ("kind", "params", "offset"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, "d")
 
 
 def token_strategy():
@@ -139,7 +145,7 @@ def test_token_fields_face_phase_and_delay():
 
 
 def test_bad_profile_entry_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(MdlError, match="bad profile entry 'Q__'"):
         AlphabetProfile(("Q__",))
 
 
@@ -148,13 +154,17 @@ def test_profile_entry_needs_two_parameter_characters(entry):
     # an entry outside the token grammar could never match a token
     with pytest.raises(MdlError, match="bad profile entry"):
         AlphabetProfile(("b__", entry))
+    # nor can a token be built with that kind and those parameters
+    with pytest.raises(MdlError):
+        Token(entry[:1], entry[1:])
 
 
 @pytest.mark.parametrize("kind", ["bd", "", "Q", "b "])
 def test_token_kind_is_exactly_one_kind_character(kind):
     # Token("bd", "__") would write "bd__", which parses back as b__, d__
-    with pytest.raises(UnknownKindError):
-        Token(kind, "__")
+    with pytest.raises(UnknownKindError) as e:
+        Token(kind, "__", 7)
+    assert (e.value.position, e.value.char) == (7, kind)
 
 
 # kind, parameter, separator, comment, newline and foreign characters
