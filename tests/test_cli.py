@@ -870,7 +870,7 @@ _LOADED_BY = textwrap.dedent(
 CLI_ONLY = {"chainfold", "chainfold.cli", "chainfold.errors"}
 
 
-# the set-up code of perfbench's `replicate`, then the modules loaded
+# the manifest read of perfbench's `replicate` set-up code, then the modules loaded
 _READS_THE_MANIFEST = (
     "import json, sys, chainfold.corpus as c; c.load_manifest(); "
     "print(json.dumps(sorted(sys.modules)))"

@@ -197,7 +197,8 @@ def test_the_check_sees_a_public_name_with_no_reader():
 def _optional_params(source: str) -> list[tuple[str, int | None, str]]:
     """(function, position, parameter) for each parameter with a default of
     each function defined at any depth; a keyword-only one has no position,
-    and a method's positions leave out the `self` or `cls` a call binds."""
+    a method's positions leave out the `self` or `cls` a call binds, and a
+    class's `__new__` or `__init__` goes by the class name its calls spell."""
     found = []
     for scope in ast.walk(ast.parse(source)):
         for node in ast.iter_child_nodes(scope):
@@ -208,9 +209,10 @@ def _optional_params(source: str) -> list[tuple[str, int | None, str]]:
             bound = isinstance(scope, ast.ClassDef) and not static
             positional = (args.posonlyargs + args.args)[bound:]
             first = len(positional) - len(args.defaults)
-            found += [(node.name, i, a.arg) for i, a in enumerate(positional) if i >= first]
+            name = scope.name if bound and node.name in ("__new__", "__init__") else node.name
+            found += [(name, i, a.arg) for i, a in enumerate(positional) if i >= first]
             kwonly = zip(args.kwonlyargs, args.kw_defaults)
-            found += [(node.name, None, a.arg) for a, d in kwonly if d is not None]
+            found += [(name, None, a.arg) for a, d in kwonly if d is not None]
     return found
 
 
@@ -278,6 +280,10 @@ def test_the_check_sees_an_optional_parameter_no_call_passes():
             "    def grow(self, by=1): ...\n"
             "    @staticmethod\n"
             "    def unit(name='cm'): ...\n"
+            "class Box(tuple):\n"
+            "    def __new__(cls, size, unit='cm', lid=False): ...\n"
+            "class Bag:\n"
+            "    def __init__(self, size=1): ...\n"
         ),
     }
     readers = [
@@ -288,8 +294,12 @@ def test_the_check_sees_an_optional_parameter_no_call_passes():
         "shapes._render(s, **opts)\n"
         "Shape().area(True)\n"
         "Shape.unit()\n"
+        "Box(3, 'mm')\n"
+        "super().__new__(cls, *args, **fields)\n"
     ]
     assert _unpassed_optionals(defining, readers) == [
+        "shapes.Bag.size",
+        "shapes.Box.lid",
         "shapes.draw.width",
         "shapes.grow.by",
         "shapes.pad.margin",
